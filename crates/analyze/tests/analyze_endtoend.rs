@@ -1,10 +1,10 @@
 //! End-to-end and property tests for the analysis subsystem: race
-//! detection on real workloads, compaction round-trips, and recording
-//! diffs.
+//! detection on real workloads, the schedule codec on recorder-shaped
+//! logs, and recording diffs.
 
-use dp_analyze::{compact, detect_races, diff, inspect, load_any, save_compact, triage};
+use dp_analyze::{detect_races, diff, inspect, triage};
 use dp_core::logs::{codec, ScheduleLog};
-use dp_core::{record, replay_sequential, DoublePlayConfig, GuestSpec};
+use dp_core::{record, DoublePlayConfig, GuestSpec};
 use dp_os::guest::Rt;
 use dp_os::{abi, kernel::WorldConfig};
 use dp_support::check::check;
@@ -162,42 +162,8 @@ fn prop_racey_workload_always_races() {
 }
 
 #[test]
-fn prop_compaction_roundtrip_preserves_replay() {
-    check("compaction_roundtrip", 4, |g| {
-        let name = *g.pick(&["racey-counter", "pfscan", "radix"]);
-        let case = case_by_name(name, 2);
-        let config = DoublePlayConfig::new(2)
-            .epoch_cycles(g.range(20_000, 100_000))
-            .hidden_seed(g.u64());
-        let bundle = record(&case.spec, &config).unwrap();
-        let before = replay_sequential(&bundle.recording, &case.spec.program).unwrap();
-
-        let (canonical, stats) = compact(&bundle.recording);
-        assert!(
-            stats.schedule_bytes_after < stats.schedule_bytes_before,
-            "{name}: compaction must shrink schedule bytes ({} -> {})",
-            stats.schedule_bytes_before,
-            stats.schedule_bytes_after
-        );
-        let after = replay_sequential(&canonical, &case.spec.program).unwrap();
-        assert_eq!(after.final_hash, before.final_hash, "{name}: in-memory");
-
-        // Container round-trip: save compact, load, replay again.
-        let mut buf = Vec::new();
-        save_compact(&bundle.recording, &mut buf).unwrap();
-        let loaded = load_any(&buf).unwrap();
-        let replayed = replay_sequential(&loaded, &case.spec.program).unwrap();
-        assert_eq!(
-            replayed.final_hash, before.final_hash,
-            "{name}: container round-trip"
-        );
-        assert_eq!(replayed.instructions, before.instructions);
-    });
-}
-
-#[test]
-fn prop_v2_codec_roundtrips_random_schedules() {
-    check("v2_codec_roundtrip", 64, |g| {
+fn prop_schedule_codec_roundtrips_random_schedules() {
+    check("schedule_codec_roundtrip", 64, |g| {
         let mut log = ScheduleLog::new();
         let quantum = g.range(1, 5_000);
         for _ in 0..g.range(0, 200) {
@@ -213,13 +179,8 @@ fn prop_v2_codec_roundtrips_random_schedules() {
                 }
             }
         }
-        let v2 = dp_analyze::compact::encode_schedule_compact(&log);
-        let back = dp_analyze::compact::decode_schedule_compact(&v2).unwrap();
-        assert_eq!(back, log);
-        assert!(
-            v2.len() <= codec::encode_schedule(&log).len(),
-            "v2 must never be larger than v1"
-        );
+        let encoded = codec::encode_schedule(&log);
+        assert_eq!(codec::decode_schedule(&encoded).unwrap(), log);
     });
 }
 

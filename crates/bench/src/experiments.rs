@@ -544,19 +544,18 @@ pub fn table_faults(size: Size) -> Table {
     t
 }
 
-/// E11 / Table: offline analysis — race detection and log compaction.
+/// E11 / Table: offline analysis — race detection.
 ///
-/// Runs the `dp-analyze` subsystem over fresh recordings of the sync-heavy
-/// and racy workloads: vector-clock race detection (races found, detector
-/// wall-clock vs. a plain verified replay of the same recording) and
-/// lossless schedule compaction (v1 vs. compact bytes, with the compacted
-/// recording replayed to prove the round trip).
+/// Runs the `dp-analyze` race detector over fresh recordings of the
+/// sync-heavy and racy workloads: races found, and detector wall-clock
+/// vs. a plain verified replay of the same recording. "sched bytes" is
+/// the recording's schedule log in the lead-byte codec every recording
+/// uses.
 pub fn table_analyze(size: Size) -> Table {
     let mut t = Table::new(
-        "E11 / Table: offline analysis — races & compaction (2 threads)",
+        "E11 / Table: offline analysis — races & schedule bytes (2 threads)",
         "racy workloads report races with full site info, synchronized ones \
-         report none; compaction shrinks every schedule and still replays \
-         to the identical final hash",
+         report none",
         &[
             "workload",
             "races",
@@ -565,9 +564,6 @@ pub fn table_analyze(size: Size) -> Table {
             "replay ms",
             "overhead",
             "sched bytes",
-            "compact",
-            "ratio",
-            "replay ok",
         ],
     );
     let cases = suite(2, size)
@@ -584,18 +580,13 @@ pub fn table_analyze(size: Size) -> Table {
         let bundle = record(&case.spec, &config).expect("record failed");
 
         let t0 = Instant::now();
-        let plain =
-            replay_sequential(&bundle.recording, &case.spec.program).expect("replay failed");
+        replay_sequential(&bundle.recording, &case.spec.program).expect("replay failed");
         let replay_t = t0.elapsed();
         let t0 = Instant::now();
         let report = dp_analyze::detect_races(&bundle.recording, &case.spec.program)
             .expect("race detection failed");
         let detect_t = t0.elapsed();
 
-        let (canonical, stats) = dp_analyze::compact(&bundle.recording);
-        let compact_ok = replay_sequential(&canonical, &case.spec.program)
-            .map(|r| r.final_hash == plain.final_hash)
-            .unwrap_or(false);
         t.row(vec![
             case.name.to_string(),
             report.races.len().to_string(),
@@ -606,10 +597,7 @@ pub fn table_analyze(size: Size) -> Table {
                 "{:.2}x",
                 detect_t.as_secs_f64() / replay_t.as_secs_f64().max(1e-9)
             ),
-            stats.schedule_bytes_before.to_string(),
-            stats.schedule_bytes_after.to_string(),
-            format!("{:.2}x", stats.ratio()),
-            compact_ok.to_string(),
+            bundle.recording.schedule_bytes().to_string(),
         ]);
     }
     t
@@ -618,8 +606,9 @@ pub fn table_analyze(size: Size) -> Table {
 /// E12 / Table: crash-consistent journaling & salvage (2 threads).
 ///
 /// For each workload one reference run streams its recording through a
-/// healthy `DPRJ` journal (the `none` row — also the journal-vs-`DPRC`
-/// byte-overhead figure). Then the run is repeated against sinks that die
+/// healthy one-stream journal (the `none` row — also the journal versus
+/// saved-recording byte overhead, zero since a finalized journal is the
+/// saved recording). Then the run is repeated against sinks that die
 /// deterministically: torn writes at byte offsets swept across the whole
 /// journal (including mid-frame cuts), `ENOSPC`, and a failed flush. Each
 /// crash leaves a journal prefix; `JournalReader::salvage` must recover
@@ -653,8 +642,8 @@ pub fn table_journal(size: Size) -> Table {
             dp_core::record_to(&case.spec, &config, &mut healthy).expect("reference record");
         let journal_len = healthy.bytes_written();
         let journal = healthy.into_inner();
-        let mut dprc = Vec::new();
-        reference.recording.save(&mut dprc).expect("save failed");
+        let mut saved = Vec::new();
+        reference.recording.save(&mut saved).expect("save failed");
         let clean = dp_core::JournalReader::salvage(&journal).expect("clean salvage");
         t.row(vec![
             case.name.to_string(),
@@ -664,8 +653,8 @@ pub fn table_journal(size: Size) -> Table {
             format!("{}/{}", clean.committed(), reference.recording.epochs.len()),
             "0".to_string(),
             format!(
-                "clean; journal {:+.3}% vs DPRC",
-                (journal_len as f64 / dprc.len() as f64 - 1.0) * 100.0
+                "clean; journal {:+.3}% vs saved",
+                (journal_len as f64 / saved.len() as f64 - 1.0) * 100.0
             ),
         ]);
 
@@ -898,9 +887,10 @@ pub fn table_wallclock(size: Size) -> Table {
 }
 
 /// Saves `recording`, flips one deterministic bit per trial, and counts how
-/// many corrupted images `Recording::load` rejects with the typed
-/// `ReplayError::Corrupt` (anything else would violate the acceptance
-/// criterion, so the cell makes it visible).
+/// many corrupted images `Recording::load` rejects with a typed error —
+/// `ReplayError::Corrupt`, or `UnsupportedVersion` for a flip inside the
+/// version field (anything else would violate the acceptance criterion,
+/// so the cell makes it visible).
 fn corruption_rejects(recording: &dp_core::Recording) -> String {
     const TRIALS: usize = 16;
     let mut saved = Vec::new();
@@ -913,7 +903,8 @@ fn corruption_rejects(recording: &dp_core::Recording) -> String {
         bad[i] ^= 1 << (rng.next_u64() % 8);
         if matches!(
             dp_core::Recording::load(&bad[..]),
-            Err(dp_core::ReplayError::Corrupt { .. })
+            Err(dp_core::ReplayError::Corrupt { .. }
+                | dp_core::ReplayError::UnsupportedVersion { .. })
         ) {
             rejected += 1;
         }
@@ -1162,7 +1153,7 @@ impl std::io::Write for SlowSink {
 pub struct ShardRow {
     /// Display label (`single`, `shard x4 sync`, ...).
     pub mode: &'static str,
-    /// Shard streams (1 = classic single-stream `DPRJ`).
+    /// Journal streams (1 = the one-stream journal).
     pub shards: u32,
     /// Group-commit batch (epochs per shard between flushes).
     pub batch: u32,
@@ -1199,7 +1190,7 @@ pub struct ShardRun {
 /// sharded stream set must merge byte-identical to the single-stream
 /// recording.
 pub fn shard_run(size: Size) -> ShardRun {
-    use dp_core::{JournalReader, JournalWriter, ShardedJournalWriter, DEFAULT_SHARD_BATCH};
+    use dp_core::{JournalReader, JournalWriter, DEFAULT_SHARD_BATCH};
     let case = suite(2, size)
         .into_iter()
         .find(|c| c.name == "pfscan")
@@ -1258,9 +1249,9 @@ pub fn shard_run(size: Size) -> ShardRun {
     for (mode, shards, threaded) in layouts {
         let (sinks, flushes, stall) = make_sinks(shards);
         let mut w = if threaded {
-            ShardedJournalWriter::threaded(sinks, DEFAULT_SHARD_BATCH)
+            JournalWriter::threaded(sinks, DEFAULT_SHARD_BATCH)
         } else {
-            ShardedJournalWriter::new(sinks, DEFAULT_SHARD_BATCH)
+            JournalWriter::sync(sinks, DEFAULT_SHARD_BATCH)
         }
         .expect("shard preamble");
         let started = Instant::now();
@@ -1583,7 +1574,7 @@ pub fn dpnet_run(size: Size) -> DpnetRun {
         bytes += outcome.bytes;
         if daemon
             .store()
-            .durable(row.id)
+            .durable(row.id, 0)
             .map(|durable| durable == streamed)
             .unwrap_or(false)
         {
@@ -1883,7 +1874,7 @@ pub fn resume_run(size: Size) -> ResumeRun {
         );
         let identical = daemon
             .store()
-            .durable(id)
+            .durable(id, 0)
             .map(|durable| durable == solo)
             .unwrap_or(false);
         daemon.shutdown();

@@ -154,7 +154,7 @@ pub enum ReplayError {
     /// Distinguished from [`ReplayError::Corrupt`] so tooling can tell
     /// "re-record with this build" apart from "the bytes are damaged".
     UnsupportedVersion {
-        /// Which container ("recording", "journal", "journal shard").
+        /// Which container the file's magic names.
         container: &'static str,
         /// Version stored in the file.
         found: u32,
@@ -251,24 +251,12 @@ pub enum ResumeError {
         /// Hash the re-enactment produced.
         actual: u64,
     },
-    /// The journal carries a clean completion marker: the run already
-    /// finished and there is nothing to resume. A typed no-op, not a
-    /// failure — the salvaged recording is complete and servable as-is.
-    AlreadyFinalized {
-        /// Epochs the finalized journal holds.
-        epochs: usize,
-    },
     /// The salvaged prefix cannot belong to the offered guest/config
     /// pairing: mismatched program hash, initial state, or recorder
     /// configuration, out-of-sequence epoch indices, or a journal too
     /// damaged to salvage at all.
     BadPrefix {
         /// What failed to line up.
-        detail: String,
-    },
-    /// Reopening or truncating the journal for append failed.
-    Io {
-        /// The underlying I/O error, formatted.
         detail: String,
     },
     /// The recorder failed while re-enacting the prefix or continuing the
@@ -288,16 +276,9 @@ impl fmt::Display for ResumeError {
                 "salvaged prefix diverged at epoch {epoch}: journal says {expected:#x}, \
                  re-enactment produced {actual:#x}"
             ),
-            ResumeError::AlreadyFinalized { epochs } => {
-                write!(
-                    f,
-                    "journal is finalized ({epochs} epochs); nothing to resume"
-                )
-            }
             ResumeError::BadPrefix { detail } => {
                 write!(f, "salvaged prefix unusable for resume: {detail}")
             }
-            ResumeError::Io { detail } => write!(f, "journal reopen failed: {detail}"),
             ResumeError::Record(e) => write!(f, "recording failed during resume: {e}"),
         }
     }
@@ -335,9 +316,6 @@ mod tests {
             actual: 0x20,
         };
         assert!(e.to_string().contains("epoch 2"));
-        assert!(ResumeError::AlreadyFinalized { epochs: 7 }
-            .to_string()
-            .contains("finalized"));
         let wrapped = ResumeError::from(RecordError::BudgetExhausted);
         assert!(wrapped.to_string().contains("budget"));
     }

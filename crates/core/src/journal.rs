@@ -1,73 +1,98 @@
-//! The crash-consistent streaming recording journal (`DPRJ`).
+//! The recording format: one framed, CRC-guarded stream type, written as
+//! `N ≥ 1` parallel streams.
 //!
-//! [`Recording::save`] is monolithic: nothing is durable until the whole
-//! run finishes, so a crash of the recording machine forfeits everything
-//! captured so far. The journal is the streaming alternative: the record
+//! A recording is a header, a sequence of epoch records, and a final
+//! marker. [`JournalWriter`] streams it while it is produced: the record
 //! coordinator pushes every committed epoch through a [`RecordSink`], and
-//! a [`JournalWriter`] sink appends it to a durable file as a
-//! self-delimiting CRC32-framed record, flushing at each commit marker.
-//! After a crash — torn write, `ENOSPC`, failed flush, SIGKILL — a
-//! [`JournalReader::salvage`] scan reconstructs the longest committed
-//! epoch prefix as a valid, replayable [`Recording`].
+//! the writer appends it as a self-delimiting frame followed by a commit
+//! marker. After a crash — torn write, `ENOSPC`, failed flush, SIGKILL —
+//! [`JournalReader::salvage`] reconstructs the longest committed epoch
+//! prefix as a valid, replayable [`Recording`].
 //!
-//! ## Frame format
+//! A journal may be split across `N` streams (Taurus-style parallel log
+//! streams): epoch `i` goes to stream `i mod N`, and each stream
+//! *group-commits*, flushing once per `batch` epochs. A single stream is
+//! just the case `N = 1`, and a saved recording ([`Recording::save`]) is a
+//! finalized one-stream journal, byte for byte.
+//!
+//! ## Format (version 3)
 //!
 //! ```text
-//! journal := magic "DPRJ" | version u32 le | frame*
-//! frame   := tag u8 | len u32 le | payload[len] | crc32(tag|len|payload) u32 le
+//! stream := magic "DPRS" | version u32 le | frame*
+//! frame  := tag u8 | len u32 le | payload[len] | crc32(tag|len|payload) u32 le
 //!
-//! tag 1 HEADER  payload = wire(meta) ++ wire(initial checkpoint)
-//! tag 2 EPOCH   payload = wire(EpochRecord)
-//! tag 3 COMMIT  payload = epoch index u32 le ++ crc32(epoch payload) u32 le
-//! tag 4 FINAL   payload = epoch count u32 le          (clean completion)
+//! tag 1 HEADER  stream k u32 | stream count N u32 | program hash u64
+//!               | initial hash u64 | (k == 0 only) wire(meta) ++ wire(initial)
+//! tag 2 EPOCH   wire(EpochRecord)               epoch i goes to stream i mod N
+//! tag 3 COMMIT  epoch index u32 | crc32(EPOCH payload) u32
+//! tag 4 FINAL   total epoch count u32           written to every stream
 //! ```
+//!
+//! Every stream carries the identity hashes, so a stray stream can be
+//! paired with — or rejected from — its siblings; only stream 0 carries
+//! the metadata and the initial checkpoint.
 //!
 //! ## Commit rule
 //!
 //! An epoch is **committed** iff its EPOCH frame is intact (CRC valid,
-//! payload decodable, index in sequence) *and* the immediately following
-//! COMMIT frame is intact and names that epoch's index and payload CRC.
-//! The writer flushes after each COMMIT frame, so the commit marker
-//! reaching the device is the durability point — exactly the write-ahead
-//! rule of database redo logs. A torn write can only ever hurt the
-//! youngest, uncommitted suffix; salvage drops it and keeps the prefix.
+//! payload decodable, index the next one its stream owns) *and* the
+//! immediately following COMMIT frame is intact and names that epoch's
+//! index and payload CRC. A stream's flush is its durability point, so a
+//! torn write can only hurt the youngest, uncommitted suffix of a stream;
+//! salvage drops it. Across streams, salvage takes epoch `i` only after
+//! epochs `0..i`, so the recovered prefix is the longest one whose every
+//! epoch is committed in its stream — exactly the recording the
+//! sequential driver would have produced over that prefix.
 
 use std::io::{self, Write};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
+use std::thread::JoinHandle;
 
 use crate::checkpoint::CheckpointImage;
-use crate::error::{ReplayError, ResumeError};
+use crate::error::ReplayError;
 use crate::recording::{EncodedLogs, EpochRecord, Recording, RecordingMeta};
 use dp_support::crc32::crc32;
-use dp_support::wire::{to_bytes, Reader, Wire};
+use dp_support::wire::{from_bytes, Reader, Wire};
 
-/// Journal magic: "DPRJ" (DoublePlay Recording Journal).
-pub const JOURNAL_MAGIC: [u8; 4] = *b"DPRJ";
-/// Journal format version; bumped on any layout change. Version 2 switched
-/// the schedule/syscall log wire form to length-prefixed compact codec
-/// payloads (the encode-once commit path).
-const FORMAT_VERSION: u32 = 2;
+/// Stream magic: "DPRS" (DoublePlay Recording Stream).
+pub const MAGIC: [u8; 4] = *b"DPRS";
+/// Format version; bumped on any layout change. Version 3 made this stream
+/// the only on-disk form (one stream is a journal or a saved recording)
+/// and the lead-byte schedule codec the only schedule encoding.
+pub const VERSION: u32 = 3;
 
 const TAG_HEADER: u8 = 1;
 const TAG_EPOCH: u8 = 2;
 const TAG_COMMIT: u8 = 3;
 const TAG_FINAL: u8 = 4;
 
+/// Magic plus version.
+const PREAMBLE: usize = 8;
 /// Tag byte + u32 length prefix.
-pub(crate) const FRAME_HEAD: usize = 5;
+const FRAME_HEAD: usize = 5;
 /// CRC32 trailer.
-pub(crate) const FRAME_TAIL: usize = 4;
+const FRAME_TAIL: usize = 4;
+/// The HEADER fields every stream carries: stream index, stream count,
+/// program hash, initial hash.
+const IDENTITY: usize = 24;
+/// Most streams one journal may have; a header claiming more is corrupt
+/// (the reader allocates per declared stream).
+const MAX_STREAMS: u32 = 4096;
+
+/// Default group-commit size: epochs per stream between flushes.
+pub const DEFAULT_SHARD_BATCH: u32 = 8;
 
 /// Where the coordinator streams a recording as it is produced.
 ///
 /// [`epoch`](RecordSink::epoch) returning `Ok` means the sink has
 /// *accepted* the epoch; each implementation defines its own durability
-/// point. [`JournalWriter`] makes every epoch durable before returning
-/// (flush per commit marker), while the sharded
-/// [`crate::ShardedJournalWriter`] group-commits: acceptance is immediate
-/// but durability arrives at the next per-shard batch flush — after a
-/// crash, [`crate::JournalReader`] recovers exactly the durable prefix
-/// either way. Errors abort the recording run with
-/// [`crate::RecordError::Sink`]; everything already durable remains
+/// point. A [`JournalWriter::new`] writer makes every epoch durable before
+/// returning (flush per commit marker), while multi-stream writers
+/// group-commit: acceptance is immediate but durability arrives at the
+/// stream's next batch flush — after a crash, [`JournalReader`] recovers
+/// exactly the durable prefix either way. Errors abort the recording run
+/// with [`crate::RecordError::Sink`]; everything already durable remains
 /// salvageable.
 pub trait RecordSink {
     /// Called once, before the first epoch, with the recording identity
@@ -79,8 +104,8 @@ pub trait RecordSink {
     /// order** (0, 1, 2, …): both recording drivers retire through the
     /// same in-order commit stage — even the pipelined one, whose verify
     /// workers finish out of order, holds results back until their turn.
-    /// Sinks may rely on this for append-only layouts (the sharded writer
-    /// relies on it to assign epochs to shard streams deterministically).
+    /// Sinks may rely on this for append-only layouts ([`JournalWriter`]
+    /// relies on it to assign epochs to streams deterministically).
     fn epoch(&mut self, epoch: &EpochRecord) -> io::Result<()>;
     /// Like [`epoch`](RecordSink::epoch), but with the compact-codec log
     /// encodings the commit path already produced for cost accounting.
@@ -113,97 +138,369 @@ impl RecordSink for NullSink {
     }
 }
 
-/// Streams a recording into a durable sink as a `DPRJ` journal.
-///
-/// Construction writes the magic and version immediately, so even a run
-/// that crashes before its first epoch leaves an identifiable journal.
-#[derive(Debug)]
-pub struct JournalWriter<W: Write> {
-    sink: W,
-    written: u64,
-    epochs: u32,
+/// Appends one frame to `out`: `put` serializes the payload straight
+/// after a reserved head, then the head's length and the CRC trailer are
+/// filled in around it — the payload is never copied.
+fn push_frame(out: &mut Vec<u8>, tag: u8, put: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
+    let start = out.len();
+    out.push(tag);
+    out.extend_from_slice(&[0; 4]);
+    put(out);
+    let payload = out.len() - start - FRAME_HEAD;
+    let len = u32::try_from(payload).map_err(|_| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("journal frame payload of {payload} bytes exceeds u32"),
+        )
+    })?;
+    out[start + 1..start + FRAME_HEAD].copy_from_slice(&len.to_le_bytes());
+    let crc = crc32(&out[start..]);
+    out.extend_from_slice(&crc.to_le_bytes());
+    Ok(())
 }
 
+/// The COMMIT payload binding epoch `index` to its EPOCH payload's CRC.
+fn commit_marker(index: u32, payload_crc: u32) -> [u8; 8] {
+    let mut marker = [0u8; 8];
+    marker[..4].copy_from_slice(&index.to_le_bytes());
+    marker[4..].copy_from_slice(&payload_crc.to_le_bytes());
+    marker
+}
+
+/// How many of the epochs below `total` stream `k` of `n` owns (epoch `i`
+/// goes to stream `i mod n`).
+fn owned(total: u64, k: u32, n: u32) -> u64 {
+    (total + u64::from(n - 1 - k)) / u64::from(n)
+}
+
+/// What a lane carries per hand-off: bytes to append, how many epoch
+/// commits they hold (group-commit ticks), and whether to flush regardless
+/// (header and final frames are durability points).
+struct LaneMsg {
+    bytes: Vec<u8>,
+    ticks: u32,
+    force_flush: bool,
+}
+
+/// One stream's writer: appended inline by the caller of
+/// [`RecordSink::epoch`] (sync) or by a dedicated lane thread (threaded —
+/// the commit stage only serializes and sends).
+enum Lane<W> {
+    Sync {
+        w: W,
+        /// Epoch commits appended since the last flush.
+        pending: u32,
+    },
+    Threaded {
+        tx: mpsc::Sender<LaneMsg>,
+        handle: JoinHandle<W>,
+    },
+}
+
+impl<W> Lane<W> {
+    /// The stream's writer, joining its lane thread first so every byte
+    /// handed off has been written.
+    fn into_writer(self) -> io::Result<W> {
+        match self {
+            Lane::Sync { w, .. } => Ok(w),
+            Lane::Threaded { tx, handle } => {
+                drop(tx);
+                handle
+                    .join()
+                    .map_err(|_| io::Error::other("journal lane thread panicked"))
+            }
+        }
+    }
+}
+
+/// State shared with lane threads.
+#[derive(Default)]
+struct Shared {
+    /// Flushes issued across all streams (the E15 amortization metric).
+    flushes: AtomicU64,
+    /// First error a lane thread hit, surfaced on the writer's next call.
+    lane_err: Mutex<Option<String>>,
+}
+
+/// Appends one hand-off to a stream, flushing at its group-commit
+/// boundary.
+fn append<W: Write>(
+    w: &mut W,
+    pending: &mut u32,
+    msg: &LaneMsg,
+    batch: u32,
+    shared: &Shared,
+) -> io::Result<()> {
+    w.write_all(&msg.bytes)?;
+    *pending += msg.ticks;
+    if msg.force_flush || *pending >= batch {
+        w.flush()?;
+        *pending = 0;
+        shared.flushes.fetch_add(1, Ordering::SeqCst);
+    }
+    Ok(())
+}
+
+/// Lane-thread body. On error the lane parks the message in the shared
+/// slot and keeps draining (the writer surfaces it on its next call); the
+/// writer is always returned so callers can inspect whatever bytes it
+/// holds.
+fn lane_loop<W: Write>(mut w: W, rx: &mpsc::Receiver<LaneMsg>, batch: u32, shared: &Shared) -> W {
+    let mut pending = 0;
+    let mut dead = false;
+    while let Ok(msg) = rx.recv() {
+        if dead {
+            continue;
+        }
+        if let Err(e) = append(&mut w, &mut pending, &msg, batch, shared) {
+            let mut slot = shared.lane_err.lock().expect("lane error slot poisoned");
+            slot.get_or_insert_with(|| e.to_string());
+            dead = true;
+        }
+    }
+    w
+}
+
+/// Streams a recording into `N ≥ 1` journal streams. Implements
+/// [`RecordSink`], so both recording drivers accept it.
+///
+/// [`new`](JournalWriter::new) builds the one-stream journal, written
+/// inline and flushed at every commit marker — the form
+/// [`Recording::save`] writes. [`sync`](JournalWriter::sync) and
+/// [`threaded`](JournalWriter::threaded) split the journal across several
+/// streams that group-commit; in threaded mode each stream is appended by
+/// its own lane thread, so the commit stage only serializes frames and
+/// the flush leaves the hot path.
+///
+/// Byte determinism: every stream's bytes are a pure function of the epoch
+/// sequence (frames are serialized by the committing caller, in commit
+/// order, before any hand-off), so batching and threading change *when*
+/// bytes become durable, never *which* bytes the streams contain.
+pub struct JournalWriter<W: Write> {
+    lanes: Vec<Lane<W>>,
+    batch: u32,
+    epochs: u32,
+    written: u64,
+    shared: Arc<Shared>,
+}
+
+/// [`JournalWriter`] under its multi-stream name.
+pub type ShardedJournalWriter<W> = JournalWriter<W>;
+
 impl<W: Write> JournalWriter<W> {
-    /// Wraps `sink` and writes the journal preamble.
+    /// One stream, written inline and flushed at every commit marker.
+    /// Construction writes the preamble immediately, so even a run that
+    /// crashes before its first epoch leaves an identifiable journal.
     ///
     /// # Errors
     ///
     /// I/O failures from the sink.
-    pub fn new(mut sink: W) -> io::Result<Self> {
-        sink.write_all(&JOURNAL_MAGIC)?;
-        sink.write_all(&FORMAT_VERSION.to_le_bytes())?;
+    pub fn new(sink: W) -> io::Result<Self> {
+        Self::sync(vec![sink], 1)
+    }
+
+    /// One stream per writer, appended and flushed inline on the
+    /// committing thread; each stream flushes once per `batch` epochs (0
+    /// is treated as 1).
+    ///
+    /// # Errors
+    ///
+    /// `InvalidInput` for no writers or more than 4096; I/O failures from
+    /// the preamble writes.
+    pub fn sync(writers: Vec<W>, batch: u32) -> io::Result<Self> {
+        let lanes = writers
+            .into_iter()
+            .map(|w| Lane::Sync { w, pending: 0 })
+            .collect();
+        Self::start(lanes, batch, Arc::default())
+    }
+
+    /// Continues a crashed journal: `writers[k]` holds exactly the first
+    /// `salvaged.keep[k]` bytes of stream `k` (the caller truncated every
+    /// torn tail), and the writer appends epoch `salvaged.committed()`
+    /// onward, inline. Nothing is rewritten: every stream continues
+    /// byte-for-byte where its kept prefix ended.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidInput` when the writer count differs from the salvaged
+    /// stream count, or a stream was missing from the salvage (resume
+    /// needs every stream).
+    pub fn resume(writers: Vec<W>, batch: u32, salvaged: &Salvaged) -> io::Result<Self> {
+        let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidInput, msg);
+        if writers.len() != salvaged.streams as usize {
+            return Err(invalid(format!(
+                "{} writers for a {}-stream journal",
+                writers.len(),
+                salvaged.streams
+            )));
+        }
+        let mut written = 0;
+        for (k, keep) in salvaged.keep.iter().enumerate() {
+            let keep =
+                keep.ok_or_else(|| invalid(format!("stream {k} is missing; cannot resume")))?;
+            written += keep as u64;
+        }
         Ok(JournalWriter {
-            sink,
-            written: (JOURNAL_MAGIC.len() + 4) as u64,
-            epochs: 0,
+            lanes: writers
+                .into_iter()
+                .map(|w| Lane::Sync { w, pending: 0 })
+                .collect(),
+            batch: batch.max(1),
+            epochs: salvaged.committed() as u32,
+            written,
+            shared: Arc::default(),
         })
     }
 
-    /// Wraps a sink already holding exactly the committed prefix of
-    /// `salvaged` — the caller has truncated the torn tail to
-    /// [`Salvaged::committed_bytes`] — and positions the writer to append
-    /// epoch `salvaged.committed()` onward. Neither the preamble nor the
-    /// header frame is rewritten: the journal continues byte-for-byte
-    /// where the crashed incarnation's durable prefix ended.
-    pub fn resume_after(sink: W, salvaged: &Salvaged) -> Self {
-        JournalWriter {
-            sink,
-            written: salvaged.committed_bytes as u64,
-            epochs: salvaged.committed() as u32,
+    /// Builds a fresh writer and writes every stream's preamble.
+    fn start(lanes: Vec<Lane<W>>, batch: u32, shared: Arc<Shared>) -> io::Result<Self> {
+        if lanes.is_empty() || lanes.len() > MAX_STREAMS as usize {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "a journal has 1 to {MAX_STREAMS} streams, not {}",
+                    lanes.len()
+                ),
+            ));
         }
+        let mut this = JournalWriter {
+            lanes,
+            batch: batch.max(1),
+            epochs: 0,
+            written: 0,
+            shared,
+        };
+        let mut preamble = MAGIC.to_vec();
+        preamble.extend_from_slice(&VERSION.to_le_bytes());
+        for k in 0..this.lanes.len() {
+            this.lane_write(k, preamble.clone(), 0, false)?;
+        }
+        Ok(this)
     }
 
-    /// Total journal bytes written so far (the write-overhead metric).
-    pub fn bytes_written(&self) -> u64 {
-        self.written
+    /// Stream count.
+    pub fn stream_count(&self) -> u32 {
+        self.lanes.len() as u32
     }
 
-    /// Epochs committed to the journal so far.
+    /// Epochs committed so far.
     pub fn epochs_committed(&self) -> u32 {
         self.epochs
     }
 
-    /// A shared view of the sink.
+    /// Total bytes handed to the streams (the write-overhead metric).
+    pub fn bytes_written(&self) -> u64 {
+        self.written
+    }
+
+    /// Flushes issued across all streams so far. Lane threads' flushes
+    /// race this read; the count is exact once
+    /// [`into_writers`](JournalWriter::into_writers) has joined them.
+    pub fn flushes(&self) -> u64 {
+        self.shared.flushes.load(Ordering::SeqCst)
+    }
+
+    /// A shared view of stream 0's writer: the whole journal of a
+    /// [`new`](JournalWriter::new) writer.
+    ///
+    /// # Panics
+    ///
+    /// When stream 0 is appended by a lane thread.
     pub fn get_ref(&self) -> &W {
-        &self.sink
+        match &self.lanes[0] {
+            Lane::Sync { w, .. } => w,
+            Lane::Threaded { .. } => panic!("get_ref on a threaded journal stream"),
+        }
     }
 
-    /// Unwraps the sink (e.g. to salvage the bytes a faulted sink holds).
+    /// Unwraps stream 0's writer: the whole journal of a
+    /// [`new`](JournalWriter::new) writer (e.g. to salvage the bytes a
+    /// faulted sink holds).
+    ///
+    /// # Panics
+    ///
+    /// When stream 0's lane thread panicked.
     pub fn into_inner(self) -> W {
-        self.sink
+        self.lanes
+            .into_iter()
+            .next()
+            .expect("a journal has a stream")
+            .into_writer()
+            .expect("journal lane thread panicked")
     }
 
-    /// Writes one framed record: tag, length, payload, CRC32 over all
-    /// three (so a flipped tag or length is caught, not just payload rot).
-    fn frame(&mut self, tag: u8, payload: &[u8]) -> io::Result<()> {
-        let len = u32::try_from(payload.len()).map_err(|_| {
-            io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "journal frame payload of {} bytes exceeds u32",
-                    payload.len()
-                ),
-            )
-        })?;
-        let mut head = [0u8; FRAME_HEAD];
-        head[0] = tag;
-        head[1..].copy_from_slice(&len.to_le_bytes());
-        let crc = frame_crc(&head, payload);
-        self.sink.write_all(&head)?;
-        self.sink.write_all(payload)?;
-        self.sink.write_all(&crc.to_le_bytes())?;
-        self.written += (FRAME_HEAD + payload.len() + FRAME_TAIL) as u64;
+    /// Consumes the writer and returns every stream's writer, joining
+    /// lane threads first so all handed-off bytes are written.
+    ///
+    /// # Errors
+    ///
+    /// The first lane error, if any stream failed.
+    pub fn into_writers(self) -> io::Result<Vec<W>> {
+        let writers = self
+            .lanes
+            .into_iter()
+            .map(Lane::into_writer)
+            .collect::<io::Result<Vec<W>>>()?;
+        let failed = self
+            .shared
+            .lane_err
+            .lock()
+            .expect("lane error slot poisoned")
+            .take();
+        match failed {
+            Some(msg) => Err(io::Error::other(format!("journal lane failed: {msg}"))),
+            None => Ok(writers),
+        }
+    }
+
+    fn check_lanes(&self) -> io::Result<()> {
+        match self
+            .shared
+            .lane_err
+            .lock()
+            .expect("lane error slot poisoned")
+            .as_ref()
+        {
+            Some(msg) => Err(io::Error::other(format!("journal lane failed: {msg}"))),
+            None => Ok(()),
+        }
+    }
+
+    /// Hands `bytes` to stream `k`, advancing its group-commit state by
+    /// `ticks` epoch commits; `force_flush` flushes unconditionally.
+    fn lane_write(
+        &mut self,
+        k: usize,
+        bytes: Vec<u8>,
+        ticks: u32,
+        force_flush: bool,
+    ) -> io::Result<()> {
+        let len = bytes.len() as u64;
+        let msg = LaneMsg {
+            bytes,
+            ticks,
+            force_flush,
+        };
+        match &mut self.lanes[k] {
+            Lane::Sync { w, pending } => append(w, pending, &msg, self.batch, &self.shared)?,
+            Lane::Threaded { tx, .. } => tx
+                .send(msg)
+                .map_err(|_| io::Error::other("journal lane thread exited early"))?,
+        }
+        self.written += len;
         Ok(())
     }
 
-    /// Appends one epoch from its serialized payload: in-order check,
-    /// EPOCH frame, COMMIT marker, flush. Shared by both sink entry points
-    /// so the commit rule is stated once.
-    fn epoch_payload(&mut self, index: u32, payload: &[u8]) -> io::Result<()> {
-        // Enforce the RecordSink in-order contract: a commit stage bug
-        // (out-of-order retirement in the pipelined driver) must surface
-        // here, not as a silently unreplayable journal.
+    /// Appends one epoch: in-order check, the EPOCH frame serialized in
+    /// place by `put`, its COMMIT marker, and one hand-off to stream
+    /// `index mod N`. Shared by both [`RecordSink`] entry points so the
+    /// commit rule is stated once.
+    fn append_epoch(&mut self, index: u32, put: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
+        self.check_lanes()?;
+        // The stream assignment is a function of commit order, so an
+        // out-of-order epoch is a commit-stage bug: surface it here, not as
+        // an unreplayable journal.
         if index != self.epochs {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -213,116 +510,130 @@ impl<W: Write> JournalWriter<W> {
                 ),
             ));
         }
-        let payload_crc = crc32(payload);
-        self.frame(TAG_EPOCH, payload)?;
-        let mut commit = [0u8; 8];
-        commit[..4].copy_from_slice(&index.to_le_bytes());
-        commit[4..].copy_from_slice(&payload_crc.to_le_bytes());
-        self.frame(TAG_COMMIT, &commit)?;
-        // The flush is the durability point: an epoch whose commit marker
-        // never reached the device is, by the commit rule, uncommitted.
-        self.sink.flush()?;
+        let mut bytes = Vec::new();
+        push_frame(&mut bytes, TAG_EPOCH, put)?;
+        let payload_crc = crc32(&bytes[FRAME_HEAD..bytes.len() - FRAME_TAIL]);
+        push_frame(&mut bytes, TAG_COMMIT, |p| {
+            p.extend_from_slice(&commit_marker(index, payload_crc));
+        })?;
+        // The frame and its commit marker travel together; the stream
+        // flushes at its group-commit boundary, and an epoch whose commit
+        // marker never reached the device is, by the commit rule,
+        // uncommitted.
+        let k = (index % self.stream_count()) as usize;
+        self.lane_write(k, bytes, 1, false)?;
         self.epochs += 1;
         Ok(())
     }
 }
 
-impl JournalWriter<std::fs::File> {
-    /// Reopens the journal at `path` for append: salvages the committed
-    /// prefix, truncates any torn tail back to the last COMMIT frame
-    /// (truncate-then-flush — the tail is gone and synced before any new
-    /// byte is appended), and returns a writer accepting epoch `k+1`
-    /// onward plus the salvage result (whose recording is the prefix to
-    /// re-enact).
+impl<W: Write + Send + 'static> JournalWriter<W> {
+    /// Like [`sync`](JournalWriter::sync), but each stream is appended by
+    /// its own lane thread: [`RecordSink::epoch`] only serializes the
+    /// frames and hands them off, so neither the append nor the flush
+    /// stalls the commit stage. Lane errors surface on the next sink call
+    /// (or at [`into_writers`](JournalWriter::into_writers)).
     ///
     /// # Errors
     ///
-    /// [`ResumeError::AlreadyFinalized`] when the journal completed
-    /// cleanly (nothing to resume), [`ResumeError::BadPrefix`] when
-    /// nothing is salvageable, [`ResumeError::Io`] on reopen/truncate
-    /// failures.
-    pub fn resume(path: &std::path::Path) -> Result<(Self, Salvaged), ResumeError> {
-        let io_err = |e: io::Error| ResumeError::Io {
-            detail: e.to_string(),
-        };
-        let bytes = std::fs::read(path).map_err(io_err)?;
-        let salvaged = JournalReader::salvage(&bytes).map_err(|e| ResumeError::BadPrefix {
-            detail: e.to_string(),
-        })?;
-        if salvaged.clean {
-            return Err(ResumeError::AlreadyFinalized {
-                epochs: salvaged.committed(),
-            });
-        }
-        let file = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(path)
-            .map_err(io_err)?;
-        file.set_len(salvaged.committed_bytes as u64)
-            .map_err(io_err)?;
-        file.sync_data().map_err(io_err)?;
-        let mut file = file;
-        use std::io::Seek;
-        file.seek(io::SeekFrom::End(0)).map_err(io_err)?;
-        Ok((Self::resume_after(file, &salvaged), salvaged))
+    /// `InvalidInput` for no writers or more than 4096.
+    pub fn threaded(writers: Vec<W>, batch: u32) -> io::Result<Self> {
+        let batch = batch.max(1);
+        let shared = Arc::new(Shared::default());
+        let lanes = writers
+            .into_iter()
+            .enumerate()
+            .map(|(k, w)| {
+                let (tx, rx) = mpsc::channel();
+                let shared = Arc::clone(&shared);
+                let handle = std::thread::Builder::new()
+                    .name(format!("journal-lane-{k}"))
+                    .spawn(move || lane_loop(w, &rx, batch, &shared))
+                    .expect("spawn journal lane thread");
+                Lane::Threaded { tx, handle }
+            })
+            .collect();
+        Self::start(lanes, batch, shared)
     }
-}
-
-/// CRC32 over the frame head and payload as one logical buffer.
-pub(crate) fn frame_crc(head: &[u8], payload: &[u8]) -> u32 {
-    let mut buf = Vec::with_capacity(head.len() + payload.len());
-    buf.extend_from_slice(head);
-    buf.extend_from_slice(payload);
-    crc32(&buf)
 }
 
 impl<W: Write> RecordSink for JournalWriter<W> {
     fn begin(&mut self, meta: &RecordingMeta, initial: &CheckpointImage) -> io::Result<()> {
-        let mut payload = Vec::new();
-        meta.put(&mut payload);
-        initial.put(&mut payload);
-        self.frame(TAG_HEADER, &payload)?;
-        self.sink.flush()
+        self.check_lanes()?;
+        let n = self.stream_count();
+        for k in 0..n {
+            let mut header = Vec::new();
+            push_frame(&mut header, TAG_HEADER, |p| {
+                p.extend_from_slice(&k.to_le_bytes());
+                p.extend_from_slice(&n.to_le_bytes());
+                p.extend_from_slice(&meta.program_hash.to_le_bytes());
+                p.extend_from_slice(&meta.initial_machine_hash.to_le_bytes());
+                if k == 0 {
+                    meta.put(p);
+                    initial.put(p);
+                }
+            })?;
+            // The header is a durability point: a stream whose header
+            // never reached the device contributes nothing.
+            self.lane_write(k as usize, header, 0, true)?;
+        }
+        Ok(())
     }
 
     fn epoch(&mut self, epoch: &EpochRecord) -> io::Result<()> {
-        let payload = to_bytes(epoch);
-        self.epoch_payload(epoch.index, &payload)
+        self.append_epoch(epoch.index, |p| epoch.put(p))
     }
 
     fn epoch_encoded(&mut self, epoch: &EpochRecord, logs: &EncodedLogs) -> io::Result<()> {
-        let mut payload = Vec::new();
-        epoch.put_with(logs, &mut payload);
-        self.epoch_payload(epoch.index, &payload)
+        self.append_epoch(epoch.index, |p| epoch.put_with(logs, p))
     }
 
     fn finish(&mut self) -> io::Result<()> {
-        self.frame(TAG_FINAL, &self.epochs.to_le_bytes())?;
-        self.sink.flush()
+        self.check_lanes()?;
+        let count = self.epochs;
+        let mut fin = Vec::new();
+        push_frame(&mut fin, TAG_FINAL, |p| {
+            p.extend_from_slice(&count.to_le_bytes());
+        })?;
+        // Finish drains every stream's group-commit batch, so a clean run
+        // is fully durable.
+        for k in 0..self.lanes.len() {
+            self.lane_write(k, fin.clone(), 0, true)?;
+        }
+        Ok(())
     }
 }
 
-/// What a salvage scan recovered from a journal.
+/// What a salvage scan recovered from a journal's streams.
 #[derive(Debug)]
 pub struct Salvaged {
-    /// The reconstructed recording: header plus the longest committed
-    /// epoch prefix. Always valid and replayable (possibly zero epochs).
+    /// The recovered recording: header plus the longest committed epoch
+    /// prefix. Always valid and replayable (possibly zero epochs), and
+    /// byte-identical when saved to the sequential driver's output over
+    /// the same prefix.
     pub recording: Recording,
-    /// True when the journal carries a FINAL frame matching the epoch
-    /// count — the run completed cleanly; nothing was lost.
+    /// True when every stream is present and finalized with the recovered
+    /// epoch count: the run completed cleanly and nothing was lost.
     pub clean: bool,
-    /// Journal bytes consumed as valid frames.
+    /// Stream count the headers declare (1 for a saved recording).
+    pub streams: u32,
+    /// Bytes consumed as valid frames, summed over streams.
     pub salvaged_bytes: usize,
-    /// Bytes up to and including the last committed epoch's COMMIT frame
-    /// (the header frame's end when no epoch committed). This is the
-    /// truncation point for append-reopen: everything past it — a torn
-    /// frame, an uncommitted epoch, even a bogus FINAL marker — is tail
-    /// to drop before the journal accepts epoch `committed()` onward.
-    pub committed_bytes: usize,
-    /// Trailing bytes dropped (torn frame, uncommitted epoch, garbage).
+    /// Trailing bytes dropped (torn frames, uncommitted epochs, garbage),
+    /// summed over streams.
     pub dropped_bytes: usize,
-    /// Why the scan stopped, for operator-facing reporting.
+    /// Epochs committed in their own stream but outside the recovered
+    /// prefix (an earlier epoch died in a sibling stream).
+    pub dropped_epochs: usize,
+    /// Per stream, the byte offset to truncate it to before appending
+    /// epoch [`committed`](Salvaged::committed) onward: just past the
+    /// COMMIT frame of the stream's last epoch inside the prefix (the
+    /// header's end when it holds none). Everything past it — a torn
+    /// frame, an uncommitted epoch, even a FINAL marker — is tail. `None`
+    /// for a stream that was missing or unusable; resume needs every
+    /// stream.
+    pub keep: Vec<Option<usize>>,
+    /// Why the recovery stopped, for operator-facing reporting.
     pub detail: String,
 }
 
@@ -333,155 +644,363 @@ impl Salvaged {
     }
 }
 
-/// Parses `DPRJ` journals, including ones a crash left behind.
+/// Parses journal streams, including ones a crash left behind.
 pub struct JournalReader;
 
+fn corrupt(detail: String) -> ReplayError {
+    ReplayError::Corrupt { detail }
+}
+
 /// One intact frame: tag, payload slice, and the offset just past it.
-pub(crate) struct Frame<'a> {
-    pub(crate) tag: u8,
-    pub(crate) payload: &'a [u8],
-    pub(crate) end: usize,
+struct Frame<'a> {
+    tag: u8,
+    payload: &'a [u8],
+    end: usize,
 }
 
 /// Reads the frame at `pos`, validating bounds and CRC. `None` means the
 /// bytes from `pos` on do not form an intact frame — truncation, a torn
 /// write, or corruption; salvage treats all three identically.
-pub(crate) fn read_frame(buf: &[u8], pos: usize) -> Option<Frame<'_>> {
-    let head = buf.get(pos..pos + FRAME_HEAD)?;
-    let len = u32::from_le_bytes(head[1..5].try_into().unwrap()) as usize;
+fn read_frame(buf: &[u8], pos: usize) -> Option<Frame<'_>> {
+    let head = buf.get(pos..pos.checked_add(FRAME_HEAD)?)?;
+    let len = u32::from_le_bytes(head[1..].try_into().ok()?) as usize;
     let payload_end = pos.checked_add(FRAME_HEAD)?.checked_add(len)?;
     let end = payload_end.checked_add(FRAME_TAIL)?;
-    if end > buf.len() {
-        return None;
-    }
-    let payload = &buf[pos + FRAME_HEAD..payload_end];
-    let stored = u32::from_le_bytes(buf[payload_end..end].try_into().unwrap());
-    if stored != frame_crc(head, payload) {
-        return None;
-    }
-    Some(Frame {
+    let stored = buf.get(payload_end..end)?;
+    (stored == crc32(&buf[pos..payload_end]).to_le_bytes()).then(|| Frame {
         tag: head[0],
-        payload,
+        payload: &buf[pos + FRAME_HEAD..payload_end],
         end,
     })
 }
 
+/// Checks a stream's magic and version. Files of the retired containers —
+/// `DPRC` saved recordings, `DPRJ` journals and `DPRZ` compacted
+/// recordings, all older than version 3 — and `DPRS` streams of another
+/// version are recognized only to be rejected with the typed version
+/// error.
+fn check_preamble(buf: &[u8]) -> Result<(), ReplayError> {
+    let Some(pre) = buf.get(..PREAMBLE) else {
+        return Err(corrupt(format!(
+            "file too short to be a recording ({} bytes)",
+            buf.len()
+        )));
+    };
+    let version = u32::from_le_bytes(pre[4..].try_into().expect("4-byte version"));
+    let container = match &pre[..4] {
+        m if m == MAGIC && version == VERSION => return Ok(()),
+        m if m == MAGIC => "DPRS stream",
+        b"DPRC" if version < VERSION => "DPRC recording",
+        b"DPRJ" if version < VERSION => "DPRJ journal",
+        b"DPRZ" if version < VERSION => "DPRZ recording",
+        m => return Err(corrupt(format!("bad magic {m:02x?}"))),
+    };
+    Err(ReplayError::UnsupportedVersion {
+        container,
+        found: version,
+        expected: VERSION,
+    })
+}
+
+/// A stream's HEADER frame, parsed up to its identity fields.
+struct Header<'a> {
+    stream: u32,
+    streams: u32,
+    identity: [u64; 2],
+    /// Stream 0's meta and initial checkpoint; empty for the others.
+    rest: &'a [u8],
+    end: usize,
+}
+
+fn read_header(buf: &[u8]) -> Result<Header<'_>, ReplayError> {
+    check_preamble(buf)?;
+    let frame = read_frame(buf, PREAMBLE)
+        .filter(|f| f.tag == TAG_HEADER && f.payload.len() >= IDENTITY)
+        .ok_or_else(|| corrupt("stream header frame missing or torn".into()))?;
+    let p = frame.payload;
+    let u32_at = |i: usize| u32::from_le_bytes(p[i..i + 4].try_into().expect("4 bytes"));
+    let u64_at = |i: usize| u64::from_le_bytes(p[i..i + 8].try_into().expect("8 bytes"));
+    let (stream, streams) = (u32_at(0), u32_at(4));
+    if stream >= streams || streams > MAX_STREAMS {
+        return Err(corrupt(format!(
+            "stream header names stream {stream} of {streams}"
+        )));
+    }
+    Ok(Header {
+        stream,
+        streams,
+        identity: [u64_at(8), u64_at(16)],
+        rest: &p[IDENTITY..],
+        end: frame.end,
+    })
+}
+
+/// What one stream's salvage scan recovered.
+struct Scan {
+    stream: u32,
+    streams: u32,
+    identity: [u64; 2],
+    /// Meta and initial checkpoint (stream 0 only).
+    header: Option<(RecordingMeta, CheckpointImage)>,
+    /// Committed epochs, in stream order.
+    epochs: Vec<EpochRecord>,
+    /// Per committed epoch, the offset just past its COMMIT frame — the
+    /// candidate truncation points for resume.
+    commit_ends: Vec<usize>,
+    header_end: usize,
+    /// The FINAL marker's epoch count, when it agrees with this stream's
+    /// commits.
+    final_count: Option<u32>,
+    /// Offset just past the last valid frame.
+    end: usize,
+    dropped: usize,
+    /// Why the scan stopped.
+    stop: String,
+}
+
+/// Scans one stream, applying the commit rule frame by frame. Errors only
+/// when the stream is unusable outright (foreign or retired preamble, torn
+/// header); a torn tail just ends the scan.
+fn scan_stream(buf: &[u8]) -> Result<Scan, ReplayError> {
+    let h = read_header(buf)?;
+    let mut r = Reader::new(h.rest);
+    let header = if h.stream == 0 {
+        let meta = RecordingMeta::get(&mut r)
+            .map_err(|e| corrupt(format!("header meta undecodable: {e}")))?;
+        let initial = CheckpointImage::get(&mut r)
+            .map_err(|e| corrupt(format!("header checkpoint undecodable: {e}")))?;
+        Some((meta, initial))
+    } else {
+        None
+    };
+    if !r.is_empty() {
+        return Err(corrupt(format!(
+            "{} trailing bytes inside stream header frame",
+            r.remaining()
+        )));
+    }
+    let mut s = Scan {
+        stream: h.stream,
+        streams: h.streams,
+        identity: h.identity,
+        header,
+        epochs: Vec::new(),
+        commit_ends: Vec::new(),
+        header_end: h.end,
+        final_count: None,
+        end: h.end,
+        dropped: 0,
+        stop: String::new(),
+    };
+    s.stop = loop {
+        let pos = s.end;
+        let Some(frame) = read_frame(buf, pos) else {
+            break if pos == buf.len() {
+                "ends mid-run (no final marker)".to_string()
+            } else {
+                format!("torn or corrupt frame at byte {pos}")
+            };
+        };
+        match frame.tag {
+            TAG_EPOCH => {
+                // Stream k holds epochs k, k+N, k+2N, ... in order.
+                let expect = u64::from(s.stream) + u64::from(s.streams) * s.epochs.len() as u64;
+                let Ok(epoch) = from_bytes::<EpochRecord>(frame.payload) else {
+                    break format!("epoch frame at byte {pos} undecodable");
+                };
+                if u64::from(epoch.index) != expect {
+                    break format!(
+                        "epoch frame at byte {pos} out of sequence (index {}, expected {expect})",
+                        epoch.index
+                    );
+                }
+                // The commit rule: the very next frame must be this
+                // epoch's commit marker.
+                let marker = commit_marker(epoch.index, crc32(frame.payload));
+                let Some(commit) = read_frame(buf, frame.end)
+                    .filter(|c| c.tag == TAG_COMMIT && c.payload == marker.as_slice())
+                else {
+                    break format!("epoch {} has no commit marker (uncommitted)", epoch.index);
+                };
+                s.epochs.push(epoch);
+                s.commit_ends.push(commit.end);
+                s.end = commit.end;
+            }
+            TAG_FINAL => {
+                s.end = frame.end;
+                let count = <[u8; 4]>::try_from(frame.payload)
+                    .ok()
+                    .map(u32::from_le_bytes);
+                if count
+                    .is_some_and(|c| owned(c.into(), s.stream, s.streams) == s.epochs.len() as u64)
+                {
+                    s.final_count = count;
+                    break "clean completion".to_string();
+                }
+                break "final marker disagrees with committed epoch count".to_string();
+            }
+            TAG_COMMIT => break format!("orphan commit marker at byte {pos}"),
+            t => break format!("unknown frame tag {t} at byte {pos}"),
+        }
+    };
+    s.dropped = buf.len() - s.end;
+    Ok(s)
+}
+
 impl JournalReader {
-    /// Reconstructs the longest committed epoch prefix from a journal,
-    /// applying the commit rule frame by frame. Works on intact journals
-    /// (returns everything, `clean == true` when finalized) and on any
-    /// crash-truncated or tail-corrupted byte prefix.
+    /// Salvages one stream: a saved recording, a one-stream journal, or
+    /// one stream of a larger set (bounded at its first epoch owned by a
+    /// missing sibling). Works on intact streams (`clean` when finalized)
+    /// and on any crash-truncated or tail-corrupted byte prefix.
     ///
     /// # Errors
     ///
-    /// [`ReplayError::UnsupportedVersion`] for a journal written by a
-    /// different format version; [`ReplayError::Corrupt`] only when nothing
-    /// is salvageable: missing or foreign magic or an unrecoverable header
-    /// frame (without meta and the initial checkpoint there is no valid
-    /// `Recording` to build). Never panics, whatever the input.
+    /// As [`salvage_shards`](JournalReader::salvage_shards).
     pub fn salvage(buf: &[u8]) -> Result<Salvaged, ReplayError> {
-        let corrupt = |detail: String| ReplayError::Corrupt { detail };
-        if buf.len() < 8 {
-            return Err(corrupt(format!(
-                "file too short to be a journal ({} bytes)",
-                buf.len()
-            )));
-        }
-        if buf[..4] != JOURNAL_MAGIC {
-            return Err(corrupt(format!("bad journal magic {:02x?}", &buf[..4])));
-        }
-        let version = u32::from_le_bytes(buf[4..8].try_into().unwrap());
-        if version != FORMAT_VERSION {
-            return Err(ReplayError::UnsupportedVersion {
-                container: "journal",
-                found: version,
-                expected: FORMAT_VERSION,
-            });
-        }
-        let header = read_frame(buf, 8)
-            .filter(|f| f.tag == TAG_HEADER)
-            .ok_or_else(|| corrupt("journal header frame missing or torn".into()))?;
-        let mut r = Reader::new(header.payload);
-        let meta = RecordingMeta::get(&mut r)
-            .map_err(|e| corrupt(format!("journal header meta undecodable: {e}")))?;
-        let initial = CheckpointImage::get(&mut r)
-            .map_err(|e| corrupt(format!("journal header checkpoint undecodable: {e}")))?;
-        if !r.is_empty() {
-            return Err(corrupt(format!(
-                "{} trailing bytes inside journal header frame",
-                r.remaining()
-            )));
-        }
-
-        let mut epochs: Vec<EpochRecord> = Vec::new();
-        let mut pos = header.end;
-        let mut committed_bytes = header.end;
-        let mut clean = false;
-        let detail = loop {
-            let Some(frame) = read_frame(buf, pos) else {
-                break if pos == buf.len() {
-                    "journal ends mid-run (no final marker)".to_string()
-                } else {
-                    format!("torn or corrupt frame at byte {pos}")
-                };
-            };
-            match frame.tag {
-                TAG_EPOCH => {
-                    let index = epochs.len() as u32;
-                    let Ok(epoch) = dp_support::wire::from_bytes::<EpochRecord>(frame.payload)
-                    else {
-                        break format!("epoch frame at byte {pos} undecodable");
-                    };
-                    if epoch.index != index {
-                        break format!(
-                            "epoch frame at byte {pos} out of sequence \
-                             (index {}, expected {index})",
-                            epoch.index
-                        );
-                    }
-                    // The commit rule: the very next frame must be this
-                    // epoch's commit marker.
-                    let payload_crc = crc32(frame.payload);
-                    let Some(commit) = read_frame(buf, frame.end).filter(|c| {
-                        c.tag == TAG_COMMIT
-                            && c.payload.len() == 8
-                            && c.payload[..4] == index.to_le_bytes()
-                            && c.payload[4..] == payload_crc.to_le_bytes()
-                    }) else {
-                        break format!("epoch {index} has no commit marker (uncommitted)");
-                    };
-                    epochs.push(epoch);
-                    pos = commit.end;
-                    committed_bytes = pos;
-                }
-                TAG_FINAL => {
-                    let ok = frame.payload.len() == 4
-                        && frame.payload == (epochs.len() as u32).to_le_bytes();
-                    pos = frame.end;
-                    if ok {
-                        clean = true;
-                        break "clean completion".to_string();
-                    }
-                    break "final marker disagrees with committed epoch count".to_string();
-                }
-                TAG_COMMIT => break format!("orphan commit marker at byte {pos}"),
-                t => break format!("unknown frame tag {t} at byte {pos}"),
-            }
-        };
-
-        Ok(Salvaged {
-            recording: Recording {
-                meta,
-                initial,
-                epochs,
-            },
-            clean,
-            salvaged_bytes: pos,
-            committed_bytes,
-            dropped_bytes: buf.len() - pos,
-            detail,
-        })
+        merge(&[buf])
     }
+
+    /// Merges a set of journal streams back into one [`Recording`]:
+    /// salvages each stream independently (commit rule per stream), then
+    /// takes the longest epoch prefix whose every epoch is committed in
+    /// its stream. `bufs` may arrive in any order (streams carry their own
+    /// index); a missing or unusable stream bounds the prefix at its first
+    /// epoch.
+    ///
+    /// # Errors
+    ///
+    /// [`ReplayError::UnsupportedVersion`] when no stream is usable and
+    /// the first offered is of a retired format or another version;
+    /// [`ReplayError::Corrupt`] when nothing is reconstructible: no usable
+    /// stream, conflicting stream sets, or stream 0 lost — without meta
+    /// and the initial checkpoint there is no valid `Recording` to build.
+    /// Never panics, whatever the input.
+    pub fn salvage_shards(bufs: &[Vec<u8>]) -> Result<Salvaged, ReplayError> {
+        let bufs: Vec<&[u8]> = bufs.iter().map(Vec::as_slice).collect();
+        merge(&bufs)
+    }
+
+    /// The stream count a stream's header declares, without scanning its
+    /// epochs — how a tool learns whether a file has siblings to gather.
+    ///
+    /// # Errors
+    ///
+    /// As [`salvage`](JournalReader::salvage), for an unusable preamble or
+    /// header.
+    pub fn stream_count(buf: &[u8]) -> Result<u32, ReplayError> {
+        read_header(buf).map(|h| h.streams)
+    }
+}
+
+fn merge(bufs: &[&[u8]]) -> Result<Salvaged, ReplayError> {
+    let mut scans = Vec::new();
+    let mut failures = Vec::new();
+    let mut first_err = None;
+    for (i, buf) in bufs.iter().enumerate() {
+        match scan_stream(buf) {
+            Ok(s) => scans.push(s),
+            Err(e) => {
+                failures.push(format!("file {i}: {e}"));
+                first_err.get_or_insert(e);
+            }
+        }
+    }
+    let Some(first) = scans.first() else {
+        return Err(first_err.unwrap_or_else(|| corrupt("no journal stream to salvage".into())));
+    };
+    let (n, identity) = (first.streams, first.identity);
+    let mut slots: Vec<Option<Scan>> = (0..n).map(|_| None).collect();
+    for s in scans {
+        if s.streams != n {
+            return Err(corrupt(format!(
+                "conflicting stream counts ({} vs {n})",
+                s.streams
+            )));
+        }
+        if s.identity != identity {
+            return Err(corrupt(format!(
+                "stream {} belongs to a different recording",
+                s.stream
+            )));
+        }
+        let slot = &mut slots[s.stream as usize];
+        if slot.is_some() {
+            return Err(corrupt(format!("two files claim stream {}", s.stream)));
+        }
+        *slot = Some(s);
+    }
+    let (meta, initial) = slots[0]
+        .as_mut()
+        .and_then(|s| s.header.take())
+        .ok_or_else(|| corrupt("stream 0 (the header stream) is missing".into()))?;
+
+    let durable: usize = slots.iter().flatten().map(|s| s.epochs.len()).sum();
+    // The merge walk: epoch i is the next committed epoch of stream
+    // i mod N. Records move out of the scans; none is copied.
+    let mut queues: Vec<std::vec::IntoIter<EpochRecord>> = slots
+        .iter_mut()
+        .map(|s| {
+            s.as_mut()
+                .map(|s| std::mem::take(&mut s.epochs))
+                .unwrap_or_default()
+                .into_iter()
+        })
+        .collect();
+    let mut epochs = Vec::new();
+    let walk = loop {
+        let i = epochs.len();
+        let t = i % n as usize;
+        match queues[t].next() {
+            Some(e) => epochs.push(e),
+            None => {
+                break match &slots[t] {
+                    None => format!("epoch {i}: stream {t} is missing"),
+                    Some(s) if n == 1 => s.stop.clone(),
+                    Some(s) => format!("epoch {i} not durable in stream {t} ({})", s.stop),
+                }
+            }
+        }
+    };
+
+    let merged = epochs.len();
+    let keep = slots
+        .iter()
+        .enumerate()
+        .map(|(t, s)| {
+            s.as_ref()
+                .map(|s| match owned(merged as u64, t as u32, n) as usize {
+                    0 => s.header_end,
+                    taken => s.commit_ends[taken - 1],
+                })
+        })
+        .collect();
+    let clean = failures.is_empty()
+        && durable == merged
+        && slots.iter().all(|s| {
+            s.as_ref()
+                .is_some_and(|s| s.final_count == Some(merged as u32))
+        });
+    let detail = if clean {
+        "clean completion".to_string()
+    } else if failures.is_empty() {
+        walk
+    } else {
+        format!("{walk}; {}", failures.join("; "))
+    };
+    Ok(Salvaged {
+        recording: Recording {
+            meta,
+            initial,
+            epochs,
+        },
+        clean,
+        streams: n,
+        salvaged_bytes: slots.iter().flatten().map(|s| s.end).sum(),
+        dropped_bytes: slots.iter().flatten().map(|s| s.dropped).sum(),
+        dropped_epochs: durable - merged,
+        keep,
+        detail,
+    })
 }
 
 #[cfg(test)]
@@ -489,6 +1008,8 @@ mod tests {
     use super::*;
     use crate::config::DoublePlayConfig;
     use crate::logs::{ScheduleLog, SyscallLog};
+    use crate::record::coordinator::record_to;
+    use crate::record::testutil::{atomic_counter_spec, racy_counter_spec};
     use dp_vm::Tid;
 
     fn tiny_parts() -> (RecordingMeta, CheckpointImage, Vec<EpochRecord>) {
@@ -563,6 +1084,7 @@ mod tests {
         let (buf, _) = journal_bytes(true);
         let s = JournalReader::salvage(&buf).unwrap();
         assert!(s.clean);
+        assert_eq!(s.streams, 1);
         assert_eq!(s.committed(), 3);
         assert_eq!(s.dropped_bytes, 0);
         assert_eq!(s.recording.epochs[2].end_machine_hash, 102);
@@ -632,39 +1154,40 @@ mod tests {
     }
 
     #[test]
-    fn committed_bytes_tracks_the_last_commit_frame() {
+    fn keep_offset_tracks_the_last_commit_frame() {
         let (buf, commits) = journal_bytes(true);
         let s = JournalReader::salvage(&buf).unwrap();
-        // Clean journal: committed_bytes excludes the FINAL frame.
-        assert_eq!(s.committed_bytes as u64, *commits.last().unwrap());
+        // Clean journal: the keep offset excludes the FINAL frame.
+        assert_eq!(s.keep, vec![Some(*commits.last().unwrap() as usize)]);
         assert_eq!(s.salvaged_bytes, buf.len());
-        // Cut mid-epoch: committed_bytes stays at the previous commit.
+        // Cut mid-epoch: the keep offset stays at the previous commit.
         let cut = commits[1] as usize + 3;
         let s = JournalReader::salvage(&buf[..cut]).unwrap();
         assert_eq!(s.committed(), 2);
-        assert_eq!(s.committed_bytes as u64, commits[1]);
-        // No epochs at all: committed_bytes is the header frame's end,
-        // and re-salvaging exactly that prefix is stable.
+        assert_eq!(s.keep, vec![Some(commits[1] as usize)]);
+        // No epochs at all: the keep offset is the header frame's end, and
+        // re-salvaging exactly that prefix is stable.
         let s = JournalReader::salvage(&buf[..commits[0] as usize - 1]).unwrap();
         assert_eq!(s.committed(), 0);
-        let s0 = JournalReader::salvage(&buf[..s.committed_bytes]).unwrap();
+        let keep = s.keep[0].unwrap();
+        let s0 = JournalReader::salvage(&buf[..keep]).unwrap();
         assert_eq!(s0.committed(), 0);
-        assert_eq!(s0.committed_bytes, s.committed_bytes);
+        assert_eq!(s0.keep, vec![Some(keep)]);
     }
 
     #[test]
-    fn resume_after_continues_byte_identically() {
+    fn resume_continues_byte_identically() {
         let (full, commits) = journal_bytes(true);
         let (_, _, epochs) = tiny_parts();
         // Crash after epoch 1's commit, mid-epoch-2: salvage, truncate to
-        // the committed prefix, and append the missing tail.
+        // the kept prefix, and append the missing tail.
         let cut = commits[1] as usize + 7;
         let s = JournalReader::salvage(&full[..cut]).unwrap();
         assert_eq!(s.committed(), 2);
-        let prefix = full[..s.committed_bytes].to_vec();
-        let mut w = JournalWriter::resume_after(prefix, &s);
+        let keep = s.keep[0].unwrap();
+        let mut w = JournalWriter::resume(vec![full[..keep].to_vec()], 1, &s).unwrap();
         assert_eq!(w.epochs_committed(), 2);
-        assert_eq!(w.bytes_written() as usize, s.committed_bytes);
+        assert_eq!(w.bytes_written() as usize, keep);
         // Out-of-order guard still holds across the crash boundary.
         assert!(w.epoch(&epochs[0]).is_err());
         w.epoch(&epochs[2]).unwrap();
@@ -673,70 +1196,59 @@ mod tests {
     }
 
     #[test]
-    fn file_resume_truncates_the_torn_tail_and_appends() {
-        let (full, commits) = journal_bytes(true);
-        let (_, _, epochs) = tiny_parts();
-        let dir = std::env::temp_dir().join(format!(
-            "dprj-resume-test-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("torn.dprj");
-        let cut = commits[1] as usize + 7;
-        std::fs::write(&path, &full[..cut]).unwrap();
-        let (mut w, s) = JournalWriter::resume(&path).unwrap();
-        assert_eq!(s.committed(), 2);
-        assert_eq!(w.epochs_committed(), 2);
-        w.epoch(&epochs[2]).unwrap();
-        w.finish().unwrap();
-        drop(w);
-        assert_eq!(std::fs::read(&path).unwrap(), full);
-        // A finalized journal is a typed no-op, not an append target.
-        assert!(matches!(
-            JournalWriter::resume(&path),
-            Err(crate::error::ResumeError::AlreadyFinalized { epochs: 3 })
-        ));
-        // Garbage is a typed error, never a panic.
-        let garbage = dir.join("garbage.dprj");
-        std::fs::write(&garbage, b"not a journal").unwrap();
-        assert!(matches!(
-            JournalWriter::resume(&garbage),
-            Err(crate::error::ResumeError::BadPrefix { .. })
-        ));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn garbage_and_foreign_magic_are_typed_errors() {
+    fn garbage_and_retired_containers_are_typed_errors() {
         assert!(matches!(
             JournalReader::salvage(b""),
             Err(ReplayError::Corrupt { .. })
         ));
         assert!(matches!(
-            JournalReader::salvage(b"DPRC\x01\x00\x00\x00rest"),
+            JournalReader::salvage(b"WAT?\x03\x00\x00\x00rest"),
             Err(ReplayError::Corrupt { .. })
         ));
-        // A mismatched version on an intact preamble is not corruption: it
-        // must surface as the typed version error (here, a version-1 file
-        // from before the encode-once log format).
-        for found in [1u32, 9] {
-            let mut bad_version = Vec::new();
-            bad_version.extend_from_slice(&JOURNAL_MAGIC);
-            bad_version.extend_from_slice(&found.to_le_bytes());
-            match JournalReader::salvage(&bad_version) {
-                Err(ReplayError::UnsupportedVersion {
-                    container,
-                    found: f,
-                    expected,
-                }) => {
-                    assert_eq!(container, "journal");
-                    assert_eq!(f, found);
-                    assert_eq!(expected, 2);
+        // Files of the retired containers, and streams of another version,
+        // are recognized by their preamble and refused with the typed
+        // version error, whatever follows it.
+        let (body, _) = journal_bytes(true);
+        for (magic, found) in [
+            (b"DPRC", 2u32),
+            (b"DPRJ", 2),
+            (b"DPRZ", 1),
+            (b"DPRS", 2),
+            (b"DPRS", 9),
+        ] {
+            let mut old = body.clone();
+            old[..4].copy_from_slice(magic);
+            old[4..8].copy_from_slice(&found.to_le_bytes());
+            let results = [
+                JournalReader::salvage(&old).map(drop),
+                JournalReader::stream_count(&old).map(drop),
+                Recording::load(&old[..]).map(drop),
+            ];
+            for result in results {
+                match result {
+                    Err(ReplayError::UnsupportedVersion {
+                        container,
+                        found: f,
+                        expected,
+                    }) => {
+                        assert!(container.as_bytes().starts_with(magic), "{container}");
+                        assert_eq!((f, expected), (found, VERSION));
+                    }
+                    other => {
+                        panic!("{magic:?} v{found}: expected UnsupportedVersion, got {other:?}")
+                    }
                 }
-                other => panic!("expected UnsupportedVersion, got {other:?}"),
             }
         }
+        // One bit flip turns "DPRS" into "DPRC"; at version 3 that is a bad
+        // magic, not a retired file.
+        let mut flipped = body.clone();
+        flipped[3] ^= 0x10;
+        assert_eq!(&flipped[..4], b"DPRC");
+        assert!(matches!(
+            JournalReader::salvage(&flipped),
+            Err(ReplayError::Corrupt { .. })
+        ));
     }
 
     #[test]
@@ -753,5 +1265,358 @@ mod tests {
         w1.finish().unwrap();
         w2.finish().unwrap();
         assert_eq!(w1.into_inner(), w2.into_inner());
+    }
+
+    #[test]
+    fn owned_counts_round_robin_epochs() {
+        for n in 1..6u32 {
+            for total in 0..40u64 {
+                for k in 0..n {
+                    let expect = (0..total)
+                        .filter(|i| i % u64::from(n) == u64::from(k))
+                        .count() as u64;
+                    assert_eq!(owned(total, k, n), expect, "total={total} n={n} k={k}");
+                }
+            }
+        }
+    }
+
+    /// Records `spec` through a sync multi-stream writer and returns the
+    /// streams plus, per epoch, its stream and that stream's length right
+    /// after the epoch's hand-off (the per-stream commit offsets — group
+    /// commit makes no difference to a byte-granular store).
+    fn sharded_solo(
+        spec: &crate::world::GuestSpec,
+        config: &DoublePlayConfig,
+        shards: u32,
+        batch: u32,
+    ) -> (Vec<Vec<u8>>, Vec<(usize, u64)>) {
+        struct Tap {
+            w: JournalWriter<Vec<u8>>,
+            offsets: Vec<(usize, u64)>,
+        }
+        impl RecordSink for Tap {
+            fn begin(&mut self, meta: &RecordingMeta, initial: &CheckpointImage) -> io::Result<()> {
+                self.w.begin(meta, initial)
+            }
+            fn epoch(&mut self, e: &EpochRecord) -> io::Result<()> {
+                let k = (e.index % self.w.stream_count()) as usize;
+                self.w.epoch(e)?;
+                let len = match &self.w.lanes[k] {
+                    Lane::Sync { w, .. } => w.len() as u64,
+                    Lane::Threaded { .. } => unreachable!("sync tap"),
+                };
+                self.offsets.push((k, len));
+                Ok(())
+            }
+            fn finish(&mut self) -> io::Result<()> {
+                self.w.finish()
+            }
+        }
+        let writers = (0..shards).map(|_| Vec::new()).collect();
+        let mut tap = Tap {
+            w: JournalWriter::sync(writers, batch).unwrap(),
+            offsets: Vec::new(),
+        };
+        record_to(spec, config, &mut tap).unwrap();
+        (tap.w.into_writers().unwrap(), tap.offsets)
+    }
+
+    /// The byte-identity acceptance sweep: for seeds × workers × stream
+    /// counts × fault plans, the multi-stream journal merges to a
+    /// `Recording` whose saved bytes equal the sequential driver's — which
+    /// in turn equal its finalized one-stream journal.
+    #[test]
+    fn sharded_merge_is_byte_identical_to_sequential_across_sweep() {
+        crate::faults::silence_injected_panics();
+        for seed in 0..3u64 {
+            for &workers in &[1usize, 2] {
+                for &shards in &[2u32, 3, 5] {
+                    for &faulty in &[false, true] {
+                        // Two regimes: a racy guest tuned to diverge (the
+                        // forward-recovery path), and an atomic guest with
+                        // injected worker panics over many short epochs.
+                        let (spec, config) = if faulty {
+                            (
+                                atomic_counter_spec(1_500, 2),
+                                DoublePlayConfig::new(2)
+                                    .epoch_cycles(4_000)
+                                    .hidden_seed(seed)
+                                    // Plan seed is fixed: the panic draw
+                                    // is a pure function of (plan seed,
+                                    // epoch, attempt), and this seed is
+                                    // known to stay within the retry
+                                    // budget for this guest.
+                                    .faults(
+                                        crate::faults::FaultPlan::none()
+                                            .seed(5)
+                                            .worker_panics_with(0.3),
+                                    ),
+                            )
+                        } else {
+                            (
+                                racy_counter_spec(3_000),
+                                DoublePlayConfig {
+                                    tp_quantum: 200,
+                                    tp_jitter: 300,
+                                    ..DoublePlayConfig::new(2)
+                                        .epoch_cycles(20_000)
+                                        .hidden_seed(seed)
+                                },
+                            )
+                        };
+                        let config = config.spare_workers(workers).pipelined(workers > 0);
+                        // Sequential one-stream reference.
+                        let mut seq_journal = JournalWriter::new(Vec::new()).unwrap();
+                        let seq =
+                            record_to(&spec, &config.pipelined(false), &mut seq_journal).unwrap();
+                        // Multi-stream pipelined run.
+                        let (streams, _) = sharded_solo(&spec, &config, shards, 4);
+                        let merged = JournalReader::salvage_shards(&streams).unwrap();
+                        assert!(merged.clean, "detail: {}", merged.detail);
+                        assert_eq!(merged.dropped_epochs, 0);
+                        assert_eq!(merged.streams, shards);
+                        let mut seq_bytes = Vec::new();
+                        let mut sharded_bytes = Vec::new();
+                        seq.recording.save(&mut seq_bytes).unwrap();
+                        merged.recording.save(&mut sharded_bytes).unwrap();
+                        assert_eq!(
+                            seq_bytes, sharded_bytes,
+                            "merge diverged (seed={seed} workers={workers} \
+                             shards={shards} faulty={faulty})"
+                        );
+                        assert_eq!(
+                            seq_journal.into_inner(),
+                            seq_bytes,
+                            "a finalized one-stream journal is the saved recording"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Crash sweep: cutting every stream prefix (with siblings intact)
+    /// always yields exactly the dependency-closed prefix.
+    #[test]
+    fn every_shard_prefix_merges_to_the_dependency_closed_prefix() {
+        let spec = atomic_counter_spec(4_000, 2);
+        let config = DoublePlayConfig::new(2).epoch_cycles(1_500);
+        let shards = 3u32;
+        let (streams, offsets) = sharded_solo(&spec, &config, shards, 2);
+        let epochs = offsets.len();
+        assert!(epochs >= 6, "need several epochs per shard");
+        // Cut shard `cut_shard` after `keep` of its epochs; siblings stay
+        // complete. The consistent prefix must stop at the first epoch
+        // assigned to the cut shard beyond `keep`.
+        for cut_shard in 0..shards as usize {
+            let ends: Vec<u64> = offsets
+                .iter()
+                .filter(|(s, _)| *s == cut_shard)
+                .map(|(_, o)| *o)
+                .collect();
+            for (keep, &end) in ends.iter().enumerate() {
+                let mut bufs = streams.clone();
+                bufs[cut_shard].truncate(end as usize - 1);
+                let merged = JournalReader::salvage_shards(&bufs).unwrap();
+                // `keep` commits survive in the cut shard (the (keep+1)-th
+                // is torn), so the prefix ends at that shard's epoch
+                // number `keep`: global index cut_shard + keep*N.
+                let expect = (cut_shard + keep * shards as usize).min(epochs);
+                assert_eq!(
+                    merged.committed(),
+                    expect,
+                    "cut shard {cut_shard} after {keep} commits"
+                );
+                assert!(!merged.clean);
+                assert_eq!(
+                    merged.dropped_epochs,
+                    epochs - (epochs - expect).div_ceil(shards as usize) - expect,
+                    "cut shard {cut_shard} keep {keep}: durable-but-dropped count"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn resume_continues_shard_streams_byte_identically() {
+        let spec = atomic_counter_spec(4_000, 2);
+        let config = DoublePlayConfig::new(2).epoch_cycles(1_500);
+        let shards = 3u32;
+        let (full_streams, offsets) = sharded_solo(&spec, &config, shards, 2);
+        let full = JournalReader::salvage_shards(&full_streams).unwrap();
+        assert!(full.clean);
+        // Crash: tear stream 1 after one commit; siblings stay intact. The
+        // merged prefix stops at stream 1's next epoch, so intact siblings
+        // carry durable-but-unusable commits past it.
+        let cut_shard = 1usize;
+        let ends: Vec<u64> = offsets
+            .iter()
+            .filter(|(s, _)| *s == cut_shard)
+            .map(|(_, o)| *o)
+            .collect();
+        let mut torn = full_streams.clone();
+        torn[cut_shard].truncate(ends[1] as usize - 1);
+        let salvaged = JournalReader::salvage_shards(&torn).unwrap();
+        assert!(!salvaged.clean);
+        let committed = salvaged.committed();
+        assert!(committed < full.committed());
+        assert!(salvaged.dropped_epochs > 0);
+        // Truncate each stream to its keep point, append the missing tail,
+        // finish — byte-identical to the uninterrupted run.
+        let kept: Vec<Vec<u8>> = torn
+            .iter()
+            .enumerate()
+            .map(|(t, s)| s[..salvaged.keep[t].unwrap()].to_vec())
+            .collect();
+        let mut w = JournalWriter::resume(kept, 2, &salvaged).unwrap();
+        assert_eq!(w.epochs_committed() as usize, committed);
+        for e in &full.recording.epochs[committed..] {
+            w.epoch(e).unwrap();
+        }
+        w.finish().unwrap();
+        assert_eq!(w.into_writers().unwrap(), full_streams);
+        // A missing sibling stream forbids resume outright.
+        let headerless = JournalReader::salvage_shards(&[torn[0].clone()]).unwrap();
+        assert!(headerless.keep.iter().any(Option::is_none));
+        match JournalWriter::resume(vec![Vec::<u8>::new(); shards as usize], 2, &headerless) {
+            Ok(_) => panic!("resume with a missing stream must fail"),
+            Err(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidInput),
+        }
+        // So does a writer-count mismatch.
+        match JournalWriter::resume(vec![Vec::<u8>::new()], 2, &salvaged) {
+            Ok(_) => panic!("resume with a writer-count mismatch must fail"),
+            Err(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidInput),
+        }
+    }
+
+    #[test]
+    fn threaded_lanes_produce_identical_streams() {
+        let spec = atomic_counter_spec(1_200, 2);
+        let config = DoublePlayConfig::new(2).epoch_cycles(2_500);
+        let (sync_streams, _) = sharded_solo(&spec, &config, 4, 8);
+        let writers = (0..4).map(|_| Vec::new()).collect();
+        let mut w = JournalWriter::threaded(writers, 8).unwrap();
+        record_to(&spec, &config, &mut w).unwrap();
+        // Lane flushes race a read before the join; count after it.
+        let shared = Arc::clone(&w.shared);
+        let threaded_streams = w.into_writers().unwrap();
+        assert!(
+            shared.flushes.load(Ordering::SeqCst) >= 4,
+            "headers alone flush once per shard"
+        );
+        assert_eq!(sync_streams, threaded_streams);
+    }
+
+    #[test]
+    fn group_commit_amortizes_flushes() {
+        struct CountingSink(Vec<u8>, Arc<AtomicU64>);
+        impl Write for CountingSink {
+            fn write(&mut self, data: &[u8]) -> io::Result<usize> {
+                self.0.extend_from_slice(data);
+                Ok(data.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                self.1.fetch_add(1, Ordering::SeqCst);
+                Ok(())
+            }
+        }
+        let spec = atomic_counter_spec(2_000, 2);
+        let config = DoublePlayConfig::new(2).epoch_cycles(1_500);
+        // One stream: one flush per epoch plus header and final.
+        let single_flushes = Arc::new(AtomicU64::new(0));
+        let mut single =
+            JournalWriter::new(CountingSink(Vec::new(), Arc::clone(&single_flushes))).unwrap();
+        let bundle = record_to(&spec, &config, &mut single).unwrap();
+        let epochs = bundle.stats.committed;
+        assert!(epochs >= 8, "need enough epochs to amortize");
+        assert_eq!(single_flushes.load(Ordering::SeqCst), epochs + 2);
+        // Two streams, batch 8: headers + finals + ~epochs/8 group commits.
+        let shard_flushes = Arc::new(AtomicU64::new(0));
+        let writers = (0..2)
+            .map(|_| CountingSink(Vec::new(), Arc::clone(&shard_flushes)))
+            .collect();
+        let mut sharded = JournalWriter::sync(writers, 8).unwrap();
+        record_to(&spec, &config, &mut sharded).unwrap();
+        let sharded_count = shard_flushes.load(Ordering::SeqCst);
+        assert_eq!(sharded.epochs_committed() as u64, epochs);
+        assert!(
+            sharded_count < single_flushes.load(Ordering::SeqCst),
+            "sharded {sharded_count} flushes vs single {} — no amortization",
+            single_flushes.load(Ordering::SeqCst)
+        );
+        assert_eq!(sharded.flushes(), sharded_count);
+    }
+
+    #[test]
+    fn out_of_order_epochs_are_rejected_across_streams() {
+        let spec = atomic_counter_spec(800, 2);
+        let config = DoublePlayConfig::new(2).epoch_cycles(2_000);
+        let (streams, _) = sharded_solo(&spec, &config, 2, 4);
+        let merged = JournalReader::salvage_shards(&streams).unwrap();
+        let mut w = JournalWriter::sync(vec![Vec::<u8>::new(), Vec::new()], 4).unwrap();
+        w.begin(&merged.recording.meta, &merged.recording.initial)
+            .unwrap();
+        let err = w.epoch(&merged.recording.epochs[1]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+    }
+
+    #[test]
+    fn foreign_mixed_and_duplicate_shards_are_typed_errors() {
+        let spec = atomic_counter_spec(800, 2);
+        let config = DoublePlayConfig::new(2).epoch_cycles(2_000);
+        let (streams, _) = sharded_solo(&spec, &config, 2, 4);
+        // Empty set and garbage are typed.
+        assert!(matches!(
+            JournalReader::salvage_shards(&[]),
+            Err(ReplayError::Corrupt { .. })
+        ));
+        assert!(matches!(
+            JournalReader::salvage_shards(&[b"garbage".to_vec()]),
+            Err(ReplayError::Corrupt { .. })
+        ));
+        // Duplicate stream index.
+        assert!(matches!(
+            JournalReader::salvage_shards(&[streams[0].clone(), streams[0].clone()]),
+            Err(ReplayError::Corrupt { .. })
+        ));
+        // A stream of a different recording (different seed → different
+        // identity hashes) must be rejected, not merged.
+        let other_cfg = config.hidden_seed(1234);
+        let (other, _) = sharded_solo(&spec, &other_cfg, 2, 4);
+        let r = JournalReader::salvage_shards(&[streams[0].clone(), other[1].clone()]);
+        if let Ok(ok) = &r {
+            // Same program and boot state can legitimately pair; then the
+            // merge must still be internally consistent.
+            assert!(ok.committed() <= streams.len() * ok.recording.epochs.len().max(1));
+        }
+        // Missing stream 0 (the full header) is unrecoverable.
+        assert!(matches!(
+            JournalReader::salvage_shards(&[streams[1].clone()]),
+            Err(ReplayError::Corrupt { .. })
+        ));
+        // Missing a sibling bounds the prefix at its first epoch.
+        let merged = JournalReader::salvage_shards(&[streams[0].clone()]).unwrap();
+        assert_eq!(merged.committed(), 1.min(merged.recording.epochs.len()));
+        assert!(!merged.clean);
+    }
+
+    #[test]
+    fn bitflips_never_gain_epochs_or_panic() {
+        let spec = atomic_counter_spec(800, 2);
+        let config = DoublePlayConfig::new(2).epoch_cycles(2_000);
+        let (streams, _) = sharded_solo(&spec, &config, 2, 4);
+        let full = JournalReader::salvage_shards(&streams).unwrap().committed();
+        for shard in 0..streams.len() {
+            for i in (0..streams[shard].len()).step_by(7) {
+                let mut bad = streams.clone();
+                bad[shard][i] ^= 0x40;
+                match JournalReader::salvage_shards(&bad) {
+                    Ok(s) => assert!(s.committed() <= full),
+                    Err(ReplayError::Corrupt { .. }) => {}
+                    Err(e) => panic!("flip at {shard}:{i}: unexpected error {e:?}"),
+                }
+            }
+        }
     }
 }

@@ -57,8 +57,7 @@
 //! | multithreaded recording on real spare cores | [`record::pipelined`] |
 //! | offline replay (sequential / parallel / to-point) | [`replay`] |
 //! | the recording artifact | [`recording`] |
-//! | crash-consistent streaming journal & salvage | [`journal`] |
-//! | sharded parallel journaling & cross-shard merge | [`journal_shards`] |
+//! | the recording format: N-stream journals, salvage & merge | [`journal`] |
 
 #![warn(missing_docs)]
 
@@ -67,7 +66,6 @@ mod config;
 mod error;
 pub mod faults;
 pub mod journal;
-pub mod journal_shards;
 pub mod logs;
 pub mod observe;
 pub mod record;
@@ -80,8 +78,10 @@ pub use checkpoint::{Checkpoint, CheckpointImage, EpochTargets, ThreadTarget};
 pub use config::{validate_worker_counts, ConfigError, DoublePlayConfig, MAX_SPARE_WORKERS};
 pub use error::{RecordError, ReplayError, ResumeError, SaveError};
 pub use faults::FaultPlan;
-pub use journal::{JournalReader, JournalWriter, NullSink, RecordSink, Salvaged};
-pub use journal_shards::{ShardSalvaged, ShardedJournalWriter, DEFAULT_SHARD_BATCH, SHARD_MAGIC};
+pub use journal::{
+    JournalReader, JournalWriter, NullSink, RecordSink, Salvaged, ShardedJournalWriter,
+    DEFAULT_SHARD_BATCH,
+};
 pub use observe::{replay_observed, ReplayEvent, ReplayObserver};
 pub use record::coordinator::{measure_native, record, record_to, RecordingBundle};
 pub use record::epoch_parallel::Divergence;

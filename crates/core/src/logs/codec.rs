@@ -95,30 +95,61 @@ fn get_bytes(buf: &[u8], pos: &mut usize, context: &'static str) -> Result<Vec<u
     Ok(out)
 }
 
-const TAG_SLICE: u64 = 0;
-const TAG_WAKE: u64 = 1;
-const TAG_SIGNAL: u64 = 2;
+const TAG_SLICE: u8 = 0;
+const TAG_WAKE: u8 = 1;
+const TAG_SIGNAL: u8 = 2;
+/// Slice-only lead-byte flag: the instruction count repeats the previous
+/// slice's, and no payload follows.
+const REPEAT_FLAG: u8 = 1 << 2;
+const TID_SHIFT: u32 = 3;
+/// Lead-byte thread id escaping to a varint tid after the lead byte.
+const TID_ESCAPE: u8 = 31;
 
-/// Encodes a schedule log.
+/// Encodes a schedule log: `varint count`, then per event one lead byte
+/// plus payload.
+///
+/// ```text
+/// lead byte: bits 0..2  event tag (0 = slice, 1 = wake, 2 = signal)
+///            bit  2     repeat flag (slice only: instruction count equals
+///                       the previous slice's — no payload follows)
+///            bits 3..8  thread id 0..30 inline; 31 = escape, varint tid
+///                       follows the lead byte
+/// payload:   slice: varint instrs (absent when the repeat flag is set)
+///            wake: none
+///            signal: varint sig
+/// ```
+///
+/// The recorder's fixed-quantum slices make the repeat flag pay for
+/// itself.
 pub fn encode_schedule(log: &ScheduleLog) -> Vec<u8> {
     let mut out = Vec::new();
     put_varint(&mut out, log.len() as u64);
+    let mut last_instrs = None;
     for e in log.events() {
-        match e {
+        let (lead, tid, payload) = match *e {
             SchedEvent::Slice { tid, instrs } => {
-                put_varint(&mut out, TAG_SLICE);
-                put_varint(&mut out, tid.0 as u64);
-                put_varint(&mut out, *instrs);
+                let repeat = last_instrs == Some(instrs);
+                last_instrs = Some(instrs);
+                if repeat {
+                    (TAG_SLICE | REPEAT_FLAG, tid.0, None)
+                } else {
+                    (TAG_SLICE, tid.0, Some(instrs))
+                }
             }
-            SchedEvent::LoggedWake { tid } => {
-                put_varint(&mut out, TAG_WAKE);
-                put_varint(&mut out, tid.0 as u64);
-            }
-            SchedEvent::Signal { tid, sig } => {
-                put_varint(&mut out, TAG_SIGNAL);
-                put_varint(&mut out, tid.0 as u64);
-                put_varint(&mut out, *sig);
-            }
+            SchedEvent::LoggedWake { tid } => (TAG_WAKE, tid.0, None),
+            SchedEvent::Signal { tid, sig } => (TAG_SIGNAL, tid.0, Some(sig)),
+        };
+        let tid_bits = if tid < u32::from(TID_ESCAPE) {
+            tid as u8
+        } else {
+            TID_ESCAPE
+        };
+        out.push(lead | (tid_bits << TID_SHIFT));
+        if tid_bits == TID_ESCAPE {
+            put_varint(&mut out, u64::from(tid));
+        }
+        if let Some(v) = payload {
+            put_varint(&mut out, v);
         }
     }
     out
@@ -128,19 +159,35 @@ pub fn encode_schedule(log: &ScheduleLog) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Fails on truncated or corrupt input.
+/// Fails on truncated or corrupt input, including trailing bytes.
 pub fn decode_schedule(buf: &[u8]) -> Result<ScheduleLog, CodecError> {
     let mut pos = 0;
     let count = get_varint(buf, &mut pos, "schedule count")?;
     let mut events = Vec::new();
+    let mut last_instrs = None;
     for _ in 0..count {
-        let tag = get_varint(buf, &mut pos, "schedule tag")?;
-        let tid = Tid(get_varint(buf, &mut pos, "schedule tid")? as u32);
-        events.push(match tag {
-            TAG_SLICE => SchedEvent::Slice {
-                tid,
-                instrs: get_varint(buf, &mut pos, "slice length")?,
-            },
+        let lead = *buf.get(pos).ok_or(CodecError {
+            offset: pos,
+            context: "schedule lead byte",
+        })?;
+        pos += 1;
+        let tid = match lead >> TID_SHIFT {
+            TID_ESCAPE => Tid(get_varint(buf, &mut pos, "schedule tid")? as u32),
+            bits => Tid(u32::from(bits)),
+        };
+        events.push(match lead & 0x3 {
+            TAG_SLICE => {
+                let instrs = if lead & REPEAT_FLAG != 0 {
+                    last_instrs.ok_or(CodecError {
+                        offset: pos,
+                        context: "repeat flag with no previous slice",
+                    })?
+                } else {
+                    get_varint(buf, &mut pos, "slice length")?
+                };
+                last_instrs = Some(instrs);
+                SchedEvent::Slice { tid, instrs }
+            }
             TAG_WAKE => SchedEvent::LoggedWake { tid },
             TAG_SIGNAL => SchedEvent::Signal {
                 tid,
@@ -154,7 +201,12 @@ pub fn decode_schedule(buf: &[u8]) -> Result<ScheduleLog, CodecError> {
             }
         });
     }
-    // Bypass coalescing: the encoded form is already canonical.
+    if pos != buf.len() {
+        return Err(CodecError {
+            offset: pos,
+            context: "trailing bytes after schedule",
+        });
+    }
     Ok(events.into_iter().collect())
 }
 
@@ -284,13 +336,21 @@ mod tests {
         assert!(get_varint(&buf, &mut pos, "test").is_err());
     }
 
-    #[test]
-    fn schedule_roundtrip() {
+    fn sample_schedule() -> ScheduleLog {
         let mut log = ScheduleLog::new();
         log.push_slice(Tid(0), 10_000);
         log.push_wake(Tid(3));
         log.push_signal(Tid(1), 9);
-        log.push_slice(Tid(1), 1);
+        log.push_slice(Tid(1), 200);
+        log.push_slice(Tid(2), 200); // repeated length
+        log.push_slice(Tid(40), 7); // escaped tid
+        log.push_slice(Tid(0), 1);
+        log
+    }
+
+    #[test]
+    fn schedule_roundtrip() {
+        let log = sample_schedule();
         let buf = encode_schedule(&log);
         let back = decode_schedule(&buf).unwrap();
         assert_eq!(back, log);
@@ -330,9 +390,21 @@ mod tests {
     fn corrupt_tags_rejected() {
         let mut buf = Vec::new();
         put_varint(&mut buf, 1); // one event
-        put_varint(&mut buf, 9); // bad tag
-        put_varint(&mut buf, 0);
+        buf.push(3); // bad tag
         assert!(decode_schedule(&buf).is_err());
+        // A repeat flag with no previous slice is corrupt.
+        let mut bad = Vec::new();
+        put_varint(&mut bad, 1);
+        bad.push(TAG_SLICE | REPEAT_FLAG);
+        assert!(decode_schedule(&bad).is_err());
+        // So is every truncation.
+        let buf = encode_schedule(&sample_schedule());
+        for cut in 1..buf.len() {
+            assert!(
+                decode_schedule(&buf[..cut]).is_err(),
+                "truncation at {cut} not detected"
+            );
+        }
     }
 
     #[test]

@@ -454,7 +454,6 @@ mod tests {
     /// to the sequential driver's recording.
     #[test]
     fn pipelined_into_threaded_sharded_journal_merges_identically() {
-        use crate::journal_shards::ShardedJournalWriter;
         let spec = atomic_counter_spec(4_000, 2);
         let config = DoublePlayConfig::new(2)
             .epoch_cycles(1_500)
@@ -462,9 +461,9 @@ mod tests {
             .pipelined(true);
         let mut seq_journal = JournalWriter::new(Vec::new()).unwrap();
         let seq = record_to(&spec, &config.pipelined(false), &mut seq_journal).unwrap();
-        let mut sharded = ShardedJournalWriter::threaded(
+        let mut sharded = JournalWriter::threaded(
             (0..4).map(|_| Vec::new()).collect(),
-            crate::journal_shards::DEFAULT_SHARD_BATCH,
+            crate::journal::DEFAULT_SHARD_BATCH,
         )
         .unwrap();
         let pip = record_to(&spec, &config, &mut sharded).unwrap();

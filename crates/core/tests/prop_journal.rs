@@ -1,10 +1,10 @@
-//! Exhaustive prefix properties for the two durable formats:
+//! Exhaustive prefix properties for the one durable format:
 //!
-//! * `DPRC` container: *every* strict byte prefix of a valid recording is
-//!   rejected with a typed `ReplayError::Corrupt` — never a panic, never a
-//!   silent partial load;
-//! * `DPRJ` journal: *every* byte prefix salvages to exactly the epochs
-//!   whose commit markers lie inside the prefix, and each salvaged prefix
+//! * a saved recording (a finalized one-stream journal): *every* strict
+//!   byte prefix is rejected by `Recording::load` with a typed
+//!   `ReplayError::Corrupt` — never a panic, never a silent partial load;
+//! * a journal: *every* byte prefix salvages to exactly the epochs whose
+//!   commit markers lie inside the prefix, and each salvaged prefix
 //!   replays with the recorded per-epoch hashes.
 //!
 //! These are the crash-consistency contract: a torn write can cut a file
@@ -92,7 +92,7 @@ fn journaled(recording: &Recording) -> (Vec<u8>, Vec<usize>) {
     (w.into_inner(), commits)
 }
 
-/// Every strict byte prefix of a valid `DPRC` container is rejected with
+/// Every strict byte prefix of a saved recording is rejected with
 /// `ReplayError::Corrupt`: no prefix panics, and none loads as a shorter
 /// recording (partial data must flow through salvage, never through load).
 #[test]
@@ -110,7 +110,7 @@ fn every_strict_dprc_prefix_is_rejected() {
     }
 }
 
-/// Every byte prefix of a `DPRJ` journal salvages to exactly the epochs
+/// Every byte prefix of a journal salvages to exactly the epochs
 /// committed within it: cuts before the header frame are typed errors,
 /// and from there each commit marker adds exactly one salvageable epoch.
 #[test]

@@ -188,7 +188,8 @@ fn recorded() -> Recording {
 }
 
 /// Corrupting any single byte of a saved recording makes `load` fail with
-/// a typed `ReplayError` (`Corrupt`) — in 100% of trials, never a panic.
+/// a typed `ReplayError` — `Corrupt`, or `UnsupportedVersion` for a flip
+/// inside the version field — in 100% of trials, never a panic.
 #[test]
 fn corrupted_container_is_rejected_with_typed_error() {
     let recording = recorded();
@@ -201,6 +202,9 @@ fn corrupted_container_is_rejected_with_typed_error() {
         bad[i] ^= 1 << g.index(8);
         match Recording::load(&bad[..]) {
             Err(ReplayError::Corrupt { .. }) => {}
+            // A flip inside the 4-byte version field reads as a foreign
+            // version, which is typed separately.
+            Err(ReplayError::UnsupportedVersion { .. }) if (4..8).contains(&i) => {}
             Err(other) => panic!("corruption at byte {i} surfaced as {other:?}"),
             // A flip inside a section *payload* is always caught by its
             // CRC32; only flips that happen to cancel out could load — and

@@ -106,10 +106,16 @@ fn assert_byte_identical(spec: &GuestSpec, config: &DoublePlayConfig, what: &str
     seq.recording.save(&mut seq_bytes).unwrap();
     pip.recording.save(&mut pip_bytes).unwrap();
     assert_eq!(seq_bytes, pip_bytes, "{what}: recording bytes differ");
+    let seq_journal = seq_journal.into_inner();
     assert_eq!(
-        seq_journal.into_inner(),
+        seq_journal,
         pip_journal.into_inner(),
         "{what}: journal bytes differ"
+    );
+    // A finalized one-stream journal is the saved recording.
+    assert_eq!(
+        seq_journal, seq_bytes,
+        "{what}: journal differs from the saved recording"
     );
 
     // The shared artifact must also actually replay.

@@ -14,7 +14,7 @@
 use dp_core::journal::RecordSink;
 use dp_core::{
     record_to, resume_from, DoublePlayConfig, FaultPlan, GuestSpec, JournalReader, JournalWriter,
-    Recording, ResumeError, ShardedJournalWriter,
+    Recording, ResumeError,
 };
 use dp_os::abi;
 use dp_os::kernel::WorldConfig;
@@ -67,7 +67,7 @@ fn counter_spec(name: &str, iters: i64, racy: bool) -> GuestSpec {
     GuestSpec::new(name, Arc::new(pb.finish("main")), WorldConfig::default())
 }
 
-/// Records the uninterrupted solo run into a single `DPRJ` stream,
+/// Records the uninterrupted solo run into a one-stream journal,
 /// returning the journal bytes, the recording, and each epoch's commit
 /// offset (the durability point a crash can land on either side of).
 fn solo_journal(spec: &GuestSpec, config: &DoublePlayConfig) -> (Vec<u8>, Recording, Vec<usize>) {
@@ -124,8 +124,8 @@ fn crash_and_resume_at(
         }
     };
     let committed = s.committed();
-    let prefix = torn[..s.committed_bytes].to_vec();
-    let mut w = JournalWriter::resume_after(prefix, &s);
+    let prefix = torn[..s.keep[0].unwrap()].to_vec();
+    let mut w = JournalWriter::resume(vec![prefix], 1, &s).unwrap();
     let bundle = resume_from(spec, config, s.recording, &mut w)
         .unwrap_or_else(|e| panic!("cut {cut} ({committed} epochs salvaged): resume failed: {e}"));
     assert_eq!(
@@ -196,7 +196,7 @@ fn resume_is_byte_identical_across_crash_instants_diverging() {
 }
 
 /// Sharded sweep: tear each of N lanes at an independently chosen byte,
-/// salvage the merged prefix, truncate every lane to its `shard_keep`
+/// salvage the merged prefix, truncate every lane to its `keep`
 /// point, resume — every lane's final stream must match the uninterrupted
 /// sharded run byte for byte.
 #[test]
@@ -207,7 +207,7 @@ fn resume_is_byte_identical_across_shard_tears() {
         .keep_checkpoints(false);
     for shards in [2usize, 3] {
         let mut w =
-            ShardedJournalWriter::new((0..shards).map(|_| Vec::<u8>::new()).collect(), 2).unwrap();
+            JournalWriter::sync((0..shards).map(|_| Vec::<u8>::new()).collect(), 2).unwrap();
         let bundle = record_to(&spec, &config, &mut w).unwrap();
         let full = w.into_writers().unwrap();
         assert!(bundle.recording.epochs.len() >= 3);
@@ -232,9 +232,9 @@ fn resume_is_byte_identical_across_shard_tears() {
                 Err(_) => continue,
             };
             // A lane torn inside its own header is unusable: resume is
-            // forbidden (`shard_keep` reports `None`), only re-recording
+            // forbidden (`keep` reports `None`), only re-recording
             // from the merged prefix remains.
-            let Some(keeps) = s.shard_keep.iter().copied().collect::<Option<Vec<usize>>>() else {
+            let Some(keeps) = s.keep.iter().copied().collect::<Option<Vec<usize>>>() else {
                 continue;
             };
             let lanes: Vec<Vec<u8>> = torn
@@ -243,7 +243,7 @@ fn resume_is_byte_identical_across_shard_tears() {
                 .map(|(lane, &keep)| lane[..keep].to_vec())
                 .collect();
             let committed = s.committed();
-            let mut rw = ShardedJournalWriter::resume(lanes, 2, &s).unwrap();
+            let mut rw = JournalWriter::resume(lanes, 2, &s).unwrap();
             resume_from(&spec, &config, s.recording, &mut rw).unwrap_or_else(|e| {
                 panic!("{shards} shards, {committed} epochs salvaged: resume failed: {e}")
             });
@@ -272,8 +272,8 @@ fn tampered_hash_surfaces_as_prefix_diverged() {
         assert_eq!(s.committed(), 3);
         s.recording.epochs[victim as usize].end_machine_hash ^= 0xdead_beef;
         let expected = s.recording.epochs[victim as usize].end_machine_hash;
-        let prefix = full[..s.committed_bytes].to_vec();
-        let mut w = JournalWriter::resume_after(prefix, &s);
+        let prefix = full[..s.keep[0].unwrap()].to_vec();
+        let mut w = JournalWriter::resume(vec![prefix], 1, &s).unwrap();
         match resume_from(&spec, &config, s.recording, &mut w) {
             Err(ResumeError::PrefixDiverged {
                 epoch, expected: e, ..
@@ -301,7 +301,7 @@ fn foreign_prefixes_are_rejected_as_bad_prefix() {
 
     let other = counter_spec("someone-else", 900, false);
     let s = salvage();
-    let mut sink = JournalWriter::resume_after(full[..s.committed_bytes].to_vec(), &s);
+    let mut sink = JournalWriter::resume(vec![full[..s.keep[0].unwrap()].to_vec()], 1, &s).unwrap();
     assert!(matches!(
         resume_from(&other, &config, s.recording, &mut sink),
         Err(ResumeError::BadPrefix { .. })
@@ -309,7 +309,7 @@ fn foreign_prefixes_are_rejected_as_bad_prefix() {
 
     let reseeded = config.hidden_seed(42);
     let s = salvage();
-    let mut sink = JournalWriter::resume_after(full[..s.committed_bytes].to_vec(), &s);
+    let mut sink = JournalWriter::resume(vec![full[..s.keep[0].unwrap()].to_vec()], 1, &s).unwrap();
     assert!(matches!(
         resume_from(&spec, &reseeded, s.recording, &mut sink),
         Err(ResumeError::BadPrefix { .. })
@@ -320,7 +320,7 @@ fn foreign_prefixes_are_rejected_as_bad_prefix() {
     // bytes (the strategy is invisible in the journal).
     let piped = config.pipelined(true).spare_workers(1);
     let s = salvage();
-    let mut sink = JournalWriter::resume_after(full[..s.committed_bytes].to_vec(), &s);
+    let mut sink = JournalWriter::resume(vec![full[..s.keep[0].unwrap()].to_vec()], 1, &s).unwrap();
     let err = resume_from(&spec, &piped, s.recording, &mut sink);
     assert!(
         matches!(err, Err(ResumeError::BadPrefix { .. })),
@@ -328,7 +328,7 @@ fn foreign_prefixes_are_rejected_as_bad_prefix() {
     );
     let piped_same = config.pipelined(true);
     let s = salvage();
-    let mut sink = JournalWriter::resume_after(full[..s.committed_bytes].to_vec(), &s);
+    let mut sink = JournalWriter::resume(vec![full[..s.keep[0].unwrap()].to_vec()], 1, &s).unwrap();
     resume_from(&spec, &piped_same, s.recording, &mut sink).unwrap();
     assert_eq!(
         sink.into_inner(),

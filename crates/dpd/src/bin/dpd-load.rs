@@ -329,7 +329,7 @@ fn main() {
             }
             let mut w = JournalWriter::new(Vec::new()).expect("journal");
             record_to(&spec.guest, &spec.config, &mut w).expect("solo run");
-            if store.durable(*id).expect("durable") != w.into_inner() {
+            if store.durable(*id, 0).expect("durable") != w.into_inner() {
                 fail(&format!("session {id} diverged from its solo run"));
             }
             checked += 1;

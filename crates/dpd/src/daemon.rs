@@ -16,7 +16,7 @@ use crate::session::{Priority, SessionError, SessionId, SessionReport, SessionSp
 use crate::store::{DirStore, Orphan, OrphanClass, SessionStore};
 use dp_core::{
     record_to, resume_from, DoublePlayConfig, GuestSpec, JournalReader, JournalWriter,
-    RecordingMeta, ShardedJournalWriter, DEFAULT_SHARD_BATCH,
+    RecordingMeta, Salvaged, DEFAULT_SHARD_BATCH,
 };
 use dp_os::FaultedSink;
 use std::collections::{HashMap, VecDeque};
@@ -447,8 +447,12 @@ impl<S: SessionStore + 'static> Daemon<S> {
         // Phase 2: read and salvage the durable prefix and, for adopted
         // rows, rebuild the real spec from the journal's metadata — pure
         // byte and program-builder work, outside the lock.
-        let (meta, from_epoch) = match salvage_view(&*self.inner.store, id, spec.journal_shards) {
-            Ok(v) => v,
+        let streams = spec.journal_shards.max(1);
+        let (meta, from_epoch) = match resumable_prefix(&*self.inner.store, id, streams) {
+            Ok(s) => {
+                let epochs = s.committed() as u32;
+                (s.recording.meta, epochs)
+            }
             Err(detail) => {
                 self_lock(&self.inner).metrics.resume_failed += 1;
                 return Err(not(detail));
@@ -654,10 +658,9 @@ impl Daemon<DirStore> {
                 }
             };
             let Some(id) = o.id else { continue };
-            let shards = o.files.iter().filter(|(k, _)| k.is_some()).count() as u32;
-            if self.adopt(id, &o.name, state, epochs, shards, error) {
-                for (shard, path) in &o.files {
-                    self.inner.store.adopt_path(id, *shard, path.clone());
+            if self.adopt(id, &o.name, state, epochs, o.files.len() as u32, error) {
+                for (stream, path) in &o.files {
+                    self.inner.store.adopt_path(id, *stream, path.clone());
                 }
             } else {
                 self.add_orphan_note(format!("skipped: {} ({id} already registered)", o.name));
@@ -668,37 +671,27 @@ impl Daemon<DirStore> {
 }
 
 /// The salvaged durable view of a session's journal as crash-resume
-/// needs it: the recording metadata plus the committed epoch count.
+/// needs it: every stream read and merged, none missing its header.
 /// Errors are operator-facing strings (they become the
-/// [`SessionError::NotResumable`] detail).
-fn salvage_view<S: SessionStore + ?Sized>(
+/// [`SessionError::NotResumable`] detail or the resumed attempt's error).
+fn resumable_prefix<S: SessionStore + ?Sized>(
     store: &S,
     id: SessionId,
-    shards: u32,
-) -> Result<(RecordingMeta, u32), String> {
-    if shards >= 2 {
-        let mut bufs = Vec::new();
-        for k in 0..shards {
-            bufs.push(
-                store
-                    .durable_shard(id, k)
-                    .map_err(|e| format!("store read failed (shard {k}): {e}"))?,
-            );
-        }
-        let s = JournalReader::salvage_shards(&bufs).map_err(|e| format!("salvage failed: {e}"))?;
-        if s.shard_keep.iter().any(Option::is_none) {
-            return Err("a shard stream is missing its header; cannot resume".into());
-        }
-        let epochs = s.committed() as u32;
-        Ok((s.recording.meta, epochs))
-    } else {
-        let bytes = store
-            .durable(id)
-            .map_err(|e| format!("store read failed: {e}"))?;
-        let s = JournalReader::salvage(&bytes).map_err(|e| format!("salvage failed: {e}"))?;
-        let epochs = s.committed() as u32;
-        Ok((s.recording.meta, epochs))
+    streams: u32,
+) -> Result<Salvaged, String> {
+    let mut bufs = Vec::new();
+    for k in 0..streams {
+        bufs.push(
+            store
+                .durable(id, k)
+                .map_err(|e| format!("store read failed (stream {k}): {e}"))?,
+        );
     }
+    let s = JournalReader::salvage_shards(&bufs).map_err(|e| format!("salvage failed: {e}"))?;
+    if s.keep.iter().any(Option::is_none) {
+        return Err("a journal stream is missing its header; cannot resume".into());
+    }
+    Ok(s)
 }
 
 /// Reconstructs an adopted session's guest from its journal metadata:
@@ -910,13 +903,13 @@ fn self_lock<S: SessionStore + ?Sized>(inner: &Inner<S>) -> MutexGuard<'_, Regis
     inner.reg.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Executes one attempt: open the store writer (faulted if the session's
-/// sink-fault plan applies to this attempt), stream the journal, contain
-/// panics. No daemon lock is held anywhere in here.
+/// Executes one attempt: open one store writer per journal stream (each
+/// faulted if the session's sink-fault plan applies to this attempt),
+/// stream the journal, contain panics. A crash-resume attempt instead
+/// salvages the durable prefix, reopens every stream truncated to it for
+/// append, re-enacts the prefix, and continues recording — nothing
+/// committed is ever rewritten. No daemon lock is held anywhere in here.
 fn run_attempt<S: SessionStore + ?Sized>(store: &S, c: &Claim) -> AttemptOutcome {
-    if c.resume_from.is_some() {
-        return run_resume_attempt(store, c);
-    }
     let started = Instant::now();
     let mut cfg = c.spec.config;
     if c.degraded {
@@ -926,6 +919,9 @@ fn run_attempt<S: SessionStore + ?Sized>(store: &S, c: &Claim) -> AttemptOutcome
         // pipelined run the session asked for.
         cfg.pipelined = false;
     }
+    // Sink faults wrap each stream independently: a faulted device cuts
+    // streams at uncorrelated points, which is exactly what the salvage
+    // merge must cope with.
     let faulted =
         c.spec.sink_faults.is_active() && (c.attempt == 0 || !c.spec.transient_sink_faults);
     let wrap = |raw: Box<dyn Write + Send>| -> Box<dyn Write + Send> {
@@ -935,132 +931,47 @@ fn run_attempt<S: SessionStore + ?Sized>(store: &S, c: &Claim) -> AttemptOutcome
             raw
         }
     };
-    let error = (|| -> Option<String> {
-        if c.spec.journal_shards >= 2 {
-            // Sharded journaling: one store stream per shard, group
-            // commit inside the sharded writer. Sink faults wrap each
-            // shard stream independently — a faulted device cuts shards
-            // at uncorrelated points, which is exactly what the
-            // cross-shard salvage must cope with.
-            let mut sinks: Vec<Box<dyn Write + Send>> = Vec::new();
-            for shard in 0..c.spec.journal_shards {
-                match store.open_shard(SessionId(c.sid), &c.spec.name, c.attempt, shard) {
-                    Ok(w) => sinks.push(wrap(w)),
-                    Err(e) => return Some(format!("store open failed (shard {shard}): {e}")),
+    let id = SessionId(c.sid);
+    let streams = c.spec.journal_shards.max(1);
+    let error = (|| -> Result<(), String> {
+        let run = match c.resume_from {
+            None => {
+                let mut sinks = Vec::new();
+                for k in 0..streams {
+                    let raw = store
+                        .open(id, &c.spec.name, c.attempt, k)
+                        .map_err(|e| format!("store open failed (stream {k}): {e}"))?;
+                    sinks.push(wrap(raw));
                 }
+                let mut journal = JournalWriter::sync(sinks, DEFAULT_SHARD_BATCH)
+                    .map_err(|e| format!("journal preamble failed: {e}"))?;
+                catch_unwind(AssertUnwindSafe(|| {
+                    record_to(&c.spec.guest, &cfg, &mut journal)
+                        .map(drop)
+                        .map_err(|e| e.to_string())
+                }))
             }
-            let mut journal = match ShardedJournalWriter::new(sinks, DEFAULT_SHARD_BATCH) {
-                Ok(j) => j,
-                Err(e) => return Some(format!("journal preamble failed: {e}")),
-            };
-            match catch_unwind(AssertUnwindSafe(|| {
-                record_to(&c.spec.guest, &cfg, &mut journal)
-            })) {
-                Ok(Ok(_bundle)) => None,
-                Ok(Err(e)) => Some(e.to_string()),
-                Err(payload) => Some(format!("session panicked: {}", panic_detail(&*payload))),
-            }
-        } else {
-            let raw = match store.open(SessionId(c.sid), &c.spec.name, c.attempt) {
-                Ok(w) => w,
-                Err(e) => return Some(format!("store open failed: {e}")),
-            };
-            let mut journal = match JournalWriter::new(wrap(raw)) {
-                Ok(j) => j,
-                Err(e) => return Some(format!("journal preamble failed: {e}")),
-            };
-            match catch_unwind(AssertUnwindSafe(|| {
-                record_to(&c.spec.guest, &cfg, &mut journal)
-            })) {
-                Ok(Ok(_bundle)) => None,
-                Ok(Err(e)) => Some(e.to_string()),
-                Err(payload) => Some(format!("session panicked: {}", panic_detail(&*payload))),
-            }
-        }
-    })();
-    AttemptOutcome {
-        error,
-        run_ns: started.elapsed().as_nanos() as u64,
-    }
-}
-
-/// Executes one crash-resume attempt: salvage the durable prefix, reopen
-/// every stream truncated to it and positioned for append, re-enact the
-/// prefix, and continue recording. Unlike [`run_attempt`]'s truncating
-/// opens, nothing here ever rewrites a committed byte. No daemon lock is
-/// held anywhere in here.
-fn run_resume_attempt<S: SessionStore + ?Sized>(store: &S, c: &Claim) -> AttemptOutcome {
-    let started = Instant::now();
-    let mut cfg = c.spec.config;
-    if c.degraded {
-        cfg.pipelined = false;
-    }
-    let faulted =
-        c.spec.sink_faults.is_active() && (c.attempt == 0 || !c.spec.transient_sink_faults);
-    let wrap = |raw: Box<dyn Write + Send>| -> Box<dyn Write + Send> {
-        if faulted {
-            Box::new(FaultedSink::new(raw, c.spec.sink_faults))
-        } else {
-            raw
-        }
-    };
-    let error = (|| -> Option<String> {
-        if c.spec.journal_shards >= 2 {
-            let mut bufs = Vec::new();
-            for k in 0..c.spec.journal_shards {
-                match store.durable_shard(SessionId(c.sid), k) {
-                    Ok(b) => bufs.push(b),
-                    Err(e) => return Some(format!("store read failed (shard {k}): {e}")),
+            Some(_) => {
+                let s = resumable_prefix(store, id, streams)?;
+                let mut sinks = Vec::new();
+                for (k, &keep) in s.keep.iter().flatten().enumerate() {
+                    let raw = store
+                        .open_resume(id, k as u32, keep as u64)
+                        .map_err(|e| format!("store resume open failed (stream {k}): {e}"))?;
+                    sinks.push(wrap(raw));
                 }
+                let mut journal = JournalWriter::resume(sinks, DEFAULT_SHARD_BATCH, &s)
+                    .map_err(|e| format!("journal resume failed: {e}"))?;
+                catch_unwind(AssertUnwindSafe(|| {
+                    resume_from(&c.spec.guest, &cfg, s.recording, &mut journal)
+                        .map(drop)
+                        .map_err(|e| e.to_string())
+                }))
             }
-            let s = match JournalReader::salvage_shards(&bufs) {
-                Ok(s) => s,
-                Err(e) => return Some(format!("salvage failed: {e}")),
-            };
-            let Some(keeps) = s.shard_keep.iter().copied().collect::<Option<Vec<usize>>>() else {
-                return Some("a shard stream is missing its header; cannot resume".into());
-            };
-            let mut sinks: Vec<Box<dyn Write + Send>> = Vec::new();
-            for (k, keep) in keeps.iter().enumerate() {
-                match store.open_resume_shard(SessionId(c.sid), k as u32, *keep as u64) {
-                    Ok(w) => sinks.push(wrap(w)),
-                    Err(e) => return Some(format!("store resume open failed (shard {k}): {e}")),
-                }
-            }
-            let mut journal = match ShardedJournalWriter::resume(sinks, DEFAULT_SHARD_BATCH, &s) {
-                Ok(j) => j,
-                Err(e) => return Some(format!("journal resume failed: {e}")),
-            };
-            match catch_unwind(AssertUnwindSafe(|| {
-                resume_from(&c.spec.guest, &cfg, s.recording, &mut journal)
-            })) {
-                Ok(Ok(_bundle)) => None,
-                Ok(Err(e)) => Some(e.to_string()),
-                Err(payload) => Some(format!("session panicked: {}", panic_detail(&*payload))),
-            }
-        } else {
-            let bytes = match store.durable(SessionId(c.sid)) {
-                Ok(b) => b,
-                Err(e) => return Some(format!("store read failed: {e}")),
-            };
-            let s = match JournalReader::salvage(&bytes) {
-                Ok(s) => s,
-                Err(e) => return Some(format!("salvage failed: {e}")),
-            };
-            let raw = match store.open_resume(SessionId(c.sid), s.committed_bytes as u64) {
-                Ok(w) => w,
-                Err(e) => return Some(format!("store resume open failed: {e}")),
-            };
-            let mut journal = JournalWriter::resume_after(wrap(raw), &s);
-            match catch_unwind(AssertUnwindSafe(|| {
-                resume_from(&c.spec.guest, &cfg, s.recording, &mut journal)
-            })) {
-                Ok(Ok(_bundle)) => None,
-                Ok(Err(e)) => Some(e.to_string()),
-                Err(payload) => Some(format!("session panicked: {}", panic_detail(&*payload))),
-            }
-        }
-    })();
+        };
+        run.unwrap_or_else(|payload| Err(format!("session panicked: {}", panic_detail(&*payload))))
+    })()
+    .err();
     AttemptOutcome {
         error,
         run_ns: started.elapsed().as_nanos() as u64,
@@ -1079,30 +990,24 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
 /// either re-queue (contained failure, budget left) or classify the
 /// durable journal into a terminal state.
 fn retire<S: SessionStore + ?Sized>(inner: &Inner<S>, c: Claim, out: AttemptOutcome) {
-    // Salvage the durable view outside the lock; it is pure byte work.
-    // Both journal modes reduce to the same classification inputs: was
-    // the durable view clean, and how many epochs does it commit.
+    // Salvage the durable view outside the lock; it is pure byte work:
+    // was the durable view clean, and how many epochs does it commit.
     // Resumed attempts are always terminal: the prefix re-enactment is
     // deterministic, so a failed resume would fail identically on retry —
     // the row returns to Salvaged (re-resumable within budget) instead.
     let terminal =
         out.error.is_none() || c.resume_from.is_some() || c.attempt >= c.spec.restart_budget;
-    let salvaged: Option<(bool, usize)> = if !terminal {
-        None
-    } else if c.spec.journal_shards >= 2 {
-        let bufs: Vec<Vec<u8>> = (0..c.spec.journal_shards)
-            .filter_map(|k| inner.store.durable_shard(SessionId(c.sid), k).ok())
+    let salvaged: Option<(bool, usize)> = if terminal {
+        // Whichever streams are readable; a missing one only bounds the
+        // merged prefix.
+        let bufs: Vec<Vec<u8>> = (0..c.spec.journal_shards.max(1))
+            .filter_map(|k| inner.store.durable(SessionId(c.sid), k).ok())
             .collect();
         JournalReader::salvage_shards(&bufs)
             .ok()
             .map(|s| (s.clean, s.committed()))
     } else {
-        match inner.store.durable(SessionId(c.sid)) {
-            Ok(bytes) => JournalReader::salvage(&bytes)
-                .ok()
-                .map(|s| (s.clean, s.committed())),
-            Err(_) => None,
-        }
+        None
     };
 
     let mut guard = self_lock(inner);
@@ -1222,7 +1127,7 @@ mod tests {
         assert_eq!(r.state, SessionState::Finalized);
         assert!(r.epochs >= 2);
         assert!(r.error.is_none());
-        assert_eq!(store.durable(id).unwrap(), solo);
+        assert_eq!(store.durable(id, 0).unwrap(), solo);
         let m = daemon.metrics();
         assert_eq!(m.finalized, 1);
         assert_eq!(m.epochs_committed, u64::from(r.epochs));
@@ -1301,7 +1206,7 @@ mod tests {
         let r = daemon.report(id).unwrap();
         assert_eq!(r.state, SessionState::Finalized);
         assert!(r.degraded, "1-core pool must degrade a 2-core low session");
-        assert_eq!(store.durable(id).unwrap(), solo);
+        assert_eq!(store.durable(id, 0).unwrap(), solo);
         assert!(daemon.metrics().degraded_runs >= 1);
         daemon.shutdown();
     }
@@ -1324,7 +1229,7 @@ mod tests {
         let r = daemon.report(id).unwrap();
         assert_eq!(r.state, SessionState::Finalized, "error: {:?}", r.error);
         assert!(r.attempts >= 2, "should have retried past the torn write");
-        assert_eq!(store.durable(id).unwrap(), solo);
+        assert_eq!(store.durable(id, 0).unwrap(), solo);
         assert_eq!(daemon.metrics().retries, u64::from(r.attempts - 1));
         daemon.shutdown();
     }
@@ -1384,19 +1289,28 @@ mod tests {
                 id: SessionId,
                 name: &str,
                 attempt: u32,
+                stream: u32,
             ) -> std::io::Result<Box<dyn Write + Send>> {
                 if id.0 == self.panic_for {
                     Ok(Box::new(PanicWriter { wrote: 0 }))
                 } else {
-                    self.inner.open(id, name, attempt)
+                    self.inner.open(id, name, attempt, stream)
                 }
             }
-            fn durable(&self, id: SessionId) -> std::io::Result<Vec<u8>> {
+            fn durable(&self, id: SessionId, stream: u32) -> std::io::Result<Vec<u8>> {
                 if id.0 == self.panic_for {
                     Err(std::io::Error::other("panicked sink has no bytes"))
                 } else {
-                    self.inner.durable(id)
+                    self.inner.durable(id, stream)
                 }
+            }
+            fn open_resume(
+                &self,
+                id: SessionId,
+                stream: u32,
+                keep: u64,
+            ) -> std::io::Result<Box<dyn Write + Send>> {
+                self.inner.open_resume(id, stream, keep)
             }
         }
 
@@ -1426,7 +1340,7 @@ mod tests {
         assert_eq!(rb.attempts, 2, "panic should be retried within budget");
         let rg = daemon.report(good).unwrap();
         assert_eq!(rg.state, SessionState::Finalized);
-        assert_eq!(store.durable(good).unwrap(), solo, "sibling perturbed");
+        assert_eq!(store.durable(good, 0).unwrap(), solo, "sibling perturbed");
         daemon.shutdown();
     }
 
@@ -1435,8 +1349,8 @@ mod tests {
         let store = Arc::new(MemStore::new());
         let daemon = Daemon::start(DaemonConfig::default(), store.clone());
         let spec = tiny_spec("sharded").journal_shards(3);
-        // The oracle: a solo sequential run's *recording* bytes (the
-        // container bytes differ by design — DPRS streams vs one DPRJ).
+        // The oracle: a solo sequential run's *recording* bytes (three
+        // streams' bytes differ from one stream's by design).
         let mut solo_rec = Vec::new();
         {
             let mut w = JournalWriter::new(Vec::new()).unwrap();
@@ -1448,9 +1362,7 @@ mod tests {
         let r = daemon.report(id).unwrap();
         assert_eq!(r.state, SessionState::Finalized, "error: {:?}", r.error);
         assert!(r.epochs >= 2);
-        let bufs: Vec<Vec<u8>> = (0..3)
-            .map(|k| store.durable_shard(id, k).unwrap())
-            .collect();
+        let bufs: Vec<Vec<u8>> = (0..3).map(|k| store.durable(id, k).unwrap()).collect();
         let merged = JournalReader::salvage_shards(&bufs).unwrap();
         assert!(merged.clean);
         assert_eq!(merged.committed(), r.epochs as usize);
@@ -1683,9 +1595,9 @@ mod tests {
             assert_eq!(r.state, SessionState::Finalized);
             epochs = r.epochs;
             let full = std::fs::read(store.path(id).unwrap()).unwrap();
-            std::fs::write(dir.join("s0002-cut.dprj"), &full[..full.len() - 5]).unwrap();
-            std::fs::write(dir.join("s0003-empty.dprj"), b"").unwrap();
-            std::fs::write(dir.join("s0004-mid.dprj.tmp"), b"half").unwrap();
+            std::fs::write(dir.join("s0002-cut.s0.dprs"), &full[..full.len() - 5]).unwrap();
+            std::fs::write(dir.join("s0003-empty.s0.dprs"), b"").unwrap();
+            std::fs::write(dir.join("s0004-mid.s0.dprs.tmp"), b"half").unwrap();
             daemon.shutdown();
         }
         // Second incarnation re-adopts on boot.
@@ -1707,11 +1619,11 @@ mod tests {
             .contains("re-adopted after daemon crash"));
         let notes = daemon.orphan_notes();
         assert_eq!(notes.len(), 2, "{notes:?}");
-        assert!(notes.iter().any(|n| n.contains("s0003-empty.dprj")));
-        assert!(notes.iter().any(|n| n.contains("s0004-mid.dprj.tmp")));
+        assert!(notes.iter().any(|n| n.contains("s0003-empty.s0.dprs")));
+        assert!(notes.iter().any(|n| n.contains("s0004-mid.s0.dprs.tmp")));
         // Adopted paths are registered: durable() serves the old bytes,
         // and new ids don't collide with adopted ones.
-        assert!(!store.durable(SessionId(1)).unwrap().is_empty());
+        assert!(!store.durable(SessionId(1), 0).unwrap().is_empty());
         assert_eq!(daemon.metrics().adopted, 2);
         let fresh = daemon.submit(spec).unwrap();
         assert!(fresh.0 >= 3, "id counter must jump past adopted ids");
@@ -1759,7 +1671,7 @@ mod tests {
         let r = daemon.report(id).unwrap();
         assert_eq!(r.state, SessionState::Finalized, "error: {:?}", r.error);
         assert_eq!(
-            store.durable(id).unwrap(),
+            store.durable(id, 0).unwrap(),
             solo,
             "resumed journal must be byte-identical to an uninterrupted run"
         );
@@ -1884,7 +1796,7 @@ mod tests {
         let r = daemon.report(id).unwrap();
         assert_eq!(r.state, SessionState::Finalized, "error: {:?}", r.error);
         assert_eq!(
-            store.durable(id).unwrap(),
+            store.durable(id, 0).unwrap(),
             solo,
             "cross-incarnation resume must be byte-identical to an \
              uninterrupted run"

@@ -14,9 +14,9 @@
 //! relaxes *admission* freely — shed load, reorder lanes, degrade — but
 //! never relaxes *recoverability*: every admitted session is, at every
 //! instant, salvageable to exactly its committed epoch prefix, because
-//! each session streams its own `DPRJ` journal through
-//! [`dp_core::JournalWriter`] and the journal's commit rule makes the
-//! per-epoch flush the durability point.
+//! each session streams its own journal through [`dp_core::JournalWriter`]
+//! and the journal's commit rule makes each commit marker reaching the
+//! store the durability point.
 //!
 //! * **Session state machine** — `Admitted → Recording → Draining →
 //!   {Finalized, Salvaged, Failed}` ([`SessionState`]); retries within a

@@ -139,7 +139,7 @@ pub struct SubmitSpec {
     pub sink_faults: SinkFaults,
     /// When true, sink faults apply to attempt 0 only.
     pub transient_sink_faults: bool,
-    /// Journal shard streams (`< 2` = single `DPRJ` stream).
+    /// Journal streams (`< 2` = one stream).
     pub journal_shards: u32,
     /// Idempotency token (empty = none): a client that loses its
     /// connection mid-Submit re-issues the same spec with the same token

@@ -278,7 +278,7 @@ fn stream_attach<S: SessionStore + 'static>(
         // Report first, bytes second: if the report is terminal, the
         // bytes read after it are complete.
         let report = daemon.report(id).expect("rows are never removed");
-        let bytes = store.durable(id).unwrap_or_default();
+        let bytes = store.durable(id, 0).unwrap_or_default();
         let salv = JournalReader::salvage(&bytes).ok();
         let avail = salv.as_ref().map_or(0, |s| s.salvaged_bytes as u64);
         // A retry rewrites the journal in place: everything streamed so

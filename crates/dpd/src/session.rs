@@ -154,11 +154,9 @@ pub struct SessionSpec {
     /// transient durable-path outage that a retry recovers from. When
     /// false, every attempt hits the same faults (a dead disk).
     pub transient_sink_faults: bool,
-    /// Journal shard streams. `0` or `1` records the classic single
-    /// `DPRJ` stream; `N >= 2` records `N` group-committed `DPRS` shard
-    /// streams (the store must support
-    /// [`SessionStore::open_shard`](crate::SessionStore::open_shard)),
-    /// which salvage to the longest consistent cross-shard prefix.
+    /// Journal streams. `0` or `1` records one stream; `N >= 2` splits
+    /// the journal into `N` group-committed streams, which salvage to the
+    /// longest prefix committed across all of them.
     pub journal_shards: u32,
     /// Client-chosen idempotency token (empty = none). Submitting twice
     /// with the same non-empty token admits exactly one session: the
@@ -208,7 +206,7 @@ impl SessionSpec {
         self
     }
 
-    /// Records into `n` sharded journal streams (`< 2` = single stream).
+    /// Records into `n` journal streams (`< 2` = one stream).
     pub fn journal_shards(mut self, n: u32) -> Self {
         self.journal_shards = n;
         self
@@ -289,9 +287,9 @@ pub struct SessionReport {
     /// Queue wait from submission to the first runner claim, in
     /// nanoseconds (the admission-latency metric).
     pub admission_wait_ns: u64,
-    /// Journal shard streams the session records (`0` = the classic
-    /// single `DPRJ` stream) — the attach path needs this to know which
-    /// store streams back the session.
+    /// Journal streams the session records (`0` or `1` = one stream) —
+    /// the attach path needs this to know which store streams back the
+    /// session.
     pub journal_shards: u32,
     /// The most recent attempt's error, if any.
     pub error: Option<String>,

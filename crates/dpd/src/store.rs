@@ -1,8 +1,9 @@
 //! Pluggable per-session journal stores, including a crash-simulating one.
 //!
-//! The daemon streams each session's `DPRJ` journal through a
-//! [`SessionStore`], which hands out one writer per attempt and can later
-//! produce the bytes that would survive a machine crash. Two
+//! The daemon streams each session's journal — one stream, or `N` for a
+//! session recording with `journal_shards >= 2` — through a
+//! [`SessionStore`], which hands out one writer per stream per attempt and
+//! can later produce the bytes that would survive a machine crash. Two
 //! implementations:
 //!
 //! * [`MemStore`] — in-memory buffers, optionally threaded onto a shared
@@ -11,8 +12,8 @@
 //!   written before the crash instant are durable (a write straddling the
 //!   instant is torn). This is the engine of the N-journal crash property
 //!   tests.
-//! * [`DirStore`] — one `s{id}-{name}.dprj` file per session in a
-//!   directory, for `dp serve`; a killed daemon leaves files that
+//! * [`DirStore`] — one `s{id}-{name}.s{k}.dprs` file per journal stream
+//!   in a directory, for `dp serve`; a killed daemon leaves files that
 //!   `dp sessions` / `dp salvage` recover independently.
 
 use crate::session::SessionId;
@@ -24,104 +25,48 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Where per-session journals go. Implementations are shared across
-/// runner threads.
+/// Where per-session journals go, one writer per journal stream.
+/// Implementations are shared across runner threads.
 pub trait SessionStore: Send + Sync {
-    /// Opens (or truncates, on a retry) the journal for `id`'s given
-    /// attempt and returns its writer. Attempts rewrite in place: the
-    /// journal a session leaves behind is always its *latest* attempt's.
+    /// Opens (or truncates, on a retry) stream `stream` of `id`'s journal
+    /// for the given attempt and returns its writer. Attempts rewrite in
+    /// place: the journal a session leaves behind is always its *latest*
+    /// attempt's.
     ///
     /// # Errors
     ///
     /// Store I/O failures (these surface as the session's sink error).
-    fn open(&self, id: SessionId, name: &str, attempt: u32) -> io::Result<Box<dyn Write + Send>>;
-
-    /// The bytes of `id`'s journal that would survive a crash right now —
-    /// what a post-mortem salvage scan would read.
-    ///
-    /// # Errors
-    ///
-    /// Unknown session, or store I/O failures.
-    fn durable(&self, id: SessionId) -> io::Result<Vec<u8>>;
-
-    /// Opens (or truncates, on a retry) one `DPRS` shard stream of `id`'s
-    /// sharded journal. Sessions recording with `journal_shards >= 2`
-    /// open one writer per shard; single-stream sessions use
-    /// [`open`](SessionStore::open) instead. The default refuses, so a
-    /// store that never sees sharded sessions needs no shard support.
-    ///
-    /// # Errors
-    ///
-    /// `Unsupported` by default; store I/O failures otherwise.
-    fn open_shard(
+    fn open(
         &self,
         id: SessionId,
         name: &str,
         attempt: u32,
-        shard: u32,
-    ) -> io::Result<Box<dyn Write + Send>> {
-        let _ = (id, name, attempt, shard);
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "store does not support sharded journals",
-        ))
-    }
+        stream: u32,
+    ) -> io::Result<Box<dyn Write + Send>>;
 
-    /// The crash-surviving bytes of one shard stream of `id`'s sharded
-    /// journal — the per-shard counterpart of
-    /// [`durable`](SessionStore::durable).
+    /// The bytes of stream `stream` of `id`'s journal that would survive
+    /// a crash right now — what a post-mortem salvage scan would read.
     ///
     /// # Errors
     ///
-    /// `Unsupported` by default; unknown session or store I/O failures
-    /// otherwise.
-    fn durable_shard(&self, id: SessionId, shard: u32) -> io::Result<Vec<u8>> {
-        let _ = (id, shard);
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "store does not support sharded journals",
-        ))
-    }
+    /// Unknown session or stream, or store I/O failures.
+    fn durable(&self, id: SessionId, stream: u32) -> io::Result<Vec<u8>>;
 
-    /// Reopens `id`'s journal for crash-resume: truncates the stored
-    /// stream to its `keep`-byte salvaged prefix (dropping the torn tail)
-    /// and returns a writer positioned to **append** after it — unlike
-    /// [`open`](SessionStore::open), the prefix is preserved, not
-    /// rewritten. The default refuses, so stores predating resume keep
-    /// working (resume just reports the store can't).
+    /// Reopens stream `stream` of `id`'s journal for crash-resume:
+    /// truncates it to its `keep`-byte salvaged prefix (dropping the torn
+    /// tail) and returns a writer positioned to **append** after it —
+    /// unlike [`open`](SessionStore::open), the prefix is preserved, not
+    /// rewritten.
     ///
     /// # Errors
     ///
-    /// `Unsupported` by default; unknown session or store I/O failures
-    /// otherwise.
-    fn open_resume(&self, id: SessionId, keep: u64) -> io::Result<Box<dyn Write + Send>> {
-        let _ = (id, keep);
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "store does not support crash-resume",
-        ))
-    }
-
-    /// The sharded counterpart of [`open_resume`](SessionStore::open_resume):
-    /// truncates one shard stream to its `keep`-byte consistent prefix
-    /// and returns an appending writer.
-    ///
-    /// # Errors
-    ///
-    /// `Unsupported` by default; unknown session or store I/O failures
-    /// otherwise.
-    fn open_resume_shard(
+    /// Unknown session or stream, or store I/O failures.
+    fn open_resume(
         &self,
         id: SessionId,
-        shard: u32,
+        stream: u32,
         keep: u64,
-    ) -> io::Result<Box<dyn Write + Send>> {
-        let _ = (id, shard, keep);
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "store does not support crash-resume",
-        ))
-    }
+    ) -> io::Result<Box<dyn Write + Send>>;
 }
 
 /// A daemon-wide crash instant, measured on a global byte clock.
@@ -172,17 +117,16 @@ struct SessionBuf {
     durable: usize,
 }
 
-/// [`MemStore`]'s buffer map: keyed by `(session id, shard)`.
+/// [`MemStore`]'s buffer map: keyed by `(session id, stream)`.
 type SessionBufs = HashMap<(u64, u32), Arc<Mutex<SessionBuf>>>;
 
-/// An in-memory [`SessionStore`], optionally crash-simulating. Sharded
-/// journals are supported: each `(session, shard)` pair gets its own
-/// buffer on the same crash clock, so one machine death cuts every shard
-/// of every session at a different point.
+/// An in-memory [`SessionStore`], optionally crash-simulating. Each
+/// `(session, stream)` pair gets its own buffer on the same crash clock,
+/// so one machine death cuts every stream of every session at a
+/// different point.
 #[derive(Default)]
 pub struct MemStore {
-    /// Keyed by `(session id, shard)`; the single-stream journal is
-    /// shard 0.
+    /// Keyed by `(session id, stream)`.
     sessions: Mutex<SessionBufs>,
     clock: Option<Arc<CrashClock>>,
 }
@@ -201,64 +145,36 @@ impl MemStore {
         }
     }
 
-    fn buf(&self, id: SessionId, shard: u32) -> Arc<Mutex<SessionBuf>> {
+    fn buf(&self, id: SessionId, stream: u32) -> Arc<Mutex<SessionBuf>> {
         self.sessions
             .lock()
             .unwrap()
-            .entry((id.0, shard))
+            .entry((id.0, stream))
             .or_default()
             .clone()
     }
 
-    fn open_buf(&self, id: SessionId, shard: u32) -> Box<dyn Write + Send> {
-        let buf = self.buf(id, shard);
-        {
-            let mut b = buf.lock().unwrap();
-            // Truncating reopen. If the crash already happened, the
-            // truncate itself never reaches the device: the old durable
-            // prefix would in reality survive, but modelling that would
-            // need per-attempt files — the crash tests use budget 0, so
-            // a post-crash retry simply contributes nothing durable.
-            b.bytes.clear();
-            b.durable = 0;
-        }
+    fn writer(&self, buf: Arc<Mutex<SessionBuf>>) -> Box<dyn Write + Send> {
         Box::new(MemWriter {
             buf,
             clock: self.clock.clone(),
         })
     }
 
-    /// Everything the session has written, durable or not (the live view).
+    /// Everything stream 0 of the session has written, durable or not
+    /// (the live view).
     pub fn live(&self, id: SessionId) -> Vec<u8> {
         self.buf(id, 0).lock().unwrap().bytes.clone()
     }
 
-    /// Seeds a `(session, shard)` stream with fully-durable `bytes` —
+    /// Seeds a `(session, stream)` buffer with fully-durable `bytes` —
     /// models a daemon reboot: the new incarnation's store starts from
-    /// whatever the dead one left durable. Shard `0` doubles as the
-    /// single-stream journal.
-    pub fn seed(&self, id: SessionId, shard: u32, bytes: Vec<u8>) {
-        let buf = self.buf(id, shard);
+    /// whatever the dead one left durable.
+    pub fn seed(&self, id: SessionId, stream: u32, bytes: Vec<u8>) {
+        let buf = self.buf(id, stream);
         let mut b = buf.lock().unwrap();
         b.durable = bytes.len();
         b.bytes = bytes;
-    }
-
-    fn open_resume_buf(&self, id: SessionId, shard: u32, keep: u64) -> Box<dyn Write + Send> {
-        let buf = self.buf(id, shard);
-        {
-            let mut b = buf.lock().unwrap();
-            // Keep the salvaged prefix, drop the torn tail. The surviving
-            // prefix is durable by definition — it was salvaged from the
-            // device — so the appended continuation extends from there.
-            b.bytes.truncate(keep as usize);
-            let len = b.bytes.len();
-            b.durable = b.durable.min(len);
-        }
-        Box::new(MemWriter {
-            buf,
-            clock: self.clock.clone(),
-        })
     }
 }
 
@@ -289,41 +205,50 @@ impl Write for MemWriter {
 }
 
 impl SessionStore for MemStore {
-    fn open(&self, id: SessionId, _name: &str, _attempt: u32) -> io::Result<Box<dyn Write + Send>> {
-        Ok(self.open_buf(id, 0))
-    }
-
-    fn durable(&self, id: SessionId) -> io::Result<Vec<u8>> {
-        self.durable_shard(id, 0)
-    }
-
-    fn open_shard(
+    fn open(
         &self,
         id: SessionId,
         _name: &str,
         _attempt: u32,
-        shard: u32,
+        stream: u32,
     ) -> io::Result<Box<dyn Write + Send>> {
-        Ok(self.open_buf(id, shard))
+        let buf = self.buf(id, stream);
+        {
+            let mut b = buf.lock().unwrap();
+            // Truncating reopen. If the crash already happened, the
+            // truncate itself never reaches the device: the old durable
+            // prefix would in reality survive, but modelling that would
+            // need per-attempt files — the crash tests use budget 0, so
+            // a post-crash retry simply contributes nothing durable.
+            b.bytes.clear();
+            b.durable = 0;
+        }
+        Ok(self.writer(buf))
     }
 
-    fn durable_shard(&self, id: SessionId, shard: u32) -> io::Result<Vec<u8>> {
-        let buf = self.buf(id, shard);
+    fn durable(&self, id: SessionId, stream: u32) -> io::Result<Vec<u8>> {
+        let buf = self.buf(id, stream);
         let b = buf.lock().unwrap();
         Ok(b.bytes[..b.durable].to_vec())
     }
 
-    fn open_resume(&self, id: SessionId, keep: u64) -> io::Result<Box<dyn Write + Send>> {
-        Ok(self.open_resume_buf(id, 0, keep))
-    }
-
-    fn open_resume_shard(
+    fn open_resume(
         &self,
         id: SessionId,
-        shard: u32,
+        stream: u32,
         keep: u64,
     ) -> io::Result<Box<dyn Write + Send>> {
-        Ok(self.open_resume_buf(id, shard, keep))
+        let buf = self.buf(id, stream);
+        {
+            let mut b = buf.lock().unwrap();
+            // Keep the salvaged prefix, drop the torn tail. The surviving
+            // prefix is durable by definition — it was salvaged from the
+            // device — so the appended continuation extends from there.
+            b.bytes.truncate(keep as usize);
+            let len = b.bytes.len();
+            b.durable = b.durable.min(len);
+        }
+        Ok(self.writer(buf))
     }
 }
 
@@ -356,7 +281,7 @@ pub enum OrphanClass {
     },
 }
 
-/// One journal (or shard set) found in a [`DirStore`] directory that the
+/// One journal (its stream set) found in a [`DirStore`] directory that the
 /// current incarnation did not write — a candidate for boot re-adoption.
 #[derive(Debug)]
 pub struct Orphan {
@@ -366,40 +291,29 @@ pub struct Orphan {
     /// The session name parsed from the file name (for garbage, the raw
     /// file name).
     pub name: String,
-    /// The backing files: a single `.dprj` as `(None, path)`, or the
-    /// `.dprs` shard set as `(Some(shard), path)` in shard order.
-    pub files: Vec<(Option<u32>, PathBuf)>,
+    /// The backing stream files as `(stream, path)`, in stream order
+    /// (garbage: the one file, as stream 0).
+    pub files: Vec<(u32, PathBuf)>,
     /// What the salvage scan concluded.
     pub class: OrphanClass,
 }
 
-/// Parses a journal file stem of the form `s{id:04}-{name}`.
-fn parse_stem(stem: &str) -> Option<(u64, &str)> {
-    let rest = stem.strip_prefix('s')?;
-    let dash = rest.find('-')?;
-    let (digits, name) = (&rest[..dash], &rest[dash + 1..]);
-    if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
+/// Parses a stream file stem of the form `s{id:04}-{name}.s{k}`.
+fn parse_stem(stem: &str) -> Option<(u64, &str, u32)> {
+    let (session, stream) = stem.rsplit_once(".s")?;
+    let (digits, name) = session.strip_prefix('s')?.split_once('-')?;
+    let numeric = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
+    if !numeric(digits) || !numeric(stream) {
         return None;
     }
-    Some((digits.parse().ok()?, name))
+    Some((digits.parse().ok()?, name, stream.parse().ok()?))
 }
 
-/// Parses a shard-stream stem of the form `s{id:04}-{name}.s{shard}`.
-fn parse_shard_stem(stem: &str) -> Option<(u64, &str, u32)> {
-    let dot = stem.rfind('.')?;
-    let shard = stem[dot + 1..].strip_prefix('s')?;
-    if shard.is_empty() || !shard.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
-    }
-    let (id, name) = parse_stem(&stem[..dot])?;
-    Some((id, name, shard.parse().ok()?))
-}
-
-/// A directory of `s{id:04}-{name}.dprj` files, one per session; sharded
-/// sessions write `s{id:04}-{name}.s{shard}.dprs` siblings instead.
+/// A directory of `s{id:04}-{name}.s{k}.dprs` files: one per stream of
+/// each session's journal.
 pub struct DirStore {
     dir: PathBuf,
-    paths: Mutex<HashMap<(u64, Option<u32>), PathBuf>>,
+    paths: Mutex<HashMap<(u64, u32), PathBuf>>,
 }
 
 impl DirStore {
@@ -416,40 +330,34 @@ impl DirStore {
         })
     }
 
-    /// The journal path assigned to `id`, if it opened one.
+    /// The path of stream 0 of `id`'s journal — the whole journal of a
+    /// one-stream session — if it opened one.
     pub fn path(&self, id: SessionId) -> Option<PathBuf> {
-        self.paths.lock().unwrap().get(&(id.0, None)).cloned()
+        self.shard_path(id, 0)
     }
 
-    /// The path of one shard stream of `id`'s journal, if it opened one.
-    pub fn shard_path(&self, id: SessionId, shard: u32) -> Option<PathBuf> {
-        self.paths
-            .lock()
-            .unwrap()
-            .get(&(id.0, Some(shard)))
-            .cloned()
+    /// The path of stream `stream` of `id`'s journal, if it opened one.
+    pub fn shard_path(&self, id: SessionId, stream: u32) -> Option<PathBuf> {
+        self.paths.lock().unwrap().get(&(id.0, stream)).cloned()
     }
 
-    /// Registers an existing journal file as `id`'s backing path (shard
-    /// `None` = the single `.dprj` stream), so
-    /// [`durable`](SessionStore::durable) /
-    /// [`durable_shard`](SessionStore::durable_shard) — and therefore the
-    /// attach path — work for sessions adopted from a previous
+    /// Registers an existing stream file as stream `stream` of `id`'s
+    /// journal, so [`durable`](SessionStore::durable) — and therefore the
+    /// attach path — works for sessions adopted from a previous
     /// incarnation rather than opened by this one.
-    pub fn adopt_path(&self, id: SessionId, shard: Option<u32>, path: PathBuf) {
-        self.paths.lock().unwrap().insert((id.0, shard), path);
+    pub fn adopt_path(&self, id: SessionId, stream: u32, path: PathBuf) {
+        self.paths.lock().unwrap().insert((id.0, stream), path);
     }
 
-    /// Scans the store directory for journal files this incarnation did
-    /// not write and classifies each: clean journals are
-    /// [`OrphanClass::Finalized`], crash-cut ones
-    /// [`OrphanClass::Salvageable`] (with their committed epoch count),
-    /// and everything unrecoverable — zero-length files, `.tmp` leftovers
-    /// from interrupted writes, unrecognized names, unsalvageable bytes —
-    /// is [`OrphanClass::Garbage`] with a reason, reported rather than
-    /// wedging boot. Shard sets (`.s{k}.dprs` siblings) are grouped and
-    /// classified by their cross-shard merge. Results are ordered by
-    /// session id, then name.
+    /// Scans the store directory for journals this incarnation did not
+    /// write, groups each session's stream files, and classifies every
+    /// set by its salvage: clean journals are [`OrphanClass::Finalized`],
+    /// crash-cut ones [`OrphanClass::Salvageable`] (with their committed
+    /// epoch count), and everything unrecoverable — zero-length files,
+    /// `.tmp` leftovers from interrupted writes, unrecognized names,
+    /// unsalvageable bytes — is [`OrphanClass::Garbage`] with a reason,
+    /// reported rather than wedging boot. Results are ordered by session
+    /// id, then name.
     ///
     /// # Errors
     ///
@@ -464,13 +372,12 @@ impl DirStore {
             Orphan {
                 id: None,
                 name,
-                files: vec![(None, path)],
+                files: vec![(0, path)],
                 class: OrphanClass::Garbage { reason },
             }
         };
         let mut orphans: Vec<Orphan> = Vec::new();
-        let mut singles: Vec<(u64, String, PathBuf)> = Vec::new();
-        let mut shard_sets: HashMap<(u64, String), Vec<(u32, PathBuf)>> = HashMap::new();
+        let mut sets: HashMap<(u64, String), Vec<(u32, PathBuf)>> = HashMap::new();
         for entry in std::fs::read_dir(&self.dir)? {
             let entry = entry?;
             let path = entry.path();
@@ -488,47 +395,21 @@ impl DirStore {
                 ));
             } else if entry.metadata()?.len() == 0 {
                 orphans.push(garbage(path, "zero-length file".into()));
-            } else if let Some(stem) = fname.strip_suffix(".dprj") {
-                match parse_stem(stem) {
-                    Some((id, name)) => singles.push((id, name.to_string(), path)),
-                    None => orphans.push(garbage(path, "unrecognized journal name".into())),
-                }
             } else if let Some(stem) = fname.strip_suffix(".dprs") {
-                match parse_shard_stem(stem) {
-                    Some((id, name, shard)) => shard_sets
+                match parse_stem(stem) {
+                    Some((id, name, stream)) => sets
                         .entry((id, name.to_string()))
                         .or_default()
-                        .push((shard, path)),
-                    None => orphans.push(garbage(path, "unrecognized shard-stream name".into())),
+                        .push((stream, path)),
+                    None => orphans.push(garbage(path, "unrecognized journal name".into())),
                 }
             } else {
                 orphans.push(garbage(path, "not a journal file".into()));
             }
         }
-        for (id, name, path) in singles {
-            let bytes = std::fs::read(&path)?;
-            let class = match JournalReader::salvage(&bytes) {
-                Ok(s) if s.clean => OrphanClass::Finalized {
-                    epochs: s.committed() as u32,
-                },
-                Ok(s) => OrphanClass::Salvageable {
-                    epochs: s.committed() as u32,
-                    detail: s.detail,
-                },
-                Err(e) => OrphanClass::Garbage {
-                    reason: e.to_string(),
-                },
-            };
-            orphans.push(Orphan {
-                id: Some(SessionId(id)),
-                name,
-                files: vec![(None, path)],
-                class,
-            });
-        }
-        for ((id, name), mut set) in shard_sets {
-            set.sort_by_key(|&(k, _)| k);
-            let bufs = set
+        for ((id, name), mut files) in sets {
+            files.sort_by_key(|&(k, _)| k);
+            let bufs = files
                 .iter()
                 .map(|(_, p)| std::fs::read(p))
                 .collect::<io::Result<Vec<Vec<u8>>>>()?;
@@ -547,7 +428,7 @@ impl DirStore {
             orphans.push(Orphan {
                 id: Some(SessionId(id)),
                 name,
-                files: set.into_iter().map(|(k, p)| (Some(k), p)).collect(),
+                files,
                 class,
             });
         }
@@ -555,11 +436,23 @@ impl DirStore {
         Ok(orphans)
     }
 
-    fn create(
+    fn registered(&self, id: SessionId, stream: u32) -> io::Result<PathBuf> {
+        self.shard_path(id, stream).ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::NotFound,
+                format!("no journal stream {stream} for {id}"),
+            )
+        })
+    }
+}
+
+impl SessionStore for DirStore {
+    fn open(
         &self,
         id: SessionId,
         name: &str,
-        shard: Option<u32>,
+        _attempt: u32,
+        stream: u32,
     ) -> io::Result<Box<dyn Write + Send>> {
         // Session names come from workload names, but sanitize anyway so a
         // hostile name cannot escape the store directory.
@@ -567,32 +460,25 @@ impl DirStore {
             .chars()
             .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
             .collect();
-        let file_name = match shard {
-            None => format!("{id}-{safe}.dprj"),
-            Some(k) => format!("{id}-{safe}.s{k}.dprs"),
-        };
-        let path = self.dir.join(file_name);
+        let path = self.dir.join(format!("{id}-{safe}.s{stream}.dprs"));
         let file = File::create(&path)?;
-        self.paths.lock().unwrap().insert((id.0, shard), path);
+        self.paths.lock().unwrap().insert((id.0, stream), path);
         Ok(Box::new(file))
     }
 
-    fn reopen_truncated(
+    fn durable(&self, id: SessionId, stream: u32) -> io::Result<Vec<u8>> {
+        std::fs::read(self.registered(id, stream)?)
+    }
+
+    fn open_resume(
         &self,
         id: SessionId,
-        shard: Option<u32>,
+        stream: u32,
         keep: u64,
     ) -> io::Result<Box<dyn Write + Send>> {
-        let path = self
-            .paths
-            .lock()
-            .unwrap()
-            .get(&(id.0, shard))
-            .cloned()
-            .ok_or_else(|| {
-                io::Error::new(io::ErrorKind::NotFound, format!("no journal for {id}"))
-            })?;
-        let mut file = std::fs::OpenOptions::new().write(true).open(&path)?;
+        let mut file = std::fs::OpenOptions::new()
+            .write(true)
+            .open(self.registered(id, stream)?)?;
         // Make the truncation to the salvaged prefix durable before any
         // continuation byte can land after it — a crash between the two
         // must leave the prefix, never prefix + stale tail + new tail.
@@ -600,56 +486,6 @@ impl DirStore {
         file.sync_data()?;
         io::Seek::seek(&mut file, io::SeekFrom::End(0))?;
         Ok(Box::new(file))
-    }
-
-    fn read_back(&self, id: SessionId, shard: Option<u32>) -> io::Result<Vec<u8>> {
-        let path = self
-            .paths
-            .lock()
-            .unwrap()
-            .get(&(id.0, shard))
-            .cloned()
-            .ok_or_else(|| {
-                io::Error::new(io::ErrorKind::NotFound, format!("no journal for {id}"))
-            })?;
-        std::fs::read(path)
-    }
-}
-
-impl SessionStore for DirStore {
-    fn open(&self, id: SessionId, name: &str, _attempt: u32) -> io::Result<Box<dyn Write + Send>> {
-        self.create(id, name, None)
-    }
-
-    fn durable(&self, id: SessionId) -> io::Result<Vec<u8>> {
-        self.read_back(id, None)
-    }
-
-    fn open_shard(
-        &self,
-        id: SessionId,
-        name: &str,
-        _attempt: u32,
-        shard: u32,
-    ) -> io::Result<Box<dyn Write + Send>> {
-        self.create(id, name, Some(shard))
-    }
-
-    fn durable_shard(&self, id: SessionId, shard: u32) -> io::Result<Vec<u8>> {
-        self.read_back(id, Some(shard))
-    }
-
-    fn open_resume(&self, id: SessionId, keep: u64) -> io::Result<Box<dyn Write + Send>> {
-        self.reopen_truncated(id, None, keep)
-    }
-
-    fn open_resume_shard(
-        &self,
-        id: SessionId,
-        shard: u32,
-        keep: u64,
-    ) -> io::Result<Box<dyn Write + Send>> {
-        self.reopen_truncated(id, Some(shard), keep)
     }
 }
 
@@ -661,17 +497,17 @@ mod tests {
     fn mem_store_without_clock_is_fully_durable() {
         let store = MemStore::new();
         let id = SessionId(1);
-        let mut w = store.open(id, "a", 0).unwrap();
+        let mut w = store.open(id, "a", 0, 0).unwrap();
         w.write_all(b"hello").unwrap();
         w.flush().unwrap();
         drop(w);
-        assert_eq!(store.durable(id).unwrap(), b"hello");
+        assert_eq!(store.durable(id, 0).unwrap(), b"hello");
         assert_eq!(store.live(id), b"hello");
         // A retry truncates in place.
-        let mut w = store.open(id, "a", 1).unwrap();
+        let mut w = store.open(id, "a", 1, 0).unwrap();
         w.write_all(b"x").unwrap();
         drop(w);
-        assert_eq!(store.durable(id).unwrap(), b"x");
+        assert_eq!(store.durable(id, 0).unwrap(), b"x");
     }
 
     #[test]
@@ -679,12 +515,12 @@ mod tests {
         let clock = CrashClock::new(7);
         let store = MemStore::crashing(clock.clone());
         let id = SessionId(2);
-        let mut w = store.open(id, "b", 0).unwrap();
+        let mut w = store.open(id, "b", 0, 0).unwrap();
         w.write_all(b"abcde").unwrap(); // bytes 0..5: durable
         w.write_all(b"fghij").unwrap(); // bytes 5..10: 2 land, torn at 7
         w.write_all(b"klmno").unwrap(); // after the crash: lost
         drop(w);
-        assert_eq!(store.durable(id).unwrap(), b"abcdefg");
+        assert_eq!(store.durable(id, 0).unwrap(), b"abcdefg");
         assert_eq!(store.live(id), b"abcdefghijklmno");
         assert_eq!(clock.elapsed(), 15);
     }
@@ -695,13 +531,13 @@ mod tests {
         let store = MemStore::crashing(clock);
         let a = SessionId(1);
         let b = SessionId(2);
-        let mut wa = store.open(a, "a", 0).unwrap();
-        let mut wb = store.open(b, "b", 0).unwrap();
+        let mut wa = store.open(a, "a", 0, 0).unwrap();
+        let mut wb = store.open(b, "b", 0, 0).unwrap();
         wa.write_all(b"111").unwrap(); // clock 0..3: durable
         wb.write_all(b"222").unwrap(); // clock 3..6: torn at 4
         wa.write_all(b"333").unwrap(); // clock 6..9: lost
-        assert_eq!(store.durable(a).unwrap(), b"111");
-        assert_eq!(store.durable(b).unwrap(), b"2");
+        assert_eq!(store.durable(a, 0).unwrap(), b"111");
+        assert_eq!(store.durable(b, 0).unwrap(), b"2");
     }
 
     #[test]
@@ -709,37 +545,13 @@ mod tests {
         let clock = CrashClock::new(4);
         let store = MemStore::crashing(clock);
         let id = SessionId(7);
-        let mut w0 = store.open_shard(id, "s", 0, 0).unwrap();
-        let mut w1 = store.open_shard(id, "s", 0, 1).unwrap();
+        let mut w0 = store.open(id, "s", 0, 0).unwrap();
+        let mut w1 = store.open(id, "s", 0, 1).unwrap();
         w0.write_all(b"111").unwrap(); // clock 0..3: durable
         w1.write_all(b"222").unwrap(); // clock 3..6: torn at 4
         w0.write_all(b"333").unwrap(); // clock 6..9: lost
-        assert_eq!(store.durable_shard(id, 0).unwrap(), b"111");
-        assert_eq!(store.durable_shard(id, 1).unwrap(), b"2");
-    }
-
-    #[test]
-    fn default_shard_methods_refuse() {
-        struct Plain;
-        impl SessionStore for Plain {
-            fn open(
-                &self,
-                _id: SessionId,
-                _name: &str,
-                _attempt: u32,
-            ) -> io::Result<Box<dyn Write + Send>> {
-                Ok(Box::new(Vec::new()))
-            }
-            fn durable(&self, _id: SessionId) -> io::Result<Vec<u8>> {
-                Ok(Vec::new())
-            }
-        }
-        let Err(err) = Plain.open_shard(SessionId(1), "x", 0, 0) else {
-            panic!("default open_shard must refuse");
-        };
-        assert_eq!(err.kind(), io::ErrorKind::Unsupported);
-        let err = Plain.durable_shard(SessionId(1), 0).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::Unsupported);
+        assert_eq!(store.durable(id, 0).unwrap(), b"111");
+        assert_eq!(store.durable(id, 1).unwrap(), b"2");
     }
 
     #[test]
@@ -748,38 +560,38 @@ mod tests {
         let store = DirStore::new(tmp.path()).unwrap();
         let id = SessionId(5);
         for k in 0..3u32 {
-            let mut w = store.open_shard(id, "job", 0, k).unwrap();
-            w.write_all(format!("shard{k}").as_bytes()).unwrap();
+            let mut w = store.open(id, "job", 0, k).unwrap();
+            w.write_all(format!("stream{k}").as_bytes()).unwrap();
         }
         for k in 0..3u32 {
             assert_eq!(
-                store.durable_shard(id, k).unwrap(),
-                format!("shard{k}").as_bytes()
+                store.durable(id, k).unwrap(),
+                format!("stream{k}").as_bytes()
             );
             let path = store.shard_path(id, k).unwrap();
-            assert!(path.to_str().unwrap().ends_with(&format!(".s{k}.dprs")));
+            assert!(path
+                .to_str()
+                .unwrap()
+                .ends_with(&format!("s0005-job.s{k}.dprs")));
         }
-        assert!(store.durable(id).is_err(), "no single-stream journal");
+        assert_eq!(store.path(id), store.shard_path(id, 0));
+        assert!(store.durable(id, 3).is_err(), "no fourth stream");
     }
 
     #[test]
-    fn stem_parsers_accept_store_names_only() {
+    fn stem_parser_accepts_store_names_only() {
         assert_eq!(
-            parse_stem("s0004-pfscan_2_small"),
-            Some((4, "pfscan_2_small"))
+            parse_stem("s0004-pfscan_2_small.s0"),
+            Some((4, "pfscan_2_small", 0))
         );
-        assert_eq!(parse_stem("s0123-x"), Some((123, "x")));
-        assert_eq!(parse_stem("0004-x"), None, "missing s prefix");
-        assert_eq!(parse_stem("s-x"), None, "no digits");
-        assert_eq!(parse_stem("s00x4-y"), None, "non-digit id");
-        assert_eq!(parse_stem("s0004"), None, "no name separator");
-        assert_eq!(
-            parse_shard_stem("s0004-job.s2"),
-            Some((4, "job", 2)),
-            "shard stems nest the plain stem"
-        );
-        assert_eq!(parse_shard_stem("s0004-job.2"), None, "missing s on shard");
-        assert_eq!(parse_shard_stem("s0004-job"), None, "no shard suffix");
+        assert_eq!(parse_stem("s0123-x.s2"), Some((123, "x", 2)));
+        assert_eq!(parse_stem("0004-x.s0"), None, "missing s prefix");
+        assert_eq!(parse_stem("s-x.s0"), None, "no digits");
+        assert_eq!(parse_stem("s00x4-y.s0"), None, "non-digit id");
+        assert_eq!(parse_stem("s0004.s0"), None, "no name separator");
+        assert_eq!(parse_stem("s0004-job.2"), None, "missing s on stream");
+        assert_eq!(parse_stem("s0004-job.sx"), None, "non-digit stream");
+        assert_eq!(parse_stem("s0004-job"), None, "no stream suffix");
     }
 
     #[test]
@@ -795,16 +607,16 @@ mod tests {
         let clean = w.into_inner();
         {
             let old = DirStore::new(&dir).unwrap();
-            let mut f = old.open(SessionId(1), "done", 0).unwrap();
+            let mut f = old.open(SessionId(1), "done", 0, 0).unwrap();
             f.write_all(&clean).unwrap();
-            let mut f = old.open(SessionId(2), "cut", 0).unwrap();
+            let mut f = old.open(SessionId(2), "cut", 0, 0).unwrap();
             f.write_all(&clean[..clean.len() - 3]).unwrap();
         }
         // Crash leftovers that must be garbage, not wedge boot.
-        std::fs::write(dir.join("s0003-empty.dprj"), b"").unwrap();
-        std::fs::write(dir.join("s0004-half.dprj.tmp"), b"partial").unwrap();
+        std::fs::write(dir.join("s0003-empty.s0.dprs"), b"").unwrap();
+        std::fs::write(dir.join("s0004-half.s0.dprs.tmp"), b"partial").unwrap();
         std::fs::write(dir.join("notes.txt"), b"hi").unwrap();
-        std::fs::write(dir.join("weird.dprj"), b"DPRJ????").unwrap();
+        std::fs::write(dir.join("weird.dprs"), b"DPRS????").unwrap();
 
         let store = DirStore::new(&dir).unwrap();
         let orphans = store.scan_orphans().unwrap();
@@ -830,10 +642,10 @@ mod tests {
             cut.class
         );
         for n in [
-            "s0003-empty.dprj",
-            "s0004-half.dprj.tmp",
+            "s0003-empty.s0.dprs",
+            "s0004-half.s0.dprs.tmp",
             "notes.txt",
-            "weird.dprj",
+            "weird.dprs",
         ] {
             assert!(
                 matches!(by_name(n).class, OrphanClass::Garbage { .. }),
@@ -843,18 +655,18 @@ mod tests {
             assert_eq!(by_name(n).id, None);
         }
         // Files registered by this incarnation are not orphans.
-        let mut f = store.open(SessionId(9), "mine", 0).unwrap();
+        let mut f = store.open(SessionId(9), "mine", 0, 0).unwrap();
         f.write_all(&clean).unwrap();
         drop(f);
         assert_eq!(store.scan_orphans().unwrap().len(), 6);
         // Adoption registers the path so durable() works.
-        store.adopt_path(SessionId(1), None, done.files[0].1.clone());
-        assert_eq!(store.durable(SessionId(1)).unwrap(), clean);
+        store.adopt_path(SessionId(1), 0, done.files[0].1.clone());
+        assert_eq!(store.durable(SessionId(1), 0).unwrap(), clean);
     }
 
     #[test]
     fn scan_groups_shard_sets() {
-        use dp_core::{record_to, DoublePlayConfig, ShardedJournalWriter};
+        use dp_core::{record_to, DoublePlayConfig, JournalWriter};
         let tmp = crate::testdir::TempDir::new("dpd-orphan-shards");
         let dir = tmp.path().to_path_buf();
         let spec = crate::guests::atomic_counter(2, 300);
@@ -862,9 +674,9 @@ mod tests {
         {
             let old = DirStore::new(&dir).unwrap();
             let sinks = (0..3u32)
-                .map(|k| old.open_shard(SessionId(5), "sharded", 0, k).unwrap())
+                .map(|k| old.open(SessionId(5), "sharded", 0, k).unwrap())
                 .collect();
-            let mut w = ShardedJournalWriter::new(sinks, dp_core::DEFAULT_SHARD_BATCH).unwrap();
+            let mut w = JournalWriter::sync(sinks, dp_core::DEFAULT_SHARD_BATCH).unwrap();
             record_to(&spec, &cfg, &mut w).unwrap();
         }
         let store = DirStore::new(&dir).unwrap();
@@ -875,7 +687,7 @@ mod tests {
         assert_eq!(o.name, "sharded");
         assert_eq!(
             o.files.iter().map(|(k, _)| *k).collect::<Vec<_>>(),
-            vec![Some(0), Some(1), Some(2)]
+            vec![0, 1, 2]
         );
         assert!(
             matches!(o.class, OrphanClass::Finalized { epochs } if epochs >= 1),
@@ -889,10 +701,10 @@ mod tests {
         let tmp = crate::testdir::TempDir::new("dpd-store-test");
         let store = DirStore::new(tmp.path()).unwrap();
         let id = SessionId(3);
-        let mut w = store.open(id, "we/ird name", 0).unwrap();
+        let mut w = store.open(id, "we/ird name", 0, 0).unwrap();
         w.write_all(b"journal").unwrap();
         drop(w);
-        assert_eq!(store.durable(id).unwrap(), b"journal");
+        assert_eq!(store.durable(id, 0).unwrap(), b"journal");
         let path = store.path(id).unwrap();
         assert!(path
             .file_name()
@@ -900,33 +712,7 @@ mod tests {
             .to_str()
             .unwrap()
             .contains("we_ird_name"));
-        assert!(store.durable(SessionId(99)).is_err());
-    }
-
-    #[test]
-    fn default_resume_methods_refuse() {
-        struct Plain;
-        impl SessionStore for Plain {
-            fn open(
-                &self,
-                _id: SessionId,
-                _name: &str,
-                _attempt: u32,
-            ) -> io::Result<Box<dyn Write + Send>> {
-                Ok(Box::new(Vec::new()))
-            }
-            fn durable(&self, _id: SessionId) -> io::Result<Vec<u8>> {
-                Ok(Vec::new())
-            }
-        }
-        let Err(err) = Plain.open_resume(SessionId(1), 4) else {
-            panic!("default open_resume must refuse")
-        };
-        assert_eq!(err.kind(), io::ErrorKind::Unsupported);
-        let Err(err) = Plain.open_resume_shard(SessionId(1), 0, 4) else {
-            panic!("default open_resume_shard must refuse")
-        };
-        assert_eq!(err.kind(), io::ErrorKind::Unsupported);
+        assert!(store.durable(SessionId(99), 0).is_err());
     }
 
     #[test]
@@ -934,16 +720,16 @@ mod tests {
         let store = MemStore::new();
         let id = SessionId(4);
         store.seed(id, 0, b"prefix+torn".to_vec());
-        let mut w = store.open_resume(id, 6).unwrap();
+        let mut w = store.open_resume(id, 0, 6).unwrap();
         w.write_all(b"-more").unwrap();
         drop(w);
-        assert_eq!(store.durable(id).unwrap(), b"prefix-more");
-        // Shard streams truncate and append independently.
+        assert_eq!(store.durable(id, 0).unwrap(), b"prefix-more");
+        // Streams truncate and append independently.
         store.seed(id, 1, b"abcdef".to_vec());
-        let mut w = store.open_resume_shard(id, 1, 3).unwrap();
+        let mut w = store.open_resume(id, 1, 3).unwrap();
         w.write_all(b"XY").unwrap();
         drop(w);
-        assert_eq!(store.durable_shard(id, 1).unwrap(), b"abcXY");
+        assert_eq!(store.durable(id, 1).unwrap(), b"abcXY");
     }
 
     #[test]
@@ -951,13 +737,13 @@ mod tests {
         let tmp = crate::testdir::TempDir::new("dpd-resume-test");
         let store = DirStore::new(tmp.path()).unwrap();
         let id = SessionId(8);
-        let mut w = store.open(id, "r", 0).unwrap();
+        let mut w = store.open(id, "r", 0, 0).unwrap();
         w.write_all(b"prefix+torn-tail").unwrap();
         drop(w);
-        let mut w = store.open_resume(id, 6).unwrap();
+        let mut w = store.open_resume(id, 0, 6).unwrap();
         w.write_all(b"-more").unwrap();
         drop(w);
-        assert_eq!(store.durable(id).unwrap(), b"prefix-more");
-        assert!(store.open_resume(SessionId(99), 0).is_err());
+        assert_eq!(store.durable(id, 0).unwrap(), b"prefix-more");
+        assert!(store.open_resume(SessionId(99), 0, 0).is_err());
     }
 }

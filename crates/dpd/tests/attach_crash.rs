@@ -78,7 +78,7 @@ fn severed_attach_stream_salvages_to_exactly_the_committed_epochs() {
     // thread exit without sending AttachEnd).
     let store = daemon.store();
     let deadline = Instant::now() + Duration::from_secs(60);
-    while store.durable(id).map(|b| b.len()).unwrap_or(0) < offsets[2] as usize {
+    while store.durable(id, 0).map(|b| b.len()).unwrap_or(0) < offsets[2] as usize {
         assert!(
             Instant::now() < deadline,
             "session never committed 3 epochs"

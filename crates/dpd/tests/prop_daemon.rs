@@ -116,7 +116,7 @@ fn daemon_wide_crash_leaves_every_journal_salvageable_to_its_commits() {
             daemon.shutdown();
 
             for ((spec, (solo, offsets)), &id) in specs.iter().zip(&oracles).zip(&ids) {
-                let durable = store.durable(id).unwrap();
+                let durable = store.durable(id, 0).unwrap();
                 // Per-session durability is a prefix of the deterministic
                 // solo byte stream: concurrency must not leak into any
                 // journal.
@@ -203,7 +203,7 @@ fn crash_beyond_the_timeline_finalizes_everything() {
             r.state,
             r.error
         );
-        let salv = JournalReader::salvage(&store.durable(id).unwrap()).unwrap();
+        let salv = JournalReader::salvage(&store.durable(id, 0).unwrap()).unwrap();
         assert!(salv.clean);
         assert_eq!(salv.committed(), r.epochs as usize);
     }

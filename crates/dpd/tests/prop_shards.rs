@@ -14,8 +14,8 @@
 //! prefix property, everything after is unreachable.
 
 use dp_core::{
-    record_to, replay_sequential, DoublePlayConfig, JournalReader, RecordSink, RecordingMeta,
-    ShardedJournalWriter,
+    record_to, replay_sequential, DoublePlayConfig, JournalReader, JournalWriter, RecordSink,
+    RecordingMeta,
 };
 use dp_dpd::{guests, CrashClock, Daemon, DaemonConfig, MemStore, SessionSpec, SessionStore};
 use dp_support::rng::mix;
@@ -46,7 +46,7 @@ type ShardOracle = (Vec<Vec<u8>>, Vec<Vec<u64>>);
 /// durability oracle — byte-granular, so group-commit batching is moot).
 fn solo_sharded(spec: &SessionSpec, shards: u32) -> ShardOracle {
     struct Tap {
-        w: ShardedJournalWriter<SharedVec>,
+        w: JournalWriter<SharedVec>,
         bufs: Vec<Arc<Mutex<Vec<u8>>>>,
         commits: Vec<Vec<u64>>,
     }
@@ -60,7 +60,7 @@ fn solo_sharded(spec: &SessionSpec, shards: u32) -> ShardOracle {
         }
         fn epoch(&mut self, e: &dp_core::EpochRecord) -> std::io::Result<()> {
             self.w.epoch(e)?;
-            let t = (e.index % self.w.shard_count()) as usize;
+            let t = (e.index % self.w.stream_count()) as usize;
             self.commits[t].push(self.bufs[t].lock().unwrap().len() as u64);
             Ok(())
         }
@@ -71,7 +71,7 @@ fn solo_sharded(spec: &SessionSpec, shards: u32) -> ShardOracle {
     let bufs: Vec<Arc<Mutex<Vec<u8>>>> = (0..shards).map(|_| Arc::default()).collect();
     let writers = bufs.iter().map(|b| SharedVec(b.clone())).collect();
     let mut tap = Tap {
-        w: ShardedJournalWriter::new(writers, dp_core::DEFAULT_SHARD_BATCH).unwrap(),
+        w: JournalWriter::sync(writers, dp_core::DEFAULT_SHARD_BATCH).unwrap(),
         bufs,
         commits: vec![Vec::new(); shards as usize],
     };
@@ -174,7 +174,7 @@ fn daemon_wide_crash_salvages_every_shard_set_to_its_consistent_prefix() {
                 specs.iter().zip(&oracles).zip(&ids)
             {
                 let durable: Vec<Vec<u8>> = (0..*shards)
-                    .map(|k| store.durable_shard(id, k).unwrap())
+                    .map(|k| store.durable(id, k).unwrap())
                     .collect();
                 // Each shard's durability is a prefix of its deterministic
                 // solo stream: daemon concurrency must not leak into any
@@ -284,12 +284,12 @@ fn sharded_sessions_finalize_clean_without_a_crash() {
             r.error
         );
         let bufs: Vec<Vec<u8>> = (0..*shards)
-            .map(|k| store.durable_shard(id, k).unwrap())
+            .map(|k| store.durable(id, k).unwrap())
             .collect();
         let salv = JournalReader::salvage_shards(&bufs).unwrap();
         assert!(salv.clean);
         assert_eq!(salv.committed(), r.epochs as usize);
-        assert_eq!(salv.shard_count, *shards);
+        assert_eq!(salv.streams, *shards);
     }
     daemon.shutdown();
 }

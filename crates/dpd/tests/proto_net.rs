@@ -105,7 +105,7 @@ fn socket_submissions_are_byte_identical_to_solo_runs() {
             "{}: socket-submitted journal diverges from solo run",
             spec.name
         );
-        let durable = daemon.store().durable(*id).unwrap();
+        let durable = daemon.store().durable(*id, 0).unwrap();
         assert_eq!(durable, solo, "{}: durable bytes diverge", spec.name);
     }
     client.shutdown().unwrap();
@@ -403,7 +403,7 @@ fn resume_over_the_socket_continues_crashed_session_byte_identical() {
         streamed, solo,
         "attach across the crash boundary diverges from an uninterrupted run"
     );
-    assert_eq!(daemon.store().durable(id).unwrap(), solo);
+    assert_eq!(daemon.store().durable(id, 0).unwrap(), solo);
     let m = client.metrics().unwrap();
     assert_eq!(m.resumed, 1, "double-resume must admit exactly once");
     assert_eq!(m.resume_failed, 0);

@@ -45,7 +45,7 @@ fn readoption_recovers_the_exact_commit_prefix_at_every_crash_instant() {
         let dir = scratch_dir(&format!("readopt-{crash_at}"));
         // The journal exactly as the dying daemon left it: a prefix of
         // the deterministic byte stream, torn at an arbitrary instant.
-        std::fs::write(dir.join("s0001-victim.dprj"), &solo[..crash_at as usize]).unwrap();
+        std::fs::write(dir.join("s0001-victim.s0.dprs"), &solo[..crash_at as usize]).unwrap();
 
         let daemon = boot(&dir);
         let orphans = daemon.adopt_orphans().unwrap();
@@ -79,7 +79,7 @@ fn readoption_recovers_the_exact_commit_prefix_at_every_crash_instant() {
             // The adopted journal is servable: durable bytes are exactly
             // what the dead incarnation persisted.
             assert_eq!(
-                daemon.store().durable(SessionId(1)).unwrap(),
+                daemon.store().durable(SessionId(1), 0).unwrap(),
                 &solo[..crash_at as usize]
             );
         }
@@ -108,11 +108,11 @@ fn readoption_recovers_the_exact_commit_prefix_at_every_crash_instant() {
 fn garbage_in_the_store_is_reported_and_never_wedges_boot() {
     let dir = scratch_dir("readopt-garbage");
     // Everything a crashed or misbehaving incarnation might leave:
-    std::fs::write(dir.join("s0001-empty.dprj"), b"").unwrap(); // zero-length
-    std::fs::write(dir.join("s0002-half.dprj.tmp"), b"partial").unwrap(); // torn tmp
-    std::fs::write(dir.join("s0003-junk.dprj"), [0xabu8; 64]).unwrap(); // not a journal
+    std::fs::write(dir.join("s0001-empty.s0.dprs"), b"").unwrap(); // zero-length
+    std::fs::write(dir.join("s0002-half.s0.dprs.tmp"), b"partial").unwrap(); // torn tmp
+    std::fs::write(dir.join("s0003-junk.s0.dprs"), [0xabu8; 64]).unwrap(); // not a journal
     std::fs::write(dir.join("notes.txt"), b"operator scribbles").unwrap();
-    std::fs::write(dir.join("weird.dprj"), b"DPRJ????").unwrap(); // bad name
+    std::fs::write(dir.join("weird.dprs"), b"DPRS????").unwrap(); // bad name
 
     let daemon = boot(&dir);
     let orphans = daemon.adopt_orphans().unwrap();

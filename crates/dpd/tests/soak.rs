@@ -173,7 +173,7 @@ fn soak_mixed_faults_isolation_and_backpressure() {
             "session {i} not terminal: {:?}",
             r.state
         );
-        let durable = store.durable(id).expect("durable bytes");
+        let durable = store.durable(id, 0).expect("durable bytes");
         match class_of(i) {
             // Unaffected and survivable-fault sessions: finalized, and the
             // journal is byte-identical to a solo run — the zero-

@@ -15,7 +15,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let case = webserve::build(2, Size::Small);
     let config = DoublePlayConfig::new(2).epoch_cycles(150_000);
 
-    // Record while streaming every committed epoch into a DPRJ journal:
+    // Record while streaming every committed epoch into a journal:
     // if this process dies mid-run, the journal retains the committed
     // prefix instead of losing everything.
     let jpath = std::env::temp_dir().join("webserve.dprj");

@@ -11,7 +11,6 @@
 //! dp analyze <FILE> triage --workload <name> [--threads N] [--size S]
 //! dp analyze <FILE> inspect
 //! dp analyze <FILE> diff <FILE2>
-//! dp analyze <FILE> compact [--out FILE] [--workload <name> ...]
 //! dp inspect <FILE>
 //! dp serve [--sessions N] [--dir PATH] [--runners N] [--cores N]
 //!          [--capacity N] [--threads N] [--size S] [--seed X] [--faults]
@@ -32,25 +31,25 @@
 //! replay-based analyses need it again (with the same parameters) because
 //! recordings carry only a program hash, not the program itself.
 //!
-//! `--journal` streams the recording to a crash-consistent `DPRJ` journal
-//! while it is produced; `dp salvage` recovers the committed epoch prefix
-//! from a journal a crash left behind. Adding `--journal-shards N` splits
-//! the journal into `N` group-committed `DPRS` shard streams
-//! (`FILE.s0`..`FILE.s{N-1}`) appended by independent lanes — far fewer
-//! flushes at the same durability grain — and `dp salvage FILE.s0`
-//! gathers the sibling shards and reconstructs the longest *consistent
-//! cross-shard prefix*. Every output file is written atomically
-//! (`<path>.tmp` + rename) except the journal itself, whose entire point
-//! is to be written incrementally.
+//! `--journal` streams the recording to a crash-consistent journal while
+//! it is produced; `dp salvage` recovers the committed epoch prefix from a
+//! journal a crash left behind. A finalized one-stream journal is byte for
+//! byte the saved recording. Adding `--journal-shards N` splits the
+//! journal into `N` group-committed streams (`FILE.s0`..`FILE.s{N-1}`)
+//! appended by independent lanes, and `dp salvage FILE.s0` reads `N` from
+//! the stream's header, gathers the siblings, and reconstructs the longest
+//! prefix committed across all of them. Every output file is written
+//! atomically (`<path>.tmp` + rename) except the journal itself, whose
+//! entire point is to be written incrementally.
 //!
 //! `dp serve` runs the `dpd` multi-session service in-process: it admits
 //! a batch of mixed-workload sessions (cycling priorities and, with
 //! `--faults`, per-session decorrelated fault plans) against a shared
-//! verify-core pool, streams one `DPRJ` journal per session into `--dir`,
-//! and prints the final session table. `dp sessions <DIR>` is the
-//! post-mortem view: it salvages every single-stream journal in the
-//! directory independently and merges every `.s<K>.dprs` shard set it
-//! finds — exactly what you run after killing a serve mid-flight.
+//! verify-core pool, streams one journal per session into `--dir`, and
+//! prints the final session table. `dp sessions <DIR>` is the post-mortem
+//! view: it classifies every journal in the directory the way daemon boot
+//! does, salvaging each session's streams independently — exactly what
+//! you run after killing a serve mid-flight.
 //!
 //! With `--socket PATH`, `dp serve` instead becomes a long-lived `dpnet`
 //! daemon: it re-adopts any journals a previous incarnation left in
@@ -78,7 +77,7 @@ use std::process::exit;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  dp list\n  dp record <workload> [--threads N] [--size S] [--epoch C] [--seed X] [--pipelined] [--workers N] [--out FILE] [--journal FILE] [--journal-shards N]\n  dp salvage <JOURNAL> [-o FILE]\n  dp replay <FILE> --workload <name> [--threads N] [--size S] [--parallel N]\n  dp analyze <FILE> race --workload <name> [--threads N] [--size S] [--assert-races|--assert-clean]\n  dp analyze <FILE> triage --workload <name> [--threads N] [--size S]\n  dp analyze <FILE> inspect\n  dp analyze <FILE> diff <FILE2>\n  dp analyze <FILE> compact [--out FILE] [--workload <name>]\n  dp inspect <FILE>\n  dp serve [--sessions N] [--dir PATH] [--runners N] [--cores N] [--capacity N] [--threads N] [--size S] [--seed X] [--faults] [--journal-shards N] [--json]\n  dp serve --socket PATH [--dir PATH] [--runners N] [--cores N] [--capacity N] [--conns N] [--resume-adopted] [--resume-budget N]\n  dp submit <workload> --socket PATH [--threads N] [--size S] [--epoch C] [--seed X] [--pipelined] [--workers N] [--priority high|normal|low] [--wait]\n  dp resume <ID> --socket PATH\n  dp attach <ID> --socket PATH [-o FILE]\n  dp shutdown --socket PATH\n  dp sessions <DIR> | dp sessions --socket PATH [--json]"
+        "usage:\n  dp list\n  dp record <workload> [--threads N] [--size S] [--epoch C] [--seed X] [--pipelined] [--workers N] [--out FILE] [--journal FILE] [--journal-shards N]\n  dp salvage <JOURNAL> [-o FILE]\n  dp replay <FILE> --workload <name> [--threads N] [--size S] [--parallel N]\n  dp analyze <FILE> race --workload <name> [--threads N] [--size S] [--assert-races|--assert-clean]\n  dp analyze <FILE> triage --workload <name> [--threads N] [--size S]\n  dp analyze <FILE> inspect\n  dp analyze <FILE> diff <FILE2>\n  dp inspect <FILE>\n  dp serve [--sessions N] [--dir PATH] [--runners N] [--cores N] [--capacity N] [--threads N] [--size S] [--seed X] [--faults] [--journal-shards N] [--json]\n  dp serve --socket PATH [--dir PATH] [--runners N] [--cores N] [--capacity N] [--conns N] [--resume-adopted] [--resume-budget N]\n  dp submit <workload> --socket PATH [--threads N] [--size S] [--epoch C] [--seed X] [--pipelined] [--workers N] [--priority high|normal|low] [--wait]\n  dp resume <ID> --socket PATH\n  dp attach <ID> --socket PATH [-o FILE]\n  dp shutdown --socket PATH\n  dp sessions <DIR> | dp sessions --socket PATH [--json]"
     );
     exit(2);
 }
@@ -100,18 +99,17 @@ fn write_atomic(cmd: &str, path: &str, bytes: &[u8]) {
         .unwrap_or_else(|e| fail(cmd, format_args!("cannot rename `{tmp}` to `{path}`: {e}")));
 }
 
-/// Reads and parses a recording in any container format (`DPRC`, compact
-/// `DPRZ`, or a finalized `DPRJ` journal), failing with a structured error
-/// instead of panicking.
+/// Reads and parses a saved recording (a finalized one-stream journal),
+/// failing with a structured error instead of panicking.
 fn load_recording(cmd: &str, path: &str) -> Recording {
     let bytes = std::fs::read(path)
         .unwrap_or_else(|e| fail(cmd, format_args!("cannot read `{path}`: {e}")));
-    analyze::load_any(&bytes)
+    Recording::load(&bytes[..])
         .unwrap_or_else(|e| fail(cmd, format_args!("cannot parse `{path}`: {e}")))
 }
 
-/// Splits a `BASE.s<K>` shard-stream path into its base journal path, for
-/// gathering the sibling shards of a `DPRS` set.
+/// Splits a `BASE.s<K>` stream path into its base journal path, for
+/// gathering the sibling streams of a journal.
 fn shard_base(path: &str) -> Option<&str> {
     let (base, k) = path.rsplit_once(".s")?;
     (!k.is_empty() && k.bytes().all(|b| b.is_ascii_digit())).then_some(base)
@@ -308,43 +306,6 @@ fn cmd_analyze(argv: &[String]) {
                 exit(1);
             }
         }
-        "compact" => {
-            let o = parse_opts(&argv[2..]);
-            let recording = load_recording("analyze", path);
-            let (_, stats) = analyze::compact(&recording);
-            println!("{stats}");
-            let out_path = o.out.clone().unwrap_or_else(|| format!("{path}.dprz"));
-            let mut buf = Vec::new();
-            analyze::save_compact(&recording, &mut buf)
-                .unwrap_or_else(|e| fail("analyze", format_args!("serialization failed: {e}")));
-            write_atomic("analyze", &out_path, &buf);
-            println!("wrote {out_path} ({} bytes)", buf.len());
-            // With the workload at hand, prove the round trip.
-            if o.workload.is_some() {
-                let case = required_case("analyze", &o);
-                let original = replay_sequential(&recording, &case.spec.program)
-                    .unwrap_or_else(|e| fail("analyze", format_args!("replay failed: {e}")));
-                let loaded = analyze::load_any(&buf)
-                    .unwrap_or_else(|e| fail("analyze", format_args!("round trip failed: {e}")));
-                let compacted =
-                    replay_sequential(&loaded, &case.spec.program).unwrap_or_else(|e| {
-                        fail("analyze", format_args!("round trip replay failed: {e}"))
-                    });
-                if compacted.final_hash != original.final_hash {
-                    fail(
-                        "analyze",
-                        format_args!(
-                            "round trip hash mismatch: {:#018x} vs {:#018x}",
-                            compacted.final_hash, original.final_hash
-                        ),
-                    );
-                }
-                println!(
-                    "round trip verified: final hash {:#018x}",
-                    compacted.final_hash
-                );
-            }
-        }
         _ => usage(),
     }
 }
@@ -444,7 +405,7 @@ fn cmd_serve_socket(o: &Opts, socket: &str) {
 }
 
 /// `dp serve`: run the `dpd` multi-session service over the mixed
-/// workload suite, one `DPRJ` journal per session in `--dir`.
+/// workload suite, one journal per session in `--dir`.
 fn cmd_serve(o: &Opts) {
     use doubleplay::dpd::guests;
     use std::sync::Arc;
@@ -498,16 +459,14 @@ fn cmd_serve(o: &Opts) {
                 .storms(0.05, 4, 32);
             config = config.faults(template.for_session(i as u64));
         }
-        let mut spec = SessionSpec::new(name, guest, config)
+        let spec = SessionSpec::new(name, guest, config)
             .priority(match i % 3 {
                 0 => Priority::High,
                 1 => Priority::Normal,
                 _ => Priority::Low,
             })
-            .restart_budget(2);
-        if o.journal_shards >= 2 {
-            spec = spec.journal_shards(o.journal_shards);
-        }
+            .restart_budget(2)
+            .journal_shards(o.journal_shards);
         match daemon.submit_retrying(spec, 10_000) {
             Ok(id) => ids.push(id),
             Err(e) => fail("serve", format_args!("session {i} not admitted: {e}")),
@@ -523,7 +482,6 @@ fn cmd_serve(o: &Opts) {
         for row in daemon.sessions() {
             let journal = store
                 .path(row.id)
-                .or_else(|| store.shard_path(row.id, 0))
                 .map(|p| p.display().to_string())
                 .unwrap_or_else(|| "-".to_string());
             println!(
@@ -615,9 +573,7 @@ fn cmd_submit(name: &str, o: &Opts) {
     }
     let mut spec = SubmitSpec::new(name, guest, config);
     spec.priority = o.priority;
-    if o.journal_shards >= 2 {
-        spec.journal_shards = o.journal_shards;
-    }
+    spec.journal_shards = o.journal_shards;
     let mut client = connect("submit", socket);
     let id = client
         .submit_retrying(&spec, 500)
@@ -667,13 +623,13 @@ fn cmd_resume(id_arg: &str, o: &Opts) {
 }
 
 /// `dp attach <ID> --socket PATH`: tail a session's journal live and
-/// write the received bytes to `-o FILE` (default `<ID>.dprj`). If the
+/// write the received bytes to `-o FILE` (default `<ID>.dprs`). If the
 /// daemon dies mid-stream the prefix received so far is still written —
 /// it is salvageable by construction (`dp salvage` recovers it).
 fn cmd_attach(id_arg: &str, o: &Opts) {
     let socket = required_socket("attach", o);
     let id = parse_session_id("attach", id_arg);
-    let out_path = o.out.clone().unwrap_or_else(|| format!("{id}.dprj"));
+    let out_path = o.out.clone().unwrap_or_else(|| format!("{id}.dprs"));
     let mut client = connect("attach", socket);
     let mut bytes = Vec::new();
     match client.attach(id, &mut bytes) {
@@ -722,102 +678,48 @@ fn cmd_sessions_socket(o: &Opts) {
     print_sessions(&rows, &notes, o.json);
 }
 
-/// `dp sessions <DIR>`: salvage every `.dprj` journal in a serve
-/// directory independently, and merge every `.s<K>.dprs` shard set to
-/// its longest consistent cross-shard prefix — the post-mortem view
-/// after a daemon crash.
+/// `dp sessions <DIR>`: the post-mortem view after a daemon crash. It
+/// classifies every journal in a serve directory exactly as daemon boot
+/// does ([`DirStore::scan_orphans`]): each session's streams salvage
+/// independently, and unrecoverable files are reported, not fatal.
 fn cmd_sessions(dir: &str) {
-    let entries = std::fs::read_dir(dir)
-        .unwrap_or_else(|e| fail("sessions", format_args!("cannot read `{dir}`: {e}")));
-    let mut paths = Vec::new();
-    let mut shard_bases = std::collections::BTreeSet::new();
-    for path in entries.filter_map(|e| e.ok().map(|e| e.path())) {
-        match path.extension() {
-            Some(x) if x == "dprj" => paths.push(path),
-            Some(x) if x == "dprs" => {
-                // `NAME.s<K>.dprs` — one row per NAME, not per shard.
-                let s = path.display().to_string();
-                if let Some(base) = s.strip_suffix(".dprs").and_then(shard_base) {
-                    shard_bases.insert(base.to_string());
-                }
-            }
-            _ => {}
-        }
-    }
-    paths.sort();
-    if paths.is_empty() && shard_bases.is_empty() {
+    use doubleplay::dpd::OrphanClass;
+
+    if !std::path::Path::new(dir).is_dir() {
         fail(
             "sessions",
-            format_args!("no .dprj journals or .dprs shard sets in `{dir}`"),
+            format_args!("cannot read `{dir}`: not a directory"),
         );
     }
-    println!("  journal                                   epochs   salvaged    dropped  status");
-    let mut total = 0usize;
+    let orphans = DirStore::new(dir)
+        .and_then(|store| store.scan_orphans())
+        .unwrap_or_else(|e| fail("sessions", format_args!("cannot read `{dir}`: {e}")));
+    if orphans.is_empty() {
+        fail("sessions", format_args!("no journals in `{dir}`"));
+    }
+    println!("  journal                                   streams   epochs  status");
     let mut recovered = 0usize;
-    for path in &paths {
-        total += 1;
-        let name = path.file_name().unwrap_or_default().to_string_lossy();
-        let bytes = match std::fs::read(path) {
-            Ok(b) => b,
-            Err(e) => {
-                println!("  {name:40} unreadable: {e}");
-                continue;
+    for o in &orphans {
+        let name = match o.id {
+            Some(id) => format!("{id}-{}", o.name),
+            None => o.name.clone(),
+        };
+        let (epochs, status) = match &o.class {
+            OrphanClass::Finalized { epochs } => (epochs.to_string(), "clean".to_string()),
+            OrphanClass::Salvageable { epochs, detail } => (epochs.to_string(), detail.clone()),
+            OrphanClass::Garbage { reason } => {
+                ("-".to_string(), format!("unsalvageable: {reason}"))
             }
         };
-        match JournalReader::salvage(&bytes) {
-            Ok(s) => {
-                recovered += 1;
-                let status = if s.clean { "clean" } else { &*s.detail };
-                println!(
-                    "  {:40} {:6} {:10} {:10}  {}",
-                    name,
-                    s.committed(),
-                    s.salvaged_bytes,
-                    s.dropped_bytes,
-                    status
-                );
-            }
-            Err(e) => println!("  {name:40} unsalvageable: {e}"),
+        if !matches!(o.class, OrphanClass::Garbage { .. }) {
+            recovered += 1;
         }
+        println!("  {name:40} {:7} {epochs:>8}  {status}", o.files.len());
     }
-    for base in &shard_bases {
-        total += 1;
-        let mut bufs = Vec::new();
-        loop {
-            let p = format!("{base}.s{}.dprs", bufs.len());
-            match std::fs::read(&p) {
-                Ok(b) => bufs.push(b),
-                Err(_) => break,
-            }
-        }
-        let name = format!(
-            "{}.s*",
-            std::path::Path::new(base)
-                .file_name()
-                .unwrap_or_default()
-                .to_string_lossy()
-        );
-        if bufs.is_empty() {
-            println!("  {name:40} shard 0 unreadable");
-            continue;
-        }
-        match JournalReader::salvage_shards(&bufs) {
-            Ok(s) => {
-                recovered += 1;
-                let status = if s.clean { "clean" } else { &*s.detail };
-                println!(
-                    "  {:40} {:6} {:10} {:10}  {}",
-                    name,
-                    s.committed(),
-                    s.salvaged_bytes,
-                    s.dropped_bytes,
-                    status
-                );
-            }
-            Err(e) => println!("  {name:40} unsalvageable: {e}"),
-        }
-    }
-    println!("{recovered}/{total} journals recovered independently");
+    println!(
+        "{recovered}/{} journals recovered independently",
+        orphans.len()
+    );
 }
 
 fn main() {
@@ -850,66 +752,50 @@ fn main() {
                 config = config.spare_workers(w);
             }
             // With --journal, every committed epoch streams to the journal
-            // file as it happens; a crash mid-run leaves a salvageable
-            // prefix instead of nothing. The journal is written in place
-            // (it IS the incremental artifact); the final recording below
-            // is still written atomically. With --journal-shards N, the
-            // stream splits across `FILE.s0`..`FILE.s{N-1}` shard lanes
-            // that group-commit their flushes.
+            // as it happens; a crash mid-run leaves a salvageable prefix
+            // instead of nothing. The journal is written in place (it IS
+            // the incremental artifact); the final recording below is
+            // still written atomically. With --journal-shards N, the
+            // journal splits across `FILE.s0`..`FILE.s{N-1}`.
             if o.journal_shards >= 2 && o.journal.is_none() {
                 fail("record", "--journal-shards requires --journal FILE");
             }
             let result = match &o.journal {
-                Some(jpath) if o.journal_shards >= 2 => {
-                    let shards = o.journal_shards;
-                    let writers: Vec<_> = (0..shards)
-                        .map(|k| {
-                            let p = format!("{jpath}.s{k}");
-                            let file = std::fs::File::create(&p).unwrap_or_else(|e| {
+                Some(jpath) => {
+                    let streams = o.journal_shards.max(1);
+                    let paths: Vec<String> = if streams == 1 {
+                        vec![jpath.clone()]
+                    } else {
+                        (0..streams).map(|k| format!("{jpath}.s{k}")).collect()
+                    };
+                    let writers = paths
+                        .iter()
+                        .map(|p| {
+                            let file = std::fs::File::create(p).unwrap_or_else(|e| {
                                 fail("record", format_args!("cannot create `{p}`: {e}"))
                             });
                             std::io::BufWriter::new(file)
                         })
                         .collect();
-                    let mut sink = ShardedJournalWriter::threaded(writers, DEFAULT_SHARD_BATCH)
-                        .unwrap_or_else(|e| {
-                            fail("record", format_args!("cannot write `{jpath}.s0`: {e}"))
-                        });
-                    let r = record_to(&case.spec, &config, &mut sink);
-                    let flushes = sink.flushes();
-                    let epochs = sink.epochs_committed();
-                    let lanes = sink.into_writers();
-                    match (&r, lanes) {
-                        (Ok(_), Err(e)) => {
-                            fail("record", format_args!("journal shard lane failed: {e}"))
-                        }
-                        (Err(_), _) => eprintln!(
-                            "note: shard journals `{jpath}.s0`..`{jpath}.s{}` retain every \
-                             consistent epoch; recover with `dp salvage {jpath}.s0`",
-                            shards - 1
-                        ),
-                        (Ok(_), Ok(_)) => println!(
-                            "journal {jpath}.s0..s{}: {epochs} epoch(s) across {shards} \
-                             shard(s), {flushes} group-committed flush(es)",
-                            shards - 1
-                        ),
-                    }
-                    r
-                }
-                Some(jpath) => {
-                    let file = std::fs::File::create(jpath).unwrap_or_else(|e| {
-                        fail("record", format_args!("cannot create `{jpath}`: {e}"))
-                    });
-                    let mut sink = JournalWriter::new(std::io::BufWriter::new(file))
+                    let mut sink = JournalWriter::threaded(writers, DEFAULT_SHARD_BATCH)
                         .unwrap_or_else(|e| {
                             fail("record", format_args!("cannot write `{jpath}`: {e}"))
                         });
                     let r = record_to(&case.spec, &config, &mut sink);
-                    if r.is_err() {
-                        eprintln!(
-                            "note: journal `{jpath}` retains every committed epoch; \
-                             recover with `dp salvage {jpath}`"
-                        );
+                    let (epochs, flushes) = (sink.epochs_committed(), sink.flushes());
+                    match (&r, sink.into_writers()) {
+                        (Ok(_), Err(e)) => fail("record", format_args!("journal lane failed: {e}")),
+                        (Err(_), _) => eprintln!(
+                            "note: journal `{}` retains every committed epoch; \
+                             recover with `dp salvage {}`",
+                            paths.join("`, `"),
+                            paths[0]
+                        ),
+                        (Ok(_), Ok(_)) => println!(
+                            "journal {}: {epochs} epoch(s) across {streams} stream(s), \
+                             {flushes} flush(es)",
+                            paths.join(", ")
+                        ),
                     }
                     r
                 }
@@ -945,11 +831,6 @@ fn main() {
                     s.wall.wall_ns as f64 / 1e6
                 );
             }
-            if let Some(jpath) = &o.journal {
-                if o.journal_shards < 2 {
-                    println!("journal {jpath} finalized");
-                }
-            }
             let path = o.out.unwrap_or_else(|| format!("{name}.dprec"));
             let mut buf = Vec::new();
             bundle
@@ -964,62 +845,42 @@ fn main() {
             let o = parse_opts(&argv[2..]);
             let bytes = std::fs::read(path)
                 .unwrap_or_else(|e| fail("salvage", format_args!("cannot read `{path}`: {e}")));
-            // A DPRS shard stream names its siblings: `BASE.s0`..`BASE.s*`.
-            // Gather them all and reconstruct the longest consistent
-            // cross-shard prefix; a classic DPRJ file salvages alone.
-            let (recording, out_default) = if bytes.starts_with(&SHARD_MAGIC) {
+            // A stream's header names how many streams its journal has;
+            // only then are the `BASE.s<K>` siblings gathered.
+            let streams = JournalReader::stream_count(&bytes)
+                .unwrap_or_else(|e| fail("salvage", format_args!("cannot salvage `{path}`: {e}")));
+            let (base, bufs) = if streams >= 2 {
                 let Some(base) = shard_base(path) else {
                     fail(
                         "salvage",
                         format_args!(
-                            "`{path}` is a DPRS shard stream but is not named `BASE.s<K>`; \
-                             restore the shard set's `BASE.s0`..`BASE.s<N-1>` names"
+                            "`{path}` is one of {streams} journal streams but is not named \
+                             `BASE.s<K>`; restore the set's `BASE.s0`..`BASE.s{}` names",
+                            streams - 1
                         ),
                     );
                 };
-                let mut bufs = Vec::new();
-                loop {
-                    let p = format!("{base}.s{}", bufs.len());
-                    match std::fs::read(&p) {
-                        Ok(b) => bufs.push(b),
-                        Err(_) => break,
-                    }
-                }
-                if bufs.is_empty() {
-                    fail("salvage", format_args!("cannot read `{base}.s0`"));
-                }
-                let salvaged = JournalReader::salvage_shards(&bufs).unwrap_or_else(|e| {
-                    fail(
-                        "salvage",
-                        format_args!("cannot salvage shard set `{base}.s*`: {e}"),
-                    )
-                });
-                println!(
-                    "{base}.s0..s{}: {} committed epoch(s) across {} shard(s), \
-                     {} bytes salvaged, {} bytes dropped, \
-                     {} durable-but-inconsistent epoch(s) ({})",
-                    bufs.len() - 1,
-                    salvaged.committed(),
-                    salvaged.shard_count,
-                    salvaged.salvaged_bytes,
-                    salvaged.dropped_bytes,
-                    salvaged.dropped_epochs,
-                    salvaged.detail
-                );
-                (salvaged.recording, format!("{base}.dprec"))
+                let bufs = (0..streams)
+                    .filter_map(|k| std::fs::read(format!("{base}.s{k}")).ok())
+                    .collect();
+                (base, bufs)
             } else {
-                let salvaged = JournalReader::salvage(&bytes).unwrap_or_else(|e| {
-                    fail("salvage", format_args!("cannot salvage `{path}`: {e}"))
-                });
-                println!(
-                    "{path}: {} committed epoch(s), {} bytes salvaged, {} bytes dropped ({})",
-                    salvaged.committed(),
-                    salvaged.salvaged_bytes,
-                    salvaged.dropped_bytes,
-                    salvaged.detail
-                );
-                (salvaged.recording, format!("{path}.dprec"))
+                (path.as_str(), vec![bytes])
             };
+            let salvaged = JournalReader::salvage_shards(&bufs)
+                .unwrap_or_else(|e| fail("salvage", format_args!("cannot salvage `{path}`: {e}")));
+            println!(
+                "{path}: {} committed epoch(s) across {streams} stream(s), \
+                 {} bytes salvaged, {} bytes dropped, \
+                 {} epoch(s) past a gap ({})",
+                salvaged.committed(),
+                salvaged.salvaged_bytes,
+                salvaged.dropped_bytes,
+                salvaged.dropped_epochs,
+                salvaged.detail
+            );
+            let recording = salvaged.recording;
+            let out_default = format!("{base}.dprec");
             let out = o.out.unwrap_or(out_default);
             let mut buf = Vec::new();
             recording

@@ -10,8 +10,7 @@
 //! * [`core`] — DoublePlay itself: the uniparallel recorder, divergence
 //!   detection with forward recovery, and sequential/parallel replay;
 //! * [`analyze`] — offline analysis of saved recordings: vector-clock
-//!   data-race detection, divergence triage, inspection/diffing, and
-//!   lossless log compaction;
+//!   data-race detection, divergence triage, and inspection/diffing;
 //! * [`baselines`] — conventional multiprocessor record/replay schemes for
 //!   comparison;
 //! * [`workloads`] — the paper-style benchmark suite;
@@ -69,7 +68,7 @@ pub mod prelude {
         measure_native, record, record_to, replay_parallel, replay_sequential, replay_to_point,
         validate_worker_counts, ConfigError, DoublePlayConfig, FaultPlan, GuestSpec, JournalReader,
         JournalWriter, RecordError, RecorderStats, Recording, RecordingBundle, ReplayError,
-        Salvaged, SaveError, ShardSalvaged, ShardedJournalWriter, DEFAULT_SHARD_BATCH, SHARD_MAGIC,
+        Salvaged, SaveError, ShardedJournalWriter, DEFAULT_SHARD_BATCH,
     };
     pub use dp_dpd::{
         AdmitError, Daemon, DaemonConfig, DirStore, MemStore, Priority, SessionSpec, SessionState,
