@@ -1,7 +1,7 @@
 //! Regenerates the paper's tables and figures. Usage:
 //!
 //! ```text
-//! report [small|medium|large] [e1 e2 e3 e4 e5 e6 e7 e8 e9 e10 e11 e12 e13 e14 e15 e16 e17 e18 | all]
+//! report [small|medium|large] [e1 e2 e3 e4 e5 e6 e7 e8 e9 e10 e11 e12 e13 e14 e15 e16 e17 e18 e19 | all]
 //! ```
 //!
 //! The size defaults to medium and may only come first; no experiment id
@@ -19,9 +19,9 @@ use dp_bench::experiments as exp;
 use dp_workloads::Size;
 
 /// Every experiment id, in report order.
-const EXPERIMENTS: [&str; 18] = [
+const EXPERIMENTS: [&str; 19] = [
     "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
-    "e16", "e17", "e18",
+    "e16", "e17", "e18", "e19",
 ];
 
 /// Parses `[SIZE] [ID | all]...` into the size and the experiments to run.
@@ -47,11 +47,11 @@ fn parse_args(args: &[String]) -> Result<(Size, Vec<&'static str>), String> {
         } else if i == 0 {
             return Err(format!(
                 "unknown size or experiment `{word}` (sizes: small, medium, large; \
-                 experiments: e1..e18, all)"
+                 experiments: e1..e19, all)"
             ));
         } else {
             return Err(format!(
-                "unknown experiment `{word}` (experiments: e1..e18, all)"
+                "unknown experiment `{word}` (experiments: e1..e19, all)"
             ));
         }
     }
@@ -65,7 +65,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (size, which) = parse_args(&args).unwrap_or_else(|e| {
         eprintln!("error: report: {e}");
-        eprintln!("usage: report [small|medium|large] [e1..e18 | all]...");
+        eprintln!("usage: report [small|medium|large] [e1..e19 | all]...");
         std::process::exit(2);
     });
     let want = |id: &str| which.contains(&id);
@@ -157,6 +157,11 @@ fn main() {
             Ok(()) => println!("wrote BENCH_10.json"),
             Err(e) => eprintln!("warning: cannot write BENCH_10.json: {e}"),
         }
+    }
+    if want("e19") {
+        let run = exp::delta_run(size);
+        println!("{}", exp::table_delta_sweep(&run));
+        println!("{}", exp::table_delta_workloads(&run));
     }
 }
 

@@ -2365,6 +2365,323 @@ pub fn bench10_json(run: &HashRun) -> String {
     )
 }
 
+/// One E19 sweep point: a fixed-footprint guest that rewrites
+/// `dirty_per_round` of its pages per work round, recorded with
+/// checkpoints kept.
+pub struct DeltaSweepRow {
+    /// Pages the guest rewrites per round (one round is about one epoch).
+    pub dirty_per_round: u64,
+    /// Epochs the run committed.
+    pub epochs: u64,
+    /// Pages the recorder saw dirtied per epoch (`RecorderStats`).
+    pub dirty_per_epoch: f64,
+    /// Journal bytes per epoch after the header (the delta form).
+    pub bytes_per_epoch: f64,
+    /// Bytes per epoch the full-image (format v3) form would have written.
+    pub full_bytes_per_epoch: f64,
+}
+
+/// One E19 suite workload: what its journal stores against what full
+/// start images would have cost.
+pub struct DeltaWorkloadRow {
+    /// Workload name.
+    pub name: String,
+    /// Epochs the run committed.
+    pub epochs: u64,
+    /// Journal bytes on disk (delta start images).
+    pub stored_bytes: u64,
+    /// Journal bytes with every start image written whole (format v3).
+    pub full_image_bytes: u64,
+    /// Median wall time of `JournalReader::salvage` over the journal.
+    pub salvage: std::time::Duration,
+    /// Median recording-loop wall, sequential then pipelined (pfscan only).
+    pub loop_walls: Option<(std::time::Duration, std::time::Duration)>,
+}
+
+/// The raw material of the E19 tables.
+pub struct DeltaRun {
+    /// Suite size the run was scaled from.
+    pub size: Size,
+    /// Dirty-page sweep rows, fewest dirty pages first.
+    pub sweep: Vec<DeltaSweepRow>,
+    /// Suite workload rows.
+    pub workloads: Vec<DeltaWorkloadRow>,
+}
+
+/// A guest with a fixed `footprint`-page resident set, loaded at boot so
+/// it lives in the initial image, that runs `rounds` rounds of: rewrite
+/// the next `dirty` pages (round-robin over the footprint, a new value
+/// each round), then `spin` iterations of register-only work.
+fn dirtying_spec(footprint: u64, dirty: u64, rounds: u64, spin: u64) -> dp_core::GuestSpec {
+    use dp_vm::builder::ProgramBuilder;
+    use dp_vm::{BinOp, Reg, Width};
+    let mut pb = ProgramBuilder::new();
+    // One non-zero byte per page keeps every page resident.
+    let mut image = vec![0u8; (footprint * 4096) as usize];
+    for p in 0..footprint {
+        image[(p * 4096) as usize] = (p % 251 + 1) as u8;
+    }
+    let base = pb.global_data("footprint", &image);
+    let mut f = pb.function("main");
+    let (round, write, wrapped, work, spin_top) =
+        (f.label(), f.label(), f.label(), f.label(), f.label());
+    f.constu(Reg(1), rounds);
+    f.consti(Reg(2), 0);
+    f.bind(round);
+    f.constu(Reg(3), dirty);
+    f.jz(Reg(3), work);
+    f.bind(write);
+    f.mul(Reg(4), Reg(2), 4096i64);
+    f.add(Reg(4), Reg(4), base as i64 + 8);
+    f.store(Reg(1), Reg(4), 0, Width::W8);
+    f.add(Reg(2), Reg(2), 1i64);
+    f.bin(BinOp::Ltu, Reg(6), Reg(2), footprint as i64);
+    f.jnz(Reg(6), wrapped);
+    f.consti(Reg(2), 0);
+    f.bind(wrapped);
+    f.sub(Reg(3), Reg(3), 1i64);
+    f.jnz(Reg(3), write);
+    f.bind(work);
+    f.constu(Reg(5), spin);
+    f.bind(spin_top);
+    f.sub(Reg(5), Reg(5), 1i64);
+    f.jnz(Reg(5), spin_top);
+    f.sub(Reg(1), Reg(1), 1i64);
+    f.jnz(Reg(1), round);
+    f.consti(Reg(0), 0);
+    f.syscall(dp_os::abi::SYS_EXIT);
+    f.finish();
+    dp_core::GuestSpec::new(
+        format!("dirty-{dirty}p"),
+        std::sync::Arc::new(pb.finish("main")),
+        dp_os::kernel::WorldConfig::default(),
+    )
+}
+
+/// A recorded journal: the run's stats, the journal bytes and the length
+/// of its header (everything before the first epoch).
+struct Journaled {
+    stats: dp_core::RecorderStats,
+    bytes: Vec<u8>,
+    header: u64,
+}
+
+fn journaled(spec: &dp_core::GuestSpec, config: &DoublePlayConfig) -> Journaled {
+    use dp_core::{CheckpointImage, EpochRecord, RecordSink, RecordingMeta};
+    struct HeaderTap {
+        w: dp_core::JournalWriter<Vec<u8>>,
+        header: u64,
+    }
+    impl RecordSink for HeaderTap {
+        fn begin(
+            &mut self,
+            meta: &RecordingMeta,
+            initial: &CheckpointImage,
+        ) -> std::io::Result<()> {
+            self.w.begin(meta, initial)?;
+            self.header = self.w.bytes_written();
+            Ok(())
+        }
+        fn epoch(&mut self, e: &EpochRecord) -> std::io::Result<()> {
+            self.w.epoch(e)
+        }
+        fn epoch_encoded(
+            &mut self,
+            e: &EpochRecord,
+            logs: &dp_core::EncodedLogs,
+        ) -> std::io::Result<()> {
+            self.w.epoch_encoded(e, logs)
+        }
+        fn finish(&mut self) -> std::io::Result<()> {
+            self.w.finish()
+        }
+    }
+    let mut tap = HeaderTap {
+        w: dp_core::JournalWriter::new(Vec::new()).expect("journal header"),
+        header: 0,
+    };
+    let bundle = dp_core::record_to(spec, config, &mut tap).expect("record failed");
+    Journaled {
+        stats: bundle.stats,
+        header: tap.header,
+        bytes: tap.w.into_inner(),
+    }
+}
+
+/// The bytes `journal` would have taken with every start image written
+/// whole under the header's full codec (format v3): the stored deltas
+/// swapped for full images. The two forms differ in nothing else.
+fn full_image_bytes(journal: &[u8], recording: &dp_core::Recording) -> u64 {
+    let (mut deltas, mut fulls) = (0u64, 0u64);
+    let mut base = &recording.initial;
+    for start in recording.epochs.iter().filter_map(|e| e.start.as_ref()) {
+        let mut delta = Vec::new();
+        start.put_delta(base, &mut delta);
+        deltas += delta.len() as u64;
+        fulls += dp_support::wire::to_bytes(start).len() as u64;
+        base = start;
+    }
+    journal.len() as u64 - deltas + fulls
+}
+
+/// Median wall time of `runs` calls of `f`.
+fn median_of(runs: usize, mut f: impl FnMut() -> std::time::Duration) -> std::time::Duration {
+    let mut samples: Vec<_> = (0..runs).map(|_| f()).collect();
+    median_ns(&mut samples)
+}
+
+fn delta_sweep_row(dirty: u64, rounds: u64, config: &DoublePlayConfig) -> DeltaSweepRow {
+    // About one round per epoch: the spin loop runs two instructions per
+    // iteration.
+    let spin = config.epoch_cycles / 2;
+    let j = journaled(&dirtying_spec(1024, dirty, rounds, spin), config);
+    let epochs = j.stats.committed.max(1);
+    let salvaged = dp_core::JournalReader::salvage(&j.bytes).expect("journal salvages");
+    let per_epoch = |bytes: u64| (bytes - j.header) as f64 / epochs as f64;
+    DeltaSweepRow {
+        dirty_per_round: dirty,
+        epochs,
+        dirty_per_epoch: j.stats.dirty_pages as f64 / epochs as f64,
+        bytes_per_epoch: per_epoch(j.bytes.len() as u64),
+        full_bytes_per_epoch: per_epoch(full_image_bytes(&j.bytes, &salvaged.recording)),
+    }
+}
+
+fn delta_workload_row(case: &WorkloadCase, config: &DoublePlayConfig) -> DeltaWorkloadRow {
+    let j = journaled(&case.spec, config);
+    let salvaged = dp_core::JournalReader::salvage(&j.bytes).expect("journal salvages");
+    let salvage = median_of(3, || {
+        let t = Instant::now();
+        std::hint::black_box(dp_core::JournalReader::salvage(&j.bytes).expect("salvage"));
+        t.elapsed()
+    });
+    let loop_walls = (case.name == "pfscan").then(|| {
+        // Alternating pairs, so a slow spell of the host hits both drivers.
+        let loop_wall = |pipelined: bool| {
+            let stats = journaled(&case.spec, &config.pipelined(pipelined)).stats;
+            std::time::Duration::from_nanos(stats.wall.wall_ns)
+        };
+        let (mut seq, mut pip): (Vec<_>, Vec<_>) =
+            (0..5).map(|_| (loop_wall(false), loop_wall(true))).unzip();
+        (median_ns(&mut seq), median_ns(&mut pip))
+    });
+    DeltaWorkloadRow {
+        name: case.name.to_string(),
+        epochs: j.stats.committed,
+        stored_bytes: j.bytes.len() as u64,
+        full_image_bytes: full_image_bytes(&j.bytes, &salvaged.recording),
+        salvage,
+        loop_walls,
+    }
+}
+
+/// E19 — delta start checkpoints: journal bytes track the pages an epoch
+/// dirties, not the guest's footprint. Part one sweeps a 4 MB-footprint
+/// guest across 0, 1, 16 and 256 dirtied pages per epoch. Part two
+/// records pfscan, pcomp, radix and aget with checkpoints kept and puts
+/// the stored journal next to the bytes full start images (format v3)
+/// would have taken, with salvage time and, for pfscan, the sequential
+/// and pipelined recording loops.
+pub fn delta_run(size: Size) -> DeltaRun {
+    let config = DoublePlayConfig::new(2);
+    let rounds = (8 * size.factor()).clamp(8, 32);
+    let sweep = [0u64, 1, 16, 256]
+        .iter()
+        .map(|&dirty| delta_sweep_row(dirty, rounds, &config))
+        .collect();
+    let workloads = suite(2, size)
+        .iter()
+        .filter(|case| ["pfscan", "pcomp", "radix", "aget"].contains(&case.name))
+        .map(|case| delta_workload_row(case, &config))
+        .collect();
+    DeltaRun {
+        size,
+        sweep,
+        workloads,
+    }
+}
+
+/// E19 / Table A: journal bytes per epoch against dirtied pages.
+pub fn table_delta_sweep(run: &DeltaRun) -> Table {
+    let mut t = Table::new(
+        "E19 / Table A: journal bytes per epoch vs pages dirtied (4 MB footprint)",
+        "each epoch stores its start image as the pages whose bytes changed \
+         since the previous start, so bytes per epoch must grow with the \
+         dirty count (about 4 KiB per page) and stay near zero when nothing \
+         changes, while full start images cost the whole footprint every epoch",
+        &[
+            "dirtied per round",
+            "epochs",
+            "dirty pages/epoch",
+            "journal B/epoch",
+            "full-image B/epoch",
+            "saving",
+        ],
+    );
+    for row in &run.sweep {
+        t.row(vec![
+            row.dirty_per_round.to_string(),
+            row.epochs.to_string(),
+            format!("{:.1}", row.dirty_per_epoch),
+            format!("{:.0}", row.bytes_per_epoch),
+            format!("{:.0}", row.full_bytes_per_epoch),
+            format!(
+                "{:.1}x",
+                row.full_bytes_per_epoch / row.bytes_per_epoch.max(1.0)
+            ),
+        ]);
+    }
+    t
+}
+
+/// E19 / Table B: suite journals, delta vs full start images.
+pub fn table_delta_workloads(run: &DeltaRun) -> Table {
+    let mut t = Table::new(
+        "E19 / Table B: suite journals with checkpoints kept, delta vs full start images",
+        "pfscan and pcomp journals must shrink at least 10x against full \
+         start images; salvage decodes only what was stored; with the \
+         commit stage no longer serializing megabytes per epoch, pfscan's \
+         pipelined recording loop must beat the sequential one by at least 1.5x",
+        &[
+            "workload",
+            "epochs",
+            "journal",
+            "full-image journal",
+            "shrink",
+            "salvage",
+            "seq loop",
+            "pipelined loop",
+            "speedup",
+        ],
+    );
+    let mb = |b: u64| format!("{:.2} MB", b as f64 / 1e6);
+    for row in &run.workloads {
+        let (seq, pip, speedup) = match row.loop_walls {
+            Some((seq, pip)) => (
+                format!("{:.0} ms", seq.as_secs_f64() * 1e3),
+                format!("{:.0} ms", pip.as_secs_f64() * 1e3),
+                format!("{:.2}x", seq.as_secs_f64() / pip.as_secs_f64().max(1e-9)),
+            ),
+            None => ("-".into(), "-".into(), "-".into()),
+        };
+        t.row(vec![
+            row.name.clone(),
+            row.epochs.to_string(),
+            mb(row.stored_bytes),
+            mb(row.full_image_bytes),
+            format!(
+                "{:.1}x",
+                row.full_image_bytes as f64 / row.stored_bytes.max(1) as f64
+            ),
+            format!("{:.1} ms", row.salvage.as_secs_f64() * 1e3),
+            seq,
+            pip,
+            speedup,
+        ]);
+    }
+    t
+}
+
 /// Sanity harness used by tests: native measurement agrees between the
 /// coordinator and a direct call.
 pub fn native_cycles(case: &WorkloadCase, threads: usize) -> u64 {

@@ -8,6 +8,7 @@
 //! `fork()`-based checkpoints.
 
 use dp_os::kernel::Kernel;
+use dp_support::wire::{Reader, Wire, WireError};
 use dp_vm::{Machine, MachineImage, Program, Tid};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -114,6 +115,35 @@ pub struct CheckpointImage {
     pub kernel: Kernel,
     /// Cached machine hash.
     pub machine_hash: u64,
+}
+
+impl CheckpointImage {
+    /// Appends the delta that turns `base` into `self`: the machine as a
+    /// page delta ([`MachineImage::put_delta`]), the kernel with unchanged
+    /// file contents and peer scripts back-referenced
+    /// ([`Kernel::put_delta`]), then the machine hash. The bytes are a pure
+    /// function of the two images' contents.
+    pub fn put_delta(&self, base: &CheckpointImage, out: &mut Vec<u8>) {
+        self.machine.put_delta(&base.machine, out);
+        self.kernel.put_delta(&base.kernel, out);
+        self.machine_hash.put(out);
+    }
+
+    /// Applies a [`put_delta`](CheckpointImage::put_delta) encoding to
+    /// `base`. The result shares every unchanged page and file with
+    /// `base`.
+    ///
+    /// # Errors
+    ///
+    /// A [`WireError`] for malformed or truncated input, or a
+    /// back-reference `base` cannot satisfy; never a panic.
+    pub fn get_delta(base: &CheckpointImage, r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(CheckpointImage {
+            machine: MachineImage::get_delta(&base.machine, r)?,
+            kernel: Kernel::get_delta(&base.kernel, r)?,
+            machine_hash: Wire::get(r)?,
+        })
+    }
 }
 
 dp_support::impl_wire_struct!(ThreadTarget { icount, exited });

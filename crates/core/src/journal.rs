@@ -15,7 +15,7 @@
 //! just the case `N = 1`, and a saved recording ([`Recording::save`]) is a
 //! finalized one-stream journal, byte for byte.
 //!
-//! ## Format (version 3)
+//! ## Format (version 4)
 //!
 //! ```text
 //! stream := magic "DPRS" | version u32 le | frame*
@@ -23,7 +23,9 @@
 //!
 //! tag 1 HEADER  stream k u32 | stream count N u32 | program hash u64
 //!               | initial hash u64 | (k == 0 only) wire(meta) ++ wire(initial)
-//! tag 2 EPOCH   wire(EpochRecord)               epoch i goes to stream i mod N
+//! tag 2 EPOCH   index | schedule | syscalls | end hash | external | tp_cycles
+//!               | start := 0 | 1 ++ delta(base, start)
+//!                                               epoch i goes to stream i mod N
 //! tag 3 COMMIT  epoch index u32 | crc32(EPOCH payload) u32
 //! tag 4 FINAL   total epoch count u32           written to every stream
 //! ```
@@ -31,6 +33,22 @@
 //! Every stream carries the identity hashes, so a stray stream can be
 //! paired with — or rejected from — its siblings; only stream 0 carries
 //! the metadata and the initial checkpoint.
+//!
+//! ## Delta start checkpoints
+//!
+//! The header's initial image is the only full checkpoint on disk. Each
+//! epoch's start image is stored as a content delta
+//! ([`CheckpointImage::put_delta`]) against its **base**: the last stored
+//! start of an earlier epoch, else the header's initial image. Memory is
+//! written as the pages whose bytes changed; the kernel is written whole
+//! except that unchanged file contents and peer scripts become one-byte
+//! back-references. The bytes are a pure function of the start-image
+//! sequence, so every driver, stream count and resume point writes the
+//! same ones. The writer keeps the base as a copy-on-write clone; salvage
+//! applies the deltas in epoch order during the merge, so every recovered
+//! [`EpochRecord::start`] is a full image sharing unchanged pages with its
+//! predecessor. There are no keyframes: salvage always scans every stream
+//! from its header, so no reader ever seeks to one.
 //!
 //! ## Commit rule
 //!
@@ -42,7 +60,10 @@
 //! salvage drops it. Across streams, salvage takes epoch `i` only after
 //! epochs `0..i`, so the recovered prefix is the longest one whose every
 //! epoch is committed in its stream — exactly the recording the
-//! sequential driver would have produced over that prefix.
+//! sequential driver would have produced over that prefix. A start delta
+//! can only be checked against its base, so the merge decodes it; a
+//! malformed one ends the prefix before its epoch, and
+//! [`Salvaged::detail`] names the decode error.
 
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,14 +74,15 @@ use crate::checkpoint::CheckpointImage;
 use crate::error::ReplayError;
 use crate::recording::{EncodedLogs, EpochRecord, Recording, RecordingMeta};
 use dp_support::crc32::crc32;
-use dp_support::wire::{from_bytes, Reader, Wire};
+use dp_support::wire::{Reader, Wire, WireError};
 
 /// Stream magic: "DPRS" (DoublePlay Recording Stream).
 pub const MAGIC: [u8; 4] = *b"DPRS";
 /// Format version; bumped on any layout change. Version 3 made this stream
 /// the only on-disk form (one stream is a journal or a saved recording)
-/// and the lead-byte schedule codec the only schedule encoding.
-pub const VERSION: u32 = 3;
+/// and the lead-byte schedule codec the only schedule encoding; version 4
+/// stores each epoch's start image as a delta against the previous one.
+pub const VERSION: u32 = 4;
 
 const TAG_HEADER: u8 = 1;
 const TAG_EPOCH: u8 = 2;
@@ -110,7 +132,7 @@ pub trait RecordSink {
     /// Like [`epoch`](RecordSink::epoch), but with the compact-codec log
     /// encodings the commit path already produced for cost accounting.
     /// Serializing sinks override this to splice `logs` in verbatim
-    /// ([`EpochRecord::put_with`]) instead of re-encoding both logs; the
+    /// ([`EncodedLogs`]) instead of re-encoding both logs; the
     /// default ignores `logs` and delegates, so non-serializing sinks
     /// (taps, [`NullSink`]) need not change.
     fn epoch_encoded(&mut self, epoch: &EpochRecord, logs: &EncodedLogs) -> io::Result<()> {
@@ -274,14 +296,19 @@ fn lane_loop<W: Write>(mut w: W, rx: &mpsc::Receiver<LaneMsg>, batch: u32, share
 ///
 /// Byte determinism: every stream's bytes are a pure function of the epoch
 /// sequence (frames are serialized by the committing caller, in commit
-/// order, before any hand-off), so batching and threading change *when*
-/// bytes become durable, never *which* bytes the streams contain.
+/// order, before any hand-off, and start images are diffed by content
+/// against the previous stored start), so batching and threading change
+/// *when* bytes become durable, never *which* bytes the streams contain.
 pub struct JournalWriter<W: Write> {
     lanes: Vec<Lane<W>>,
     batch: u32,
     epochs: u32,
     written: u64,
     shared: Arc<Shared>,
+    /// The next start image's delta base: the last stored start, else the
+    /// initial image (a copy-on-write clone). `None` until
+    /// [`RecordSink::begin`].
+    base: Option<CheckpointImage>,
 }
 
 /// [`JournalWriter`] under its multi-stream name.
@@ -318,8 +345,9 @@ impl<W: Write> JournalWriter<W> {
     /// Continues a crashed journal: `writers[k]` holds exactly the first
     /// `salvaged.keep[k]` bytes of stream `k` (the caller truncated every
     /// torn tail), and the writer appends epoch `salvaged.committed()`
-    /// onward, inline. Nothing is rewritten: every stream continues
-    /// byte-for-byte where its kept prefix ended.
+    /// onward, inline, diffing start images against the salvaged
+    /// recording's last stored start. Nothing is rewritten: every stream
+    /// continues byte-for-byte where its kept prefix ended.
     ///
     /// # Errors
     ///
@@ -350,6 +378,7 @@ impl<W: Write> JournalWriter<W> {
             epochs: salvaged.committed() as u32,
             written,
             shared: Arc::default(),
+            base: Some(delta_base(&salvaged.recording).clone()),
         })
     }
 
@@ -370,6 +399,7 @@ impl<W: Write> JournalWriter<W> {
             epochs: 0,
             written: 0,
             shared,
+            base: None,
         };
         let mut preamble = MAGIC.to_vec();
         preamble.extend_from_slice(&VERSION.to_le_bytes());
@@ -491,40 +521,6 @@ impl<W: Write> JournalWriter<W> {
         self.written += len;
         Ok(())
     }
-
-    /// Appends one epoch: in-order check, the EPOCH frame serialized in
-    /// place by `put`, its COMMIT marker, and one hand-off to stream
-    /// `index mod N`. Shared by both [`RecordSink`] entry points so the
-    /// commit rule is stated once.
-    fn append_epoch(&mut self, index: u32, put: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
-        self.check_lanes()?;
-        // The stream assignment is a function of commit order, so an
-        // out-of-order epoch is a commit-stage bug: surface it here, not as
-        // an unreplayable journal.
-        if index != self.epochs {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "out-of-order epoch {index} (journal expects {})",
-                    self.epochs
-                ),
-            ));
-        }
-        let mut bytes = Vec::new();
-        push_frame(&mut bytes, TAG_EPOCH, put)?;
-        let payload_crc = crc32(&bytes[FRAME_HEAD..bytes.len() - FRAME_TAIL]);
-        push_frame(&mut bytes, TAG_COMMIT, |p| {
-            p.extend_from_slice(&commit_marker(index, payload_crc));
-        })?;
-        // The frame and its commit marker travel together; the stream
-        // flushes at its group-commit boundary, and an epoch whose commit
-        // marker never reached the device is, by the commit rule,
-        // uncommitted.
-        let k = (index % self.stream_count()) as usize;
-        self.lane_write(k, bytes, 1, false)?;
-        self.epochs += 1;
-        Ok(())
-    }
 }
 
 impl<W: Write + Send + 'static> JournalWriter<W> {
@@ -577,15 +573,53 @@ impl<W: Write> RecordSink for JournalWriter<W> {
             // never reached the device contributes nothing.
             self.lane_write(k as usize, header, 0, true)?;
         }
+        self.base = Some(initial.clone());
         Ok(())
     }
 
     fn epoch(&mut self, epoch: &EpochRecord) -> io::Result<()> {
-        self.append_epoch(epoch.index, |p| epoch.put(p))
+        self.epoch_encoded(epoch, &EncodedLogs::of(epoch))
     }
 
+    /// Appends one epoch: in-order check, the EPOCH frame serialized in
+    /// place (start image as a delta against the current base), its COMMIT
+    /// marker, and one hand-off to stream `index mod N`; a stored start
+    /// then becomes the next base.
     fn epoch_encoded(&mut self, epoch: &EpochRecord, logs: &EncodedLogs) -> io::Result<()> {
-        self.append_epoch(epoch.index, |p| epoch.put_with(logs, p))
+        self.check_lanes()?;
+        let index = epoch.index;
+        // The stream assignment is a function of commit order, so an
+        // out-of-order epoch is a commit-stage bug: surface it here, not as
+        // an unreplayable journal.
+        if index != self.epochs {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "out-of-order epoch {index} (journal expects {})",
+                    self.epochs
+                ),
+            ));
+        }
+        let base = self.base.as_ref().ok_or_else(|| {
+            io::Error::new(io::ErrorKind::InvalidInput, "epoch before journal begin")
+        })?;
+        let mut bytes = Vec::new();
+        push_frame(&mut bytes, TAG_EPOCH, |p| epoch.put_with(logs, base, p))?;
+        let payload_crc = crc32(&bytes[FRAME_HEAD..bytes.len() - FRAME_TAIL]);
+        push_frame(&mut bytes, TAG_COMMIT, |p| {
+            p.extend_from_slice(&commit_marker(index, payload_crc));
+        })?;
+        // The frame and its commit marker travel together; the stream
+        // flushes at its group-commit boundary, and an epoch whose commit
+        // marker never reached the device is, by the commit rule,
+        // uncommitted.
+        let k = (index % self.stream_count()) as usize;
+        self.lane_write(k, bytes, 1, false)?;
+        self.epochs += 1;
+        if let Some(start) = &epoch.start {
+            self.base = Some(start.clone());
+        }
+        Ok(())
     }
 
     fn finish(&mut self) -> io::Result<()> {
@@ -642,6 +676,17 @@ impl Salvaged {
     pub fn committed(&self) -> usize {
         self.recording.epochs.len()
     }
+}
+
+/// The delta base for the epoch after `recording`'s last: its last stored
+/// start image, else its initial image.
+fn delta_base(recording: &Recording) -> &CheckpointImage {
+    recording
+        .epochs
+        .iter()
+        .rev()
+        .find_map(|e| e.start.as_ref())
+        .unwrap_or(&recording.initial)
 }
 
 /// Parses journal streams, including ones a crash left behind.
@@ -735,15 +780,20 @@ fn read_header(buf: &[u8]) -> Result<Header<'_>, ReplayError> {
     })
 }
 
+/// A committed epoch as a stream scan leaves it: the record with `start`
+/// still `None`, and the raw start delta the merge applies against its
+/// base (which only the merge, walking every stream in epoch order, knows).
+type ScannedEpoch<'a> = (EpochRecord, Option<&'a [u8]>);
+
 /// What one stream's salvage scan recovered.
-struct Scan {
+struct Scan<'a> {
     stream: u32,
     streams: u32,
     identity: [u64; 2],
     /// Meta and initial checkpoint (stream 0 only).
     header: Option<(RecordingMeta, CheckpointImage)>,
     /// Committed epochs, in stream order.
-    epochs: Vec<EpochRecord>,
+    epochs: Vec<ScannedEpoch<'a>>,
     /// Per committed epoch, the offset just past its COMMIT frame — the
     /// candidate truncation points for resume.
     commit_ends: Vec<usize>,
@@ -761,7 +811,7 @@ struct Scan {
 /// Scans one stream, applying the commit rule frame by frame. Errors only
 /// when the stream is unusable outright (foreign or retired preamble, torn
 /// header); a torn tail just ends the scan.
-fn scan_stream(buf: &[u8]) -> Result<Scan, ReplayError> {
+fn scan_stream(buf: &[u8]) -> Result<Scan<'_>, ReplayError> {
     let h = read_header(buf)?;
     let mut r = Reader::new(h.rest);
     let header = if h.stream == 0 {
@@ -805,7 +855,8 @@ fn scan_stream(buf: &[u8]) -> Result<Scan, ReplayError> {
             TAG_EPOCH => {
                 // Stream k holds epochs k, k+N, k+2N, ... in order.
                 let expect = u64::from(s.stream) + u64::from(s.streams) * s.epochs.len() as u64;
-                let Ok(epoch) = from_bytes::<EpochRecord>(frame.payload) else {
+                let Ok((epoch, delta)) = EpochRecord::get_head(&mut Reader::new(frame.payload))
+                else {
                     break format!("epoch frame at byte {pos} undecodable");
                 };
                 if u64::from(epoch.index) != expect {
@@ -822,7 +873,7 @@ fn scan_stream(buf: &[u8]) -> Result<Scan, ReplayError> {
                 else {
                     break format!("epoch {} has no commit marker (uncommitted)", epoch.index);
                 };
-                s.epochs.push(epoch);
+                s.epochs.push((epoch, delta));
                 s.commit_ends.push(commit.end);
                 s.end = commit.end;
             }
@@ -892,6 +943,20 @@ impl JournalReader {
     }
 }
 
+/// Decodes one start delta against `base`, requiring it to fill the rest
+/// of its EPOCH payload exactly.
+fn apply_delta(base: &CheckpointImage, delta: &[u8]) -> Result<CheckpointImage, WireError> {
+    let mut r = Reader::new(delta);
+    let start = CheckpointImage::get_delta(base, &mut r)?;
+    if !r.is_empty() {
+        return Err(WireError {
+            offset: r.pos(),
+            context: "trailing bytes after start delta",
+        });
+    }
+    Ok(start)
+}
+
 fn merge(bufs: &[&[u8]]) -> Result<Salvaged, ReplayError> {
     let mut scans = Vec::new();
     let mut failures = Vec::new();
@@ -937,7 +1002,7 @@ fn merge(bufs: &[&[u8]]) -> Result<Salvaged, ReplayError> {
     let durable: usize = slots.iter().flatten().map(|s| s.epochs.len()).sum();
     // The merge walk: epoch i is the next committed epoch of stream
     // i mod N. Records move out of the scans; none is copied.
-    let mut queues: Vec<std::vec::IntoIter<EpochRecord>> = slots
+    let mut queues: Vec<std::vec::IntoIter<ScannedEpoch>> = slots
         .iter_mut()
         .map(|s| {
             s.as_mut()
@@ -946,12 +1011,27 @@ fn merge(bufs: &[&[u8]]) -> Result<Salvaged, ReplayError> {
                 .into_iter()
         })
         .collect();
-    let mut epochs = Vec::new();
+    // Start deltas apply in epoch order: each against the last start
+    // recovered so far (`last_start` indexes it), else the initial image.
+    let mut epochs: Vec<EpochRecord> = Vec::new();
+    let mut last_start: Option<usize> = None;
     let walk = loop {
         let i = epochs.len();
         let t = i % n as usize;
         match queues[t].next() {
-            Some(e) => epochs.push(e),
+            Some((mut e, delta)) => {
+                if let Some(delta) = delta {
+                    let base = last_start
+                        .and_then(|b| epochs[b].start.as_ref())
+                        .unwrap_or(&initial);
+                    match apply_delta(base, delta) {
+                        Ok(start) => e.start = Some(start),
+                        Err(err) => break format!("epoch {i}: start delta malformed ({err})"),
+                    }
+                    last_start = Some(i);
+                }
+                epochs.push(e);
+            }
             None => {
                 break match &slots[t] {
                     None => format!("epoch {i}: stream {t} is missing"),
@@ -1214,6 +1294,7 @@ mod tests {
             (b"DPRJ", 2),
             (b"DPRZ", 1),
             (b"DPRS", 2),
+            (b"DPRS", 3),
             (b"DPRS", 9),
         ] {
             let mut old = body.clone();
@@ -1240,7 +1321,7 @@ mod tests {
                 }
             }
         }
-        // One bit flip turns "DPRS" into "DPRC"; at version 3 that is a bad
+        // One bit flip turns "DPRS" into "DPRC"; at version 4 that is a bad
         // magic, not a retired file.
         let mut flipped = body.clone();
         flipped[3] ^= 0x10;
@@ -1265,6 +1346,240 @@ mod tests {
         w1.finish().unwrap();
         w2.finish().unwrap();
         assert_eq!(w1.into_inner(), w2.into_inner());
+    }
+
+    /// Parts whose epochs store start images: epoch 0 at the initial
+    /// image, epoch 1 with page 2 rewritten, epoch 2 unchanged. The initial
+    /// kernel holds a file, so every delta back-references it.
+    fn delta_parts() -> (RecordingMeta, CheckpointImage, Vec<EpochRecord>) {
+        let (meta, mut initial, mut epochs) = tiny_parts();
+        initial.kernel = dp_os::kernel::Kernel::new(dp_os::kernel::WorldConfig {
+            files: vec![("/in".into(), b"input bytes".to_vec())],
+            ..Default::default()
+        });
+        let mut changed = initial.clone();
+        changed
+            .machine
+            .mem
+            .write(2 * 4096, 0xabcd, dp_vm::Width::W8);
+        epochs[0].start = Some(initial.clone());
+        epochs[1].start = Some(changed.clone());
+        epochs[2].start = Some(changed);
+        (meta, initial, epochs)
+    }
+
+    fn journal_of(parts: &(RecordingMeta, CheckpointImage, Vec<EpochRecord>)) -> Vec<u8> {
+        let (meta, initial, epochs) = parts;
+        let mut w = JournalWriter::new(Vec::new()).unwrap();
+        w.begin(meta, initial).unwrap();
+        for e in epochs {
+            w.epoch(e).unwrap();
+        }
+        w.finish().unwrap();
+        w.into_inner()
+    }
+
+    /// Rewrites epoch `target`'s EPOCH payload in a one-stream journal —
+    /// `edit` gets the payload and the offset of its start delta — and
+    /// re-frames it with a matching CRC and commit marker, so only the
+    /// delta's content is wrong.
+    fn with_edited_delta(
+        buf: &[u8],
+        target: u32,
+        edit: impl FnOnce(&mut Vec<u8>, usize),
+    ) -> Vec<u8> {
+        let mut out = buf[..PREAMBLE].to_vec();
+        let mut pos = PREAMBLE;
+        let mut edit = Some(edit);
+        while let Some(frame) = read_frame(buf, pos) {
+            let mut next = frame.end;
+            let head = EpochRecord::get_head(&mut Reader::new(frame.payload));
+            match head {
+                Ok((e, Some(delta))) if frame.tag == TAG_EPOCH && e.index == target => {
+                    let mut payload = frame.payload.to_vec();
+                    (edit.take().expect("one target epoch"))(
+                        &mut payload,
+                        frame.payload.len() - delta.len(),
+                    );
+                    push_frame(&mut out, TAG_EPOCH, |p| p.extend_from_slice(&payload)).unwrap();
+                    push_frame(&mut out, TAG_COMMIT, |p| {
+                        p.extend_from_slice(&commit_marker(target, crc32(&payload)));
+                    })
+                    .unwrap();
+                    next = read_frame(buf, frame.end).expect("commit frame").end;
+                }
+                _ => out.extend_from_slice(&buf[pos..frame.end]),
+            }
+            pos = next;
+        }
+        assert!(edit.is_none(), "epoch {target} has no start delta");
+        out
+    }
+
+    #[test]
+    fn start_deltas_round_trip_and_share_pages() {
+        let parts = delta_parts();
+        let buf = journal_of(&parts);
+        let s = JournalReader::salvage(&buf).unwrap();
+        assert!(s.clean, "{}", s.detail);
+        for (want, got) in parts.2.iter().zip(&s.recording.epochs) {
+            let (want, got) = (want.start.as_ref().unwrap(), got.start.as_ref().unwrap());
+            assert_eq!(
+                want.machine.mem.state_digest(),
+                got.machine.mem.state_digest()
+            );
+            assert_eq!(want.kernel, got.kernel);
+        }
+        // Unchanged pages are shared, not copied: the unchanged epoch 2
+        // start is the epoch 1 start again.
+        let starts: Vec<_> = s
+            .recording
+            .epochs
+            .iter()
+            .map(|e| e.start.as_ref().unwrap())
+            .collect();
+        assert_eq!(
+            starts[1]
+                .machine
+                .mem
+                .first_difference(&starts[2].machine.mem),
+            None
+        );
+        // Only the header carries a full image; the deltas hold one page.
+        let mut full = Vec::new();
+        parts.1.put(&mut full);
+        assert!(
+            buf.len() < full.len() + 4096 + 1024,
+            "journal of {} bytes",
+            buf.len()
+        );
+        // Saving the salvaged recording reproduces the journal.
+        let mut again = Vec::new();
+        s.recording.save(&mut again).unwrap();
+        assert_eq!(again, buf);
+    }
+
+    #[test]
+    fn malformed_start_deltas_end_the_prefix_before_their_epoch() {
+        let buf = journal_of(&delta_parts());
+        // Epoch 1's delta: page count 1, page number 2, entry tag, body.
+        type Edit = fn(&mut Vec<u8>, usize);
+        let cases: [(&str, Edit); 3] = [
+            ("unknown page delta tag", |p, at| {
+                assert_eq!(&p[at..at + 3], &[1, 2, 1]);
+                p[at + 2] = 7;
+            }),
+            ("file back-reference the base lacks", |p, at| {
+                let name = p[at..]
+                    .windows(3)
+                    .rposition(|w| w == b"/in")
+                    .expect("the file's path is in the delta");
+                p[at + name..at + name + 3].copy_from_slice(b"/xx");
+            }),
+            ("memory page", |p, at| p.truncate(at + 3 + 100)),
+        ];
+        for (reason, edit) in cases {
+            let bad = with_edited_delta(&buf, 1, edit);
+            let s = JournalReader::salvage(&bad).unwrap();
+            assert_eq!(s.committed(), 1, "{reason}: {}", s.detail);
+            assert!(!s.clean);
+            assert_eq!(s.dropped_epochs, 2, "{reason}");
+            assert!(
+                s.detail.contains("epoch 1: start delta malformed") && s.detail.contains(reason),
+                "expected `{reason}`, got: {}",
+                s.detail
+            );
+            assert_eq!(
+                s.keep,
+                JournalReader::salvage(&buf[..s.keep[0].unwrap()])
+                    .unwrap()
+                    .keep
+            );
+        }
+    }
+
+    /// A guest that fills 64 pages, then only computes in registers.
+    fn fill_then_spin_spec() -> crate::world::GuestSpec {
+        use dp_vm::builder::ProgramBuilder;
+        use dp_vm::{BinOp, Reg, Width};
+        let mut pb = ProgramBuilder::new();
+        let mut f = pb.function("main");
+        let (fill, spin, done) = (f.label(), f.label(), f.label());
+        f.consti(Reg(9), 0x10_0000);
+        f.consti(Reg(10), 0);
+        f.bind(fill);
+        f.bin(BinOp::Ltu, Reg(11), Reg(10), 64 * 4096i64);
+        f.jz(Reg(11), spin);
+        f.add(Reg(12), Reg(9), Reg(10));
+        f.store(Reg(9), Reg(12), 0, Width::W8);
+        f.add(Reg(10), Reg(10), 8i64);
+        f.jmp(fill);
+        f.bind(spin);
+        f.consti(Reg(10), 0);
+        let top = f.label();
+        f.bind(top);
+        f.bin(BinOp::Ltu, Reg(11), Reg(10), 40_000i64);
+        f.jz(Reg(11), done);
+        f.add(Reg(10), Reg(10), 1i64);
+        f.jmp(top);
+        f.bind(done);
+        f.consti(Reg(0), 0);
+        f.syscall(dp_os::abi::SYS_EXIT);
+        f.finish();
+        crate::world::GuestSpec::new(
+            "fill-then-spin",
+            Arc::new(pb.finish("main")),
+            Default::default(),
+        )
+    }
+
+    #[test]
+    fn epoch_frames_track_dirty_pages_not_the_footprint() {
+        struct Sizes {
+            w: JournalWriter<Vec<u8>>,
+            frames: Vec<u64>,
+        }
+        impl RecordSink for Sizes {
+            fn begin(&mut self, meta: &RecordingMeta, initial: &CheckpointImage) -> io::Result<()> {
+                self.w.begin(meta, initial)
+            }
+            fn epoch(&mut self, e: &EpochRecord) -> io::Result<()> {
+                let before = self.w.bytes_written();
+                self.w.epoch(e)?;
+                self.frames.push(self.w.bytes_written() - before);
+                Ok(())
+            }
+            fn finish(&mut self) -> io::Result<()> {
+                self.w.finish()
+            }
+        }
+        let mut sink = Sizes {
+            w: JournalWriter::new(Vec::new()).unwrap(),
+            frames: Vec::new(),
+        };
+        let config = DoublePlayConfig::new(2).epoch_cycles(20_000);
+        let bundle = record_to(&fill_then_spin_spec(), &config, &mut sink).unwrap();
+        let epochs = &bundle.recording.epochs;
+        // Memory stops changing once the fill is done; the first epoch to
+        // start in that state still carries the fill's last pages.
+        let digest = |i: usize| epochs[i].start.as_ref().unwrap().machine.mem.state_digest();
+        let filled = digest(epochs.len() - 1);
+        let first = (0..epochs.len()).find(|&i| digest(i) == filled).unwrap();
+        let after = first + 1..epochs.len();
+        assert!(
+            after.len() >= 4,
+            "only {} epochs after the fill",
+            after.len()
+        );
+        for i in after {
+            let start = epochs[i].start.as_ref().unwrap();
+            assert!(start.machine.mem.resident_pages() >= 64);
+            assert!(
+                sink.frames[i] < 1024,
+                "epoch {i} after the fill wrote {} bytes",
+                sink.frames[i]
+            );
+        }
     }
 
     #[test]

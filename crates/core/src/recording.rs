@@ -14,7 +14,7 @@ use crate::error::{ReplayError, SaveError};
 use crate::journal::{JournalReader, JournalWriter, RecordSink};
 use crate::logs::{codec, ScheduleLog, SyscallLog};
 use dp_os::kernel::ExternalChunk;
-use dp_support::wire::Wire;
+use dp_support::wire::{put_varint, Reader, Wire, WireError};
 
 /// Identity and configuration of a recording.
 #[derive(Debug, Clone)]
@@ -73,21 +73,73 @@ impl EncodedLogs {
     }
 }
 
+/// Start-image tags of an EPOCH payload.
+const NO_START: u8 = 0;
+const START_DELTA: u8 = 1;
+
 impl EpochRecord {
-    /// Serializes the record like its [`Wire`] impl, but splices the
-    /// pre-encoded log payloads in instead of re-encoding them. Must mirror
-    /// the `impl_wire_struct!` field order exactly; the
-    /// `put_with_matches_wire_encoding` test pins the equivalence.
-    pub fn put_with(&self, logs: &EncodedLogs, out: &mut Vec<u8>) {
+    /// Serializes the record as an EPOCH payload, splicing the pre-encoded
+    /// log payloads in and writing the start image last, as a delta against
+    /// `base` ([`CheckpointImage::put_delta`]):
+    ///
+    /// ```text
+    /// index | schedule | syscalls | end hash | external | tp_cycles
+    ///       | start := 0 | 1 ++ delta(base, start)
+    /// ```
+    ///
+    /// The journal decides what `base` is; `get_head` decodes a payload
+    /// back up to the start delta.
+    pub fn put_with(&self, logs: &EncodedLogs, base: &CheckpointImage, out: &mut Vec<u8>) {
         self.index.put(out);
-        dp_support::wire::put_varint(out, logs.schedule.len() as u64);
+        put_varint(out, logs.schedule.len() as u64);
         out.extend_from_slice(&logs.schedule);
-        dp_support::wire::put_varint(out, logs.syscalls.len() as u64);
+        put_varint(out, logs.syscalls.len() as u64);
         out.extend_from_slice(&logs.syscalls);
         self.end_machine_hash.put(out);
         self.external.put(out);
-        self.start.put(out);
         self.tp_cycles.put(out);
+        match &self.start {
+            None => out.push(NO_START),
+            Some(start) => {
+                out.push(START_DELTA);
+                start.put_delta(base, out);
+            }
+        }
+    }
+
+    /// Decodes an EPOCH payload up to its start image: the record with
+    /// `start` left `None`, plus the raw start delta when the record has
+    /// one (the rest of the payload). Only the caller knows the delta's
+    /// base, so applying it ([`CheckpointImage::get_delta`]) is left to
+    /// the caller.
+    pub(crate) fn get_head<'a>(r: &mut Reader<'a>) -> Result<(Self, Option<&'a [u8]>), WireError> {
+        let record = EpochRecord {
+            index: Wire::get(r)?,
+            schedule: Wire::get(r)?,
+            syscalls: Wire::get(r)?,
+            end_machine_hash: Wire::get(r)?,
+            external: Wire::get(r)?,
+            tp_cycles: Wire::get(r)?,
+            start: None,
+        };
+        let off = r.pos();
+        let delta = match r.u8("start tag")? {
+            NO_START if r.is_empty() => None,
+            NO_START => {
+                return Err(WireError {
+                    offset: r.pos(),
+                    context: "trailing bytes after epoch record",
+                })
+            }
+            START_DELTA => Some(r.take(r.remaining(), "start delta")?),
+            _ => {
+                return Err(WireError {
+                    offset: off,
+                    context: "unknown start tag",
+                })
+            }
+        };
+        Ok((record, delta))
     }
 }
 
@@ -226,21 +278,11 @@ dp_support::impl_wire_struct!(RecordingMeta {
     initial_machine_hash,
     config
 });
-dp_support::impl_wire_struct!(EpochRecord {
-    index,
-    schedule,
-    syscalls,
-    end_machine_hash,
-    external,
-    start,
-    tp_cycles
-});
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dp_os::kernel::ExternalDest;
-    use dp_support::wire::to_bytes;
     use dp_vm::Tid;
 
     fn tiny_recording() -> Recording {
@@ -331,13 +373,57 @@ mod tests {
     }
 
     #[test]
-    fn put_with_matches_wire_encoding() {
-        let r = tiny_recording();
-        let epoch = &r.epochs[0];
-        let generic = to_bytes(epoch);
-        let mut spliced = Vec::new();
-        epoch.put_with(&EncodedLogs::of(epoch), &mut spliced);
-        assert_eq!(generic, spliced, "put_with must mirror the Wire impl");
+    fn epoch_payloads_round_trip_through_salvage() {
+        // `put_with` is the only EPOCH encoder: saving and salvaging must
+        // give back every field, start images (stored as deltas) included.
+        let mut r = tiny_recording();
+        let mut first = r.initial.clone();
+        first.machine.mem.write(0x2000, 0xfeed, dp_vm::Width::W8);
+        first.machine_hash = 7;
+        let mut second = first.clone();
+        second.machine.mem.write(0x2000, 0, dp_vm::Width::W8);
+        second.machine.mem.write(0x9000, 1, dp_vm::Width::W1);
+        second.machine_hash = 8;
+        r.epochs[0].start = Some(first);
+        let mut gap = r.epochs[0].clone();
+        gap.index = 1;
+        gap.start = None;
+        gap.syscalls.push(crate::logs::SyscallLogEntry {
+            tid: Tid(0),
+            num: 4,
+            arg_hash: 9,
+            ret: 2,
+            effect: Default::default(),
+            via_wake: false,
+        });
+        let mut last = gap.clone();
+        last.index = 2;
+        last.start = Some(second);
+        r.epochs.push(gap);
+        r.epochs.push(last);
+        let mut buf = Vec::new();
+        r.save(&mut buf).unwrap();
+        let back = crate::journal::JournalReader::salvage(&buf).unwrap();
+        assert!(back.clean, "{}", back.detail);
+        assert_eq!(back.committed(), 3);
+        for (a, b) in r.epochs.iter().zip(&back.recording.epochs) {
+            assert_eq!(a.index, b.index);
+            assert_eq!(a.schedule, b.schedule);
+            assert_eq!(a.syscalls, b.syscalls);
+            assert_eq!(a.end_machine_hash, b.end_machine_hash);
+            assert_eq!(a.external, b.external);
+            assert_eq!(a.tp_cycles, b.tp_cycles);
+            assert_eq!(a.start.is_some(), b.start.is_some());
+            if let (Some(x), Some(y)) = (&a.start, &b.start) {
+                assert_eq!(x.machine.mem.state_digest(), y.machine.mem.state_digest());
+                assert_eq!(x.machine.mem.dirty(), y.machine.mem.dirty());
+                assert_eq!(x.kernel, y.kernel);
+                assert_eq!(x.machine_hash, y.machine_hash);
+            }
+        }
+        let mut again = Vec::new();
+        back.recording.save(&mut again).unwrap();
+        assert_eq!(again, buf, "save(salvage(j)) must equal j");
     }
 
     #[test]

@@ -58,19 +58,18 @@ fn severed_attach_stream_salvages_to_exactly_the_committed_epochs() {
     ));
     let (path, handle) = start_server(&daemon, "attach-crash", ServerConfig::default());
     let mut client = Client::connect(&path).unwrap();
+    // The attacher's connection is made here, before anything can shut
+    // the server down; only the attach request itself runs on its thread.
+    let mut conn = Client::connect(&path).unwrap();
     // Long enough that the daemon dies mid-recording below.
     let spec = counter_spec("doomed", 60_000, 900);
     let (solo, offsets) = solo_with_offsets(&spec.to_session_spec().unwrap());
     let id = client.submit(&spec).unwrap();
 
-    let attacher = std::thread::spawn({
-        let path = path.clone();
-        move || {
-            let mut conn = Client::connect(&path).unwrap();
-            let mut bytes = Vec::new();
-            let result = conn.attach(id, &mut bytes);
-            (bytes, result)
-        }
+    let attacher = std::thread::spawn(move || {
+        let mut bytes = Vec::new();
+        let result = conn.attach(id, &mut bytes);
+        (bytes, result)
     });
 
     // Wait until the journal has committed a few epochs, then kill the

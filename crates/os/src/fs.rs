@@ -20,6 +20,7 @@ use std::sync::Arc;
 
 use crate::abi::{self, EBADF, EINVAL, ENOENT};
 use dp_support::rng::{mix, roll};
+use dp_support::wire::{put_varint, Bytes, Reader, Wire, WireError, DELTA_NEW, DELTA_SAME};
 
 /// Open-file access mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -225,12 +226,90 @@ impl Default for SimFs {
 
 dp_support::impl_wire_enum!(Mode { 0 => Read, 1 => Write, 2 => ReadWrite, 3 => Append });
 dp_support::impl_wire_struct!(FileDesc { path, offset, mode });
-dp_support::impl_wire_struct!(SimFs {
-    files,
-    fds,
-    next_fd,
-    io_bytes
-});
+impl Wire for SimFs {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.files.put(out);
+        self.put_rest(out);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let files = Wire::get(r)?;
+        Self::get_rest(files, r)
+    }
+}
+
+impl SimFs {
+    /// Appends the delta that turns `base` into `self`: every path, each
+    /// file's contents as a one-byte back-reference when `base` holds the
+    /// same bytes under that path (else `1 ++ len ++ raw bytes`), then the
+    /// descriptor table and counters whole.
+    pub fn put_delta(&self, base: &SimFs, out: &mut Vec<u8>) {
+        put_varint(out, self.files.len() as u64);
+        for (path, contents) in &self.files {
+            path.put(out);
+            match base.files.get(path) {
+                Some(b) if Arc::ptr_eq(b, contents) || b == contents => out.push(DELTA_SAME),
+                _ => {
+                    out.push(DELTA_NEW);
+                    put_varint(out, contents.len() as u64);
+                    out.extend_from_slice(contents);
+                }
+            }
+        }
+        self.put_rest(out);
+    }
+
+    /// Applies a [`put_delta`](SimFs::put_delta) encoding to `base`;
+    /// unchanged files share `base`'s contents.
+    ///
+    /// # Errors
+    ///
+    /// A [`WireError`] for an unknown tag, a back-reference to a path
+    /// `base` lacks, or truncated input; never a panic.
+    pub fn get_delta(base: &SimFs, r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let count = usize::get(r)?;
+        let mut files = BTreeMap::new();
+        for _ in 0..count {
+            let path = String::get(r)?;
+            let off = r.pos();
+            let contents = match r.u8("file delta tag")? {
+                DELTA_SAME => base.files.get(&path).cloned().ok_or(WireError {
+                    offset: off,
+                    context: "file back-reference the base lacks",
+                })?,
+                DELTA_NEW => Arc::new(Bytes::get(r)?.0),
+                _ => {
+                    return Err(WireError {
+                        offset: off,
+                        context: "unknown file delta tag",
+                    })
+                }
+            };
+            files.insert(path, contents);
+        }
+        Self::get_rest(files, r)
+    }
+
+    /// Every field after `files`, in wire order (shared by both
+    /// encodings).
+    fn put_rest(&self, out: &mut Vec<u8>) {
+        self.fds.put(out);
+        self.next_fd.put(out);
+        self.io_bytes.put(out);
+    }
+
+    fn get_rest(
+        files: BTreeMap<String, Arc<Vec<u8>>>,
+        r: &mut Reader<'_>,
+    ) -> Result<Self, WireError> {
+        Ok(SimFs {
+            files,
+            fds: Wire::get(r)?,
+            next_fd: Wire::get(r)?,
+            io_bytes: Wire::get(r)?,
+        })
+    }
+}
 
 const SALT_SHORT_WRITE: u64 = 0x5045_6b57;
 

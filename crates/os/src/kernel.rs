@@ -810,23 +810,81 @@ mod wire_impls {
         cost,
         faults
     });
-    dp_support::impl_wire_struct!(Kernel {
-        fs,
-        net,
-        rng_state,
-        brk,
-        cost,
-        faults,
-        futex,
-        join_waiters,
-        sleepers,
-        net_blocked,
-        blocked_reqs,
-        sig_handlers,
-        sig_pending,
-        external,
-        stats
-    });
+    impl Wire for Kernel {
+        fn put(&self, out: &mut Vec<u8>) {
+            self.fs.put(out);
+            self.net.put(out);
+            self.put_rest(out);
+        }
+
+        fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+            let fs = SimFs::get(r)?;
+            let net = SimNet::get(r)?;
+            Self::get_rest(fs, net, r)
+        }
+    }
+
+    impl Kernel {
+        /// Appends the delta that turns `base` into `self`: every field
+        /// whole, in wire order, except that file contents and the
+        /// scripted peer set become one-byte back-references when
+        /// unchanged ([`SimFs::put_delta`], [`SimNet::put_delta`]).
+        pub fn put_delta(&self, base: &Kernel, out: &mut Vec<u8>) {
+            self.fs.put_delta(&base.fs, out);
+            self.net.put_delta(&base.net, out);
+            self.put_rest(out);
+        }
+
+        /// Applies a [`put_delta`](Kernel::put_delta) encoding to `base`.
+        ///
+        /// # Errors
+        ///
+        /// A [`WireError`] for malformed or truncated input, or a file
+        /// back-reference `base` cannot satisfy; never a panic.
+        pub fn get_delta(base: &Kernel, r: &mut Reader<'_>) -> Result<Self, WireError> {
+            let fs = SimFs::get_delta(&base.fs, r)?;
+            let net = SimNet::get_delta(&base.net, r)?;
+            Self::get_rest(fs, net, r)
+        }
+
+        /// Every field after `fs` and `net`, in wire order (shared by both
+        /// encodings).
+        fn put_rest(&self, out: &mut Vec<u8>) {
+            self.rng_state.put(out);
+            self.brk.put(out);
+            self.cost.put(out);
+            self.faults.put(out);
+            self.futex.put(out);
+            self.join_waiters.put(out);
+            self.sleepers.put(out);
+            self.net_blocked.put(out);
+            self.blocked_reqs.put(out);
+            self.sig_handlers.put(out);
+            self.sig_pending.put(out);
+            self.external.put(out);
+            self.stats.put(out);
+        }
+
+        fn get_rest(fs: SimFs, net: SimNet, r: &mut Reader<'_>) -> Result<Self, WireError> {
+            Ok(Kernel {
+                fs,
+                net,
+                rng_state: Wire::get(r)?,
+                brk: Wire::get(r)?,
+                cost: Wire::get(r)?,
+                faults: Wire::get(r)?,
+                futex: Wire::get(r)?,
+                join_waiters: Wire::get(r)?,
+                sleepers: Wire::get(r)?,
+                net_blocked: Wire::get(r)?,
+                blocked_reqs: Wire::get(r)?,
+                sig_handlers: Wire::get(r)?,
+                sig_pending: Wire::get(r)?,
+                external: Wire::get(r)?,
+                stats: Wire::get(r)?,
+            })
+        }
+    }
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 //! Blocking is handled by the kernel; this module only answers "what would
 //! this operation do right now" via [`NetPoll`].
 
-use dp_support::wire::{Reader, Wire, WireError};
+use dp_support::wire::{Reader, Wire, WireError, DELTA_NEW, DELTA_SAME};
 use std::collections::{BTreeMap, VecDeque};
 
 use crate::abi::{EBADF, EINVAL, ENOENT};
@@ -418,15 +418,76 @@ dp_support::impl_wire_struct!(ClientState {
     next_req,
     responses_seen
 });
-dp_support::impl_wire_struct!(SimNet {
-    peers,
-    clients,
-    listeners,
-    socks,
-    next_fd,
-    bytes_in,
-    bytes_out,
-});
+impl Wire for SimNet {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.peers.put(out);
+        self.put_rest(out);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let peers = Wire::get(r)?;
+        Self::get_rest(peers, r)
+    }
+}
+
+impl SimNet {
+    /// Appends the delta that turns `base` into `self`: the scripted peer
+    /// set as a one-byte back-reference when it equals `base`'s (compared
+    /// by value), else `1 ++ wire(peers)`; everything else whole.
+    pub fn put_delta(&self, base: &SimNet, out: &mut Vec<u8>) {
+        if self.peers == base.peers {
+            out.push(DELTA_SAME);
+        } else {
+            out.push(DELTA_NEW);
+            self.peers.put(out);
+        }
+        self.put_rest(out);
+    }
+
+    /// Applies a [`put_delta`](SimNet::put_delta) encoding to `base`.
+    ///
+    /// # Errors
+    ///
+    /// A [`WireError`] for an unknown tag or malformed input; never a
+    /// panic.
+    pub fn get_delta(base: &SimNet, r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let off = r.pos();
+        let peers = match r.u8("peer delta tag")? {
+            DELTA_SAME => base.peers.clone(),
+            DELTA_NEW => Wire::get(r)?,
+            _ => {
+                return Err(WireError {
+                    offset: off,
+                    context: "unknown peer delta tag",
+                })
+            }
+        };
+        Self::get_rest(peers, r)
+    }
+
+    /// Every field after `peers`, in wire order (shared by both
+    /// encodings).
+    fn put_rest(&self, out: &mut Vec<u8>) {
+        self.clients.put(out);
+        self.listeners.put(out);
+        self.socks.put(out);
+        self.next_fd.put(out);
+        self.bytes_in.put(out);
+        self.bytes_out.put(out);
+    }
+
+    fn get_rest(peers: BTreeMap<u32, PeerBehavior>, r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(SimNet {
+            peers,
+            clients: Wire::get(r)?,
+            listeners: Wire::get(r)?,
+            socks: Wire::get(r)?,
+            next_fd: Wire::get(r)?,
+            bytes_in: Wire::get(r)?,
+            bytes_out: Wire::get(r)?,
+        })
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -436,6 +497,33 @@ mod tests {
         let mut cfg = NetConfig::default();
         cfg.peers.insert(7, behavior);
         SimNet::new(cfg)
+    }
+
+    #[test]
+    fn unchanged_peer_scripts_are_a_one_byte_back_reference() {
+        let blob = PeerBehavior::RangeSource {
+            blob: vec![9; 10_000],
+        };
+        let base = net_with_peer(blob.clone());
+        let same = net_with_peer(blob);
+        let mut out = Vec::new();
+        same.put_delta(&base, &mut out);
+        assert_eq!(out[0], DELTA_SAME);
+        assert!(out.len() < 32, "{} bytes", out.len());
+        let back = SimNet::get_delta(&base, &mut Reader::new(&out)).unwrap();
+        assert_eq!(back, same);
+        // A changed script travels whole; an unknown tag is typed.
+        let other = net_with_peer(PeerBehavior::Echo);
+        out.clear();
+        other.put_delta(&base, &mut out);
+        assert_eq!(out[0], DELTA_NEW);
+        assert_eq!(
+            SimNet::get_delta(&base, &mut Reader::new(&out)).unwrap(),
+            other
+        );
+        out[0] = 2;
+        let err = SimNet::get_delta(&base, &mut Reader::new(&out)).unwrap_err();
+        assert_eq!(err.context, "unknown peer delta tag");
     }
 
     #[test]

@@ -138,6 +138,11 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
+/// Delta-encoding back-reference tag: the value equals the base's.
+pub const DELTA_SAME: u8 = 0;
+/// Delta-encoding tag: the new value follows in full.
+pub const DELTA_NEW: u8 = 1;
+
 /// Binary serialization to/from the wire format.
 pub trait Wire: Sized {
     /// Append this value's encoding to `out`.

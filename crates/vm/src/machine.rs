@@ -25,6 +25,7 @@ use crate::observer::{Access, AccessKind, MemObserver};
 use crate::program::{initial_sp, FuncId, Program};
 use crate::thread::{Pc, SyscallRequest, ThreadState, ThreadStatus};
 use crate::value::{Src, Tid, Width, Word};
+use dp_support::wire::{Reader, Wire, WireError};
 use std::sync::Arc;
 
 /// Default call-stack depth limit.
@@ -139,12 +140,54 @@ pub struct MachineImage {
     pub fault: Option<Fault>,
 }
 
-dp_support::impl_wire_struct!(MachineImage {
-    mem,
-    threads,
-    halted,
-    fault
-});
+impl Wire for MachineImage {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.mem.put(out);
+        self.put_rest(out);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let mem = Memory::get(r)?;
+        Self::get_rest(mem, r)
+    }
+}
+
+impl MachineImage {
+    /// Appends the delta that turns `base` into `self`: memory as a page
+    /// delta ([`Memory::put_delta`]), the thread table and halt/fault
+    /// state whole.
+    pub fn put_delta(&self, base: &MachineImage, out: &mut Vec<u8>) {
+        self.mem.put_delta(&base.mem, out);
+        self.put_rest(out);
+    }
+
+    /// Applies a [`put_delta`](MachineImage::put_delta) encoding to
+    /// `base`.
+    ///
+    /// # Errors
+    ///
+    /// A [`WireError`] for malformed or truncated input; never a panic.
+    pub fn get_delta(base: &MachineImage, r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let mem = Memory::get_delta(&base.mem, r)?;
+        Self::get_rest(mem, r)
+    }
+
+    /// Every field after `mem`, in wire order (shared by both encodings).
+    fn put_rest(&self, out: &mut Vec<u8>) {
+        self.threads.put(out);
+        self.halted.put(out);
+        self.fault.put(out);
+    }
+
+    fn get_rest(mem: Memory, r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(MachineImage {
+            mem,
+            threads: Wire::get(r)?,
+            halted: Wire::get(r)?,
+            fault: Wire::get(r)?,
+        })
+    }
+}
 
 impl Machine {
     /// Boots a machine: loads data segments and spawns thread 0 running the

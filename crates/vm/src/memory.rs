@@ -70,6 +70,37 @@ fn zero_page() -> Arc<Page> {
         .clone()
 }
 
+/// True when a page holds only zero bytes (pointer identity first).
+fn is_zero(page: &Arc<Page>) -> bool {
+    Arc::ptr_eq(page, &zero_page()) || page.iter().all(|&b| b == 0)
+}
+
+/// True when two page slots hold the same bytes; an absent page (`None`)
+/// reads as zero. Shared `Arc`s short-circuit before the byte compare.
+fn same_bytes(a: Option<&Arc<Page>>, b: Option<&Arc<Page>>) -> bool {
+    match (a, b) {
+        (Some(a), Some(b)) => Arc::ptr_eq(a, b) || a[..] == b[..],
+        (Some(p), None) | (None, Some(p)) => is_zero(p),
+        (None, None) => true,
+    }
+}
+
+/// A decoded page body, with all-zero bodies interned to the shared zero
+/// `Arc` so digests skip them by pointer identity instead of a byte scan.
+fn page_from(raw: &[u8]) -> Arc<Page> {
+    if raw.iter().all(|&b| b == 0) {
+        return zero_page();
+    }
+    let mut page = [0u8; PAGE_SIZE as usize];
+    page.copy_from_slice(raw);
+    Arc::new(page)
+}
+
+/// Page-delta entry tags: the page is now zero (or absent), or its new
+/// 4096 bytes follow.
+const PAGE_ZERO: u8 = 0;
+const PAGE_BYTES: u8 = 1;
+
 /// Forces [`Memory::state_digest`] to recompute from scratch on every call,
 /// bypassing the incremental cache. The digest *value* is identical either
 /// way (property-tested); this knob exists so benchmarks can measure the
@@ -447,17 +478,9 @@ impl Wire for Memory {
         let mut pages = PageMap::default();
         for _ in 0..count {
             let pno = u64::get(r)?;
-            let raw = r.take(PAGE_SIZE as usize, "memory page")?;
-            if raw.iter().all(|&b| b == 0) {
-                // Intern resident zero pages to the shared zero `Arc`:
-                // re-encoding is byte-identical, and digests skip them by
-                // pointer identity instead of a byte scan.
-                pages.insert(pno, zero_page());
-                continue;
-            }
-            let mut page = [0u8; PAGE_SIZE as usize];
-            page.copy_from_slice(raw);
-            pages.insert(pno, Arc::new(page));
+            // Resident zero pages are interned: re-encoding is
+            // byte-identical either way.
+            pages.insert(pno, page_from(r.take(PAGE_SIZE as usize, "memory page")?));
         }
         let dirty = <BTreeSet<u64> as Wire>::get(r)?;
         let cache = Mutex::new(DigestCache::cold(&pages));
@@ -467,6 +490,98 @@ impl Wire for Memory {
             last_dirty: u64::MAX,
             cache,
         })
+    }
+}
+
+/// Delta encoding against a base memory: the pages whose *bytes* differ,
+/// in ascending page order, then the dirty set whole.
+///
+/// ```text
+/// pages := count | (pno | 0 "now zero/absent" | 1 ++ 4096 raw bytes)*
+/// ```
+///
+/// An all-zero page equals an absent one, and `Arc` identity is only a
+/// fast path before the byte compare, so the bytes are a pure function of
+/// the two memories' contents — never of clone topology or cache state.
+impl Memory {
+    /// Appends the delta that turns `base` into `self`.
+    pub fn put_delta(&self, base: &Memory, out: &mut Vec<u8>) {
+        let mut pnos: Vec<u64> = self
+            .pages
+            .keys()
+            .chain(base.pages.keys())
+            .copied()
+            .collect();
+        pnos.sort_unstable();
+        pnos.dedup();
+        let changed: Vec<(u64, Option<&Arc<Page>>)> = pnos
+            .into_iter()
+            .filter_map(|pno| {
+                let cur = self.pages.get(&pno);
+                (!same_bytes(cur, base.pages.get(&pno))).then(|| (pno, cur.filter(|p| !is_zero(p))))
+            })
+            .collect();
+        put_varint(out, changed.len() as u64);
+        for (pno, page) in changed {
+            pno.put(out);
+            match page {
+                None => out.push(PAGE_ZERO),
+                Some(p) => {
+                    out.push(PAGE_BYTES);
+                    out.extend_from_slice(&p[..]);
+                }
+            }
+        }
+        self.dirty.put(out);
+    }
+
+    /// Applies a [`put_delta`](Memory::put_delta) encoding to `base`. The
+    /// result shares every unchanged page with `base` and inherits its
+    /// digest cache, with only the changed pages marked stale.
+    ///
+    /// # Errors
+    ///
+    /// A [`WireError`] for an unknown entry tag, page numbers out of
+    /// ascending order, or truncated input; never a panic.
+    pub fn get_delta(base: &Memory, r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let mut mem = base.clone();
+        let cache = match mem.cache.get_mut() {
+            Ok(c) => c,
+            Err(poisoned) => poisoned.into_inner(),
+        };
+        let count = usize::get(r)?;
+        let mut prev = None;
+        for _ in 0..count {
+            let off = r.pos();
+            let pno = u64::get(r)?;
+            if prev.is_some_and(|p| pno <= p) {
+                return Err(WireError {
+                    offset: off,
+                    context: "page delta out of ascending order",
+                });
+            }
+            prev = Some(pno);
+            let off = r.pos();
+            match r.u8("page delta tag")? {
+                PAGE_ZERO => {
+                    mem.pages.remove(&pno);
+                }
+                PAGE_BYTES => {
+                    let page = page_from(r.take(PAGE_SIZE as usize, "memory page")?);
+                    mem.pages.insert(pno, page);
+                }
+                _ => {
+                    return Err(WireError {
+                        offset: off,
+                        context: "unknown page delta tag",
+                    })
+                }
+            }
+            cache.stale.insert(pno);
+        }
+        mem.dirty = <BTreeSet<u64> as Wire>::get(r)?;
+        mem.last_dirty = u64::MAX;
+        Ok(mem)
     }
 }
 
@@ -628,6 +743,52 @@ mod tests {
         assert_eq!(back.state_digest(), warm);
         // Re-encoding after the zero-page interning is byte-identical.
         assert_eq!(dp_support::wire::to_bytes(&back), bytes);
+    }
+
+    fn delta_of(cur: &Memory, base: &Memory) -> Vec<u8> {
+        let mut out = Vec::new();
+        cur.put_delta(base, &mut out);
+        out
+    }
+
+    #[test]
+    fn page_deltas_compare_bytes_not_pointers() {
+        let mut base = Memory::new();
+        base.write(0x3000, 5, Width::W8);
+        base.write(0x6000, 1, Width::W8);
+        base.write(0x6000, 0, Width::W8); // resident, all zero
+        base.take_dirty();
+        // A fresh memory with equal bytes shares no page with `base`, and
+        // lacks the zero page: still an empty page list.
+        let mut same = Memory::new();
+        same.write(0x3000, 5, Width::W8);
+        same.take_dirty();
+        assert_eq!(delta_of(&same, &base), vec![0, 0]);
+        // One changed page, one page zeroed: two entries, ascending.
+        let mut cur = base.clone();
+        cur.write(0x3000, 0, Width::W8);
+        cur.write(0x9000, 7, Width::W1);
+        let bytes = delta_of(&cur, &base);
+        assert_eq!(&bytes[..4], &[2, 3, PAGE_ZERO, 9]);
+        let back = Memory::get_delta(&base, &mut Reader::new(&bytes)).unwrap();
+        assert_eq!(back.state_digest(), cur.state_digest_scratch());
+        assert_eq!(back.first_difference(&cur), None);
+        assert_eq!(back.dirty(), cur.dirty());
+        assert_eq!(delta_of(&back, &base), bytes);
+    }
+
+    #[test]
+    fn malformed_page_deltas_are_typed_errors() {
+        let base = Memory::new();
+        let decode = |bytes: &[u8]| Memory::get_delta(&base, &mut Reader::new(bytes)).unwrap_err();
+        assert_eq!(decode(&[1, 4, 9]).context, "unknown page delta tag");
+        assert_eq!(
+            decode(&[2, 4, PAGE_ZERO, 4, PAGE_ZERO, 0]).context,
+            "page delta out of ascending order"
+        );
+        assert_eq!(decode(&[1, 4, PAGE_BYTES, 1, 2]).context, "memory page");
+        // A count far past the input never allocates: it runs out of bytes.
+        assert!(Memory::get_delta(&base, &mut Reader::new(&[0xff, 0xff, 0xff, 0x7f])).is_err());
     }
 
     #[test]
