@@ -10,7 +10,7 @@ use dp_os::{abi, kernel::WorldConfig};
 use dp_support::check::check;
 use dp_vm::builder::ProgramBuilder;
 use dp_vm::{Reg, Tid, Width};
-use dp_workloads::{racy_suite, suite, Size};
+use dp_workloads::Size;
 use std::sync::Arc;
 
 /// A fully lock-protected shared counter: `workers` threads, `iters`
@@ -69,10 +69,7 @@ fn locked_counter_spec(iters: i64, workers: usize) -> GuestSpec {
 }
 
 fn case_by_name(name: &str, threads: usize) -> dp_workloads::WorkloadCase {
-    suite(threads, Size::Small)
-        .into_iter()
-        .chain(racy_suite(threads, Size::Small))
-        .find(|c| c.name == name)
+    dp_workloads::find(name, threads, Size::Small)
         .unwrap_or_else(|| panic!("no workload named {name}"))
 }
 

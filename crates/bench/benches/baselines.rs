@@ -3,13 +3,10 @@
 
 use dp_bench::config_for;
 use dp_bench::walltime::bench;
-use dp_workloads::{suite, Size};
+use dp_workloads::{find, Size};
 
 fn main() {
-    let case = suite(2, Size::Small)
-        .into_iter()
-        .find(|w| w.name == "kvstore")
-        .unwrap();
+    let case = find("kvstore", 2, Size::Small).unwrap();
     let config = config_for(2);
     bench("baselines-kvstore", "doubleplay", 10, || {
         dp_core::record(&case.spec, &config).unwrap()

@@ -3,14 +3,11 @@
 
 use dp_bench::config_for;
 use dp_bench::walltime::bench;
-use dp_workloads::{suite, Size};
+use dp_workloads::{find, Size};
 
 fn main() {
     for name in ["pfscan", "kvstore", "ocean"] {
-        let case = suite(2, Size::Small)
-            .into_iter()
-            .find(|w| w.name == name)
-            .unwrap();
+        let case = find(name, 2, Size::Small).unwrap();
         bench("record", name, 10, || {
             dp_core::record(&case.spec, &config_for(2)).unwrap()
         });

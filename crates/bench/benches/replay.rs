@@ -3,13 +3,10 @@
 
 use dp_bench::config_for;
 use dp_bench::walltime::bench;
-use dp_workloads::{suite, Size};
+use dp_workloads::{find, Size};
 
 fn main() {
-    let case = suite(2, Size::Small)
-        .into_iter()
-        .find(|w| w.name == "ocean")
-        .unwrap();
+    let case = find("ocean", 2, Size::Small).unwrap();
     let bundle = dp_core::record(&case.spec, &config_for(2)).unwrap();
     bench("replay", "sequential", 10, || {
         dp_core::replay_sequential(&bundle.recording, &case.spec.program).unwrap()

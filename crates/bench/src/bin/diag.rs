@@ -11,17 +11,15 @@ fn main() {
         ("webserve", 2),
         ("water", 4),
     ] {
-        let case = dp_workloads::suite(threads, dp_workloads::Size::Medium)
-            .into_iter()
-            .find(|c| c.name == name)
-            .unwrap();
+        let case = dp_workloads::find(name, threads, dp_workloads::Size::Medium).unwrap();
         let config = dp_bench::config_for(threads);
         let b = dp_core::record(&case.spec, &config).unwrap();
+        let native = dp_bench::experiments::native_cycles(&case.spec, &config);
         let s = b.stats;
         println!(
             "{name}@{threads}: ovh={:.1}% native={} recorded={} tp_exec={} ckpt={} logw={} ep={} recov={} epochs={} div={} sched_ev={} dirty={}",
-            s.overhead() * 100.0,
-            s.native_cycles,
+            s.overhead(native) * 100.0,
+            native,
             s.recorded_cycles,
             s.tp_exec_cycles,
             s.checkpoint_cycles,

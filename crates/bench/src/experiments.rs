@@ -7,8 +7,10 @@
 //! are the reproduction targets recorded in EXPERIMENTS.md.
 
 use crate::table::Table;
-use dp_core::{measure_native, record, replay_parallel, replay_sequential, DoublePlayConfig};
-use dp_workloads::{racy_suite, suite, Size, WorkloadCase};
+use dp_core::{
+    measure_native, record, replay_parallel, replay_sequential, DoublePlayConfig, GuestSpec,
+};
+use dp_workloads::{find, racy_suite, suite, Size, WorkloadCase};
 use std::time::Instant;
 
 /// The standard recorder configuration for a thread count.
@@ -91,18 +93,13 @@ pub fn fig_overhead(size: Size, spare: bool) -> Table {
         let name = case4.name;
         let mut cells = Vec::new();
         for (threads, case) in [(2usize, None), (4, Some(case4))] {
-            let case = case.unwrap_or_else(|| {
-                suite(2, size)
-                    .into_iter()
-                    .find(|c| c.name == name)
-                    .expect("suite mismatch")
-            });
+            let case = case.unwrap_or_else(|| find(name, 2, size).expect("suite mismatch"));
             let mut config = config_for(threads);
             if !spare {
                 config.spare_workers = 0;
             }
             let bundle = record(&case.spec, &config).expect("record failed");
-            let o = bundle.stats.overhead();
+            let o = bundle.stats.overhead(native_cycles(&case.spec, &config));
             if threads == 2 {
                 avgs.0.push(o);
             } else {
@@ -139,14 +136,18 @@ pub fn table_logsize(size: Size) -> Table {
         ],
     );
     for case in suite(4, size) {
-        let bundle = record(&case.spec, &config_for(4)).expect("record failed");
+        let config = config_for(4);
+        let bundle = record(&case.spec, &config).expect("record failed");
         let s = &bundle.stats;
         t.row(vec![
             case.name.to_string(),
             s.schedule_bytes.to_string(),
             s.syscall_bytes.to_string(),
             s.log_bytes().to_string(),
-            format!("{:.0}", s.log_bytes_per_mcycle()),
+            format!(
+                "{:.0}",
+                s.log_bytes_per_mcycle(native_cycles(&case.spec, &config))
+            ),
             bundle.recording.schedule_events().to_string(),
         ]);
     }
@@ -164,22 +165,17 @@ pub fn table_baselines(size: Size) -> Table {
     );
     let threads = 2;
     for name in ["pfscan", "kvstore", "ocean"] {
-        let find = || {
-            suite(threads, size)
-                .into_iter()
-                .find(|c| c.name == name)
-                .expect("unknown workload")
-        };
+        let spec = find(name, threads, size).expect("unknown workload").spec;
         let config = config_for(threads);
-        let dp = record(&find().spec, &config).expect("doubleplay failed");
+        let dp = record(&spec, &config).expect("doubleplay failed");
         t.row(vec![
             name.to_string(),
             "DoublePlay".to_string(),
-            pct(dp.stats.overhead()),
+            pct(dp.stats.overhead(native_cycles(&spec, &config))),
             dp.stats.log_bytes().to_string(),
             dp.recording.schedule_events().to_string(),
         ]);
-        let uni = dp_baselines::uniproc::record(&find().spec, &config).expect("uniproc failed");
+        let uni = dp_baselines::uniproc::record(&spec, &config).expect("uniproc failed");
         t.row(vec![
             String::new(),
             "uniprocessor".to_string(),
@@ -187,7 +183,7 @@ pub fn table_baselines(size: Size) -> Table {
             uni.stats.log_bytes.to_string(),
             uni.stats.events.to_string(),
         ]);
-        let vl = dp_baselines::value_log::record(&find().spec, &config).expect("value log failed");
+        let vl = dp_baselines::value_log::record(&spec, &config).expect("value log failed");
         t.row(vec![
             String::new(),
             "value-log".to_string(),
@@ -195,7 +191,7 @@ pub fn table_baselines(size: Size) -> Table {
             vl.stats.log_bytes.to_string(),
             vl.stats.events.to_string(),
         ]);
-        let crew = dp_baselines::crew::record(&find().spec, &config).expect("crew failed");
+        let crew = dp_baselines::crew::record(&spec, &config).expect("crew failed");
         t.row(vec![
             String::new(),
             "CREW".to_string(),
@@ -220,10 +216,10 @@ pub fn fig_epoch_length(size: Size) -> Table {
     ] {
         let mut cells = vec![epoch.to_string()];
         for name in ["pcomp", "ocean"] {
-            let case = suite(2, size).into_iter().find(|c| c.name == name).unwrap();
+            let spec = find(name, 2, size).unwrap().spec;
             let config = config_for(2).epoch_cycles(epoch);
-            let bundle = record(&case.spec, &config).expect("record failed");
-            cells.push(pct(bundle.stats.overhead()));
+            let bundle = record(&spec, &config).expect("record failed");
+            cells.push(pct(bundle.stats.overhead(native_cycles(&spec, &config))));
         }
         t.row(cells);
     }
@@ -250,7 +246,7 @@ pub fn fig_replay_speed(size: Size) -> Table {
         ],
     );
     for name in ["pcomp", "ocean", "kvstore"] {
-        let case = suite(4, size).into_iter().find(|c| c.name == name).unwrap();
+        let case = find(name, 4, size).unwrap();
         let bundle = record(&case.spec, &config_for(4)).expect("record failed");
         let seq_t = {
             let t0 = Instant::now();
@@ -320,6 +316,7 @@ pub fn table_rollback(size: Size) -> Table {
             ..config_for(2).epoch_cycles(100_000)
         };
         let bundle = record(&case.spec, &config).expect("record failed");
+        let native = native_cycles(&case.spec, &config);
         let replay_ok = replay_sequential(&bundle.recording, &case.spec.program).is_ok();
         let s = &bundle.stats;
         t.row(vec![
@@ -328,7 +325,7 @@ pub fn table_rollback(size: Size) -> Table {
             s.divergences.to_string(),
             pct(s.divergences as f64 / s.epochs.max(1) as f64),
             s.recovery_cycles.to_string(),
-            pct(s.overhead()),
+            pct(s.overhead(native)),
             replay_ok.to_string(),
         ]);
     }
@@ -354,14 +351,17 @@ pub fn fig_recovery_ablation(size: Size) -> Table {
             tp_jitter: 600,
             ..config_for(2).epoch_cycles(100_000).hidden_seed(seed)
         };
-        let case = || racy_suite(2, size).remove(1); // sparse racy counter
-        let fwd = record(&case().spec, &base).expect("record failed");
-        let full = record(&case().spec, &base.forward_recovery(false)).expect("record failed");
+        let spec = racy_suite(2, size).remove(1).spec; // sparse racy counter
+        let fwd = record(&spec, &base).expect("record failed");
+        let full = record(&spec, &base.forward_recovery(false)).expect("record failed");
+        // The recovery policy is recording work: both runs share one
+        // native baseline.
+        let native = native_cycles(&spec, &base);
         t.row(vec![
             seed.to_string(),
             fwd.stats.divergences.to_string(),
-            pct(fwd.stats.overhead()),
-            pct(full.stats.overhead()),
+            pct(fwd.stats.overhead(native)),
+            pct(full.stats.overhead(native)),
         ]);
     }
     t
@@ -374,23 +374,26 @@ pub fn fig_adaptive(size: Size) -> Table {
         "shrinking epochs after divergences bounds rollback cost",
         &["mode", "divergences", "overhead"],
     );
-    let case = || racy_suite(2, size).remove(1); // sparse racy counter
+    let spec = racy_suite(2, size).remove(1).spec; // sparse racy counter
     let base = DoublePlayConfig {
         tp_quantum: 400,
         tp_jitter: 600,
         ..config_for(2).epoch_cycles(200_000)
     };
-    let fixed = record(&case().spec, &base).expect("record failed");
-    let adaptive = record(&case().spec, &base.adaptive_epochs(true)).expect("record failed");
+    let fixed = record(&spec, &base).expect("record failed");
+    let adaptive = record(&spec, &base.adaptive_epochs(true)).expect("record failed");
+    // Native runs use the configured epoch length whatever the sizing
+    // policy, so both rows share one baseline.
+    let native = native_cycles(&spec, &base);
     t.row(vec![
         "fixed".into(),
         fixed.stats.divergences.to_string(),
-        pct(fixed.stats.overhead()),
+        pct(fixed.stats.overhead(native)),
     ]);
     t.row(vec![
         "adaptive".into(),
         adaptive.stats.divergences.to_string(),
-        pct(adaptive.stats.overhead()),
+        pct(adaptive.stats.overhead(native)),
     ]);
     t
 }
@@ -429,21 +432,16 @@ pub fn table_faults(size: Size) -> Table {
             "corrupt rejects",
         ],
     );
-    let find = |name: &'static str| {
-        move || {
-            suite(2, size)
-                .into_iter()
-                .find(|c| c.name == name)
-                .unwrap_or_else(|| panic!("{name} missing"))
-        }
+    let builder = |name: &'static str| {
+        move || find(name, 2, size).unwrap_or_else(|| panic!("{name} missing"))
     };
     // webserve is the syscall-dense workload (hundreds of send/recv
     // traps), so it actually exercises the kernel fault sites; kvstore
     // is futex-dense, right for per-epoch worker panics; the racy
     // counter is the divergence-storm victim.
-    let webserve = find("webserve");
-    let aget = find("aget");
-    let kvstore = find("kvstore");
+    let webserve = builder("webserve");
+    let aget = builder("aget");
+    let kvstore = builder("kvstore");
     let racy = || racy_suite(2, size).remove(0); // dense racy counter
     for (class, case_of) in [
         ("io", &webserve as &dyn Fn() -> WorkloadCase),
@@ -1191,10 +1189,7 @@ pub struct ShardRun {
 /// recording.
 pub fn shard_run(size: Size) -> ShardRun {
     use dp_core::{JournalReader, JournalWriter, DEFAULT_SHARD_BATCH};
-    let case = suite(2, size)
-        .into_iter()
-        .find(|c| c.name == "pfscan")
-        .expect("pfscan in suite");
+    let case = find("pfscan", 2, size).expect("pfscan in suite");
     let config = config_for(2).epoch_cycles(100_000);
     let record_thread = std::thread::current().id();
     let make_sinks = |n: u32| -> (
@@ -2682,8 +2677,10 @@ pub fn table_delta_workloads(run: &DeltaRun) -> Table {
     t
 }
 
-/// Sanity harness used by tests: native measurement agrees between the
-/// coordinator and a direct call.
-pub fn native_cycles(case: &WorkloadCase, threads: usize) -> u64 {
-    measure_native(&case.spec, &config_for(threads)).expect("native run failed")
+/// The native (unrecorded) runtime of `spec` under `config`, in cycles:
+/// the baseline every overhead ratio divides by. Recording does not
+/// measure it, so each experiment that prints a ratio runs it beside the
+/// recording it reports, with the same configuration.
+pub fn native_cycles(spec: &GuestSpec, config: &DoublePlayConfig) -> u64 {
+    measure_native(spec, config).expect("native run failed")
 }

@@ -155,7 +155,7 @@ pub(crate) fn record_pipelined(
     let tp = TpRunner::new(config);
     let control = ControlState::new(config);
     drive_pipelined(
-        s, spec, config, sink, machine, kernel, tp, control, 0, 0, wall_start,
+        s, config, sink, machine, kernel, tp, control, 0, 0, wall_start,
     )
 }
 
@@ -166,7 +166,6 @@ pub(crate) fn record_pipelined(
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn drive_pipelined<'a>(
     mut s: Session,
-    spec: &crate::world::GuestSpec,
     config: &'a DoublePlayConfig,
     sink: &mut dyn RecordSink,
     mut machine: Machine,
@@ -405,7 +404,7 @@ pub(crate) fn drive_pipelined<'a>(
     drive?;
 
     wall.wall_ns = wall_start.elapsed().as_nanos() as u64;
-    finish_session(s, spec, config, sink, &kernel, wall)
+    finish_session(s, sink, &kernel, wall)
 }
 
 #[cfg(test)]

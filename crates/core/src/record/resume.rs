@@ -265,12 +265,11 @@ pub fn resume_from(
             wall_ns: wall_start.elapsed().as_nanos() as u64,
             ..Default::default()
         };
-        return finish_session(s, spec, config, sink, &kernel, wall).map_err(ResumeError::Record);
+        return finish_session(s, sink, &kernel, wall).map_err(ResumeError::Record);
     }
     if config.pipelined && config.spare_workers > 0 {
         drive_pipelined(
             s,
-            spec,
             config,
             sink,
             machine,
@@ -285,7 +284,6 @@ pub fn resume_from(
     } else {
         drive_sequential(
             s,
-            spec,
             config,
             sink,
             machine,

@@ -19,8 +19,7 @@ pub const DEPTH_BUCKETS: usize = 9;
 /// instance.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WallClockStats {
-    /// Wall-clock nanoseconds of the recording loop (boot to final commit;
-    /// excludes the separate native-runtime measurement).
+    /// Wall-clock nanoseconds of the recording loop (boot to final commit).
     pub wall_ns: u64,
     /// Verify workers the run used (0 = sequential in-line verification).
     pub workers: u64,
@@ -64,6 +63,12 @@ impl PartialEq for WallClockStats {
 }
 
 /// Measurements accumulated while recording one execution.
+///
+/// Recording executes the guest only as recording needs (thread-parallel
+/// plus epoch-parallel); it never measures the native baseline. Callers
+/// that report a ratio against native runtime measure it themselves with
+/// [`crate::measure_native`] and pass the cycle count to
+/// [`RecorderStats::overhead`] and [`RecorderStats::log_bytes_per_mcycle`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RecorderStats {
     /// Epochs recorded (committed + recovered).
@@ -108,9 +113,6 @@ pub struct RecorderStats {
     /// End-to-end recorded runtime in simulated cycles (the uniparallel
     /// pipeline's completion time).
     pub recorded_cycles: u64,
-    /// Native runtime in simulated cycles (same thread-parallel execution,
-    /// no recording work) — measured by a separate clean run.
-    pub native_cycles: u64,
     /// Epochs recorded in degraded serialized (uniprocessor-style) mode
     /// after the divergence rate exceeded the coordinator's threshold.
     pub serialized_epochs: u64,
@@ -129,22 +131,25 @@ impl RecorderStats {
         self.schedule_bytes + self.syscall_bytes
     }
 
-    /// Recording overhead relative to native: `recorded/native - 1`.
-    /// The paper's headline metric ("15% with two worker threads").
-    pub fn overhead(&self) -> f64 {
-        if self.native_cycles == 0 {
+    /// Recording overhead relative to a native runtime of `native_cycles`
+    /// (from [`crate::measure_native`]): `recorded/native - 1`, or 0.0
+    /// when `native_cycles` is 0. The paper's headline metric ("15% with
+    /// two worker threads").
+    pub fn overhead(&self, native_cycles: u64) -> f64 {
+        if native_cycles == 0 {
             return 0.0;
         }
-        self.recorded_cycles as f64 / self.native_cycles as f64 - 1.0
+        self.recorded_cycles as f64 / native_cycles as f64 - 1.0
     }
 
     /// Log production rate in bytes per million native cycles (the
-    /// analogue of the paper's log-size-per-second table).
-    pub fn log_bytes_per_mcycle(&self) -> f64 {
-        if self.native_cycles == 0 {
+    /// analogue of the paper's log-size-per-second table), or 0.0 when
+    /// `native_cycles` is 0.
+    pub fn log_bytes_per_mcycle(&self, native_cycles: u64) -> f64 {
+        if native_cycles == 0 {
             return 0.0;
         }
-        self.log_bytes() as f64 * 1e6 / self.native_cycles as f64
+        self.log_bytes() as f64 * 1e6 / native_cycles as f64
     }
 }
 
@@ -156,13 +161,13 @@ mod tests {
     fn overhead_math() {
         let s = RecorderStats {
             recorded_cycles: 115,
-            native_cycles: 100,
             ..Default::default()
         };
-        assert!((s.overhead() - 0.15).abs() < 1e-9);
+        assert!((s.overhead(100) - 0.15).abs() < 1e-9);
+        assert_eq!(s.overhead(0), 0.0);
         let zero = RecorderStats::default();
-        assert_eq!(zero.overhead(), 0.0);
-        assert_eq!(zero.log_bytes_per_mcycle(), 0.0);
+        assert_eq!(zero.overhead(0), 0.0);
+        assert_eq!(zero.log_bytes_per_mcycle(0), 0.0);
     }
 
     #[test]
@@ -197,10 +202,10 @@ mod tests {
         let s = RecorderStats {
             schedule_bytes: 10,
             syscall_bytes: 32,
-            native_cycles: 1_000_000,
             ..Default::default()
         };
         assert_eq!(s.log_bytes(), 42);
-        assert!((s.log_bytes_per_mcycle() - 42.0).abs() < 1e-9);
+        assert!((s.log_bytes_per_mcycle(1_000_000) - 42.0).abs() < 1e-9);
+        assert_eq!(s.log_bytes_per_mcycle(0), 0.0);
     }
 }

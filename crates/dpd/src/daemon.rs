@@ -22,7 +22,7 @@ use dp_os::FaultedSink;
 use std::collections::{HashMap, VecDeque};
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -154,6 +154,18 @@ struct Session {
     /// their spec is a placeholder until a resume reconstructs it from
     /// the journal's metadata.
     adopted: bool,
+}
+
+/// The guest of a row that will never record again: adopted rows (until
+/// a resume rebuilds the real guest) and rows retired `Finalized` or
+/// `Failed`. Registry rows live as long as the daemon, so a retired row
+/// swaps its guest (program plus world files) for this one, built once
+/// and shared by every holder.
+fn inert_guest() -> GuestSpec {
+    static GUEST: OnceLock<GuestSpec> = OnceLock::new();
+    GUEST
+        .get_or_init(|| crate::guests::atomic_counter(1, 1))
+        .clone()
 }
 
 /// All daemon state behind one lock. Runners hold it only to claim and to
@@ -390,6 +402,7 @@ impl<S: SessionStore + 'static> Daemon<S> {
         }
         s.state = SessionState::Failed;
         s.error = Some("cancelled by client".into());
+        s.spec.guest = inert_guest();
         let lane = s.spec.priority.lane();
         reg.lanes[lane].retain(|&sid| sid != id.0);
         if reg.reserved == Some(id.0) {
@@ -547,10 +560,8 @@ impl<S: SessionStore + 'static> Daemon<S> {
         // Terminal rows are never scheduled, so the spec's guest/config
         // are inert placeholders — only name, priority, and shard count
         // surface in reports.
-        let spec = SessionSpec::new(name, crate::guests::atomic_counter(1, 1), {
-            DoublePlayConfig::new(1)
-        })
-        .journal_shards(journal_shards);
+        let spec = SessionSpec::new(name, inert_guest(), DoublePlayConfig::new(1))
+            .journal_shards(journal_shards);
         reg.sessions.insert(
             id.0,
             Session {
@@ -990,6 +1001,9 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
 /// either re-queue (contained failure, budget left) or classify the
 /// durable journal into a terminal state.
 fn retire<S: SessionStore + ?Sized>(inner: &Inner<S>, c: Claim, out: AttemptOutcome) {
+    // The attempt is over: release the claim's copy of the guest before
+    // the row's new state becomes visible.
+    drop(c.spec.guest);
     // Salvage the durable view outside the lock; it is pure byte work:
     // was the durable view clean, and how many epochs does it commit.
     // Resumed attempts are always terminal: the prefix re-enactment is
@@ -1040,6 +1054,10 @@ fn retire<S: SessionStore + ?Sized>(inner: &Inner<S>, c: Claim, out: AttemptOutc
         };
         s.state = state;
         s.epochs = epochs as u32;
+        // Only a Salvaged row can run again (a resume clones its guest).
+        if state != SessionState::Salvaged {
+            s.spec.guest = inert_guest();
+        }
         match state {
             SessionState::Finalized => reg.metrics.finalized += 1,
             SessionState::Salvaged => reg.metrics.salvaged += 1,
@@ -1257,6 +1275,40 @@ mod tests {
         assert_eq!(r.state, SessionState::Salvaged);
         assert_eq!(r.epochs as usize, expect, "salvage != committed prefix");
         assert!(r.error.as_deref().unwrap_or("").contains("torn"));
+        daemon.shutdown();
+    }
+
+    #[test]
+    fn retired_sessions_release_their_guest_unless_salvaged() {
+        let daemon = Daemon::start(DaemonConfig::default(), Arc::new(MemStore::new()));
+        let clean = tiny_spec("clean");
+        let clean_program = clean.guest.program.clone();
+        let base = tiny_spec("dead-disk").restart_budget(0);
+        let (_solo, offsets) = solo_with_offsets(&base);
+        let dead = base.sink_faults({
+            let mut f = dp_os::SinkFaults::none();
+            f.torn_at = Some((offsets[0] + offsets[1]) / 2);
+            f
+        });
+        let dead_program = dead.guest.program.clone();
+        let clean_id = daemon.submit(clean).unwrap();
+        let dead_id = daemon.submit(dead).unwrap();
+        daemon.drain();
+        assert_eq!(
+            daemon.report(clean_id).unwrap().state,
+            SessionState::Finalized
+        );
+        assert_eq!(
+            Arc::strong_count(&clean_program),
+            1,
+            "a finalized row must not keep its guest"
+        );
+        // A salvaged row may still resume, which records its guest again.
+        assert_eq!(
+            daemon.report(dead_id).unwrap().state,
+            SessionState::Salvaged
+        );
+        assert_eq!(Arc::strong_count(&dead_program), 2);
         daemon.shutdown();
     }
 
@@ -1548,8 +1600,15 @@ mod tests {
                 tiny_config(),
             ))
             .unwrap();
-        let victim = daemon.submit(tiny_spec("victim")).unwrap();
+        let victim_spec = tiny_spec("victim");
+        let victim_program = victim_spec.guest.program.clone();
+        let victim = daemon.submit(victim_spec).unwrap();
         assert_eq!(daemon.cancel(victim), Ok(()));
+        assert_eq!(
+            Arc::strong_count(&victim_program),
+            1,
+            "a cancelled row must not keep its guest"
+        );
         assert!(matches!(
             daemon.cancel(SessionId(999)),
             Err(SessionError::UnknownSession(_))

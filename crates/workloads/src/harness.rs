@@ -133,46 +133,62 @@ impl fmt::Debug for WorkloadCase {
     }
 }
 
+/// Builds one workload instance for a worker-thread count and size.
+type Builder = fn(usize, Size) -> WorkloadCase;
+
+/// Every workload by name, in suite order: the paper-style suite, then the
+/// racy microbenchmarks. [`suite`], [`racy_suite`], [`mixed_suite`] and
+/// [`find`] all read this one table, so "a workload name" means the same
+/// thing everywhere and `find` builds only the workload it names.
+const WORKLOADS: [(&str, Category, Builder); 12] = [
+    ("pcomp", Category::Client, crate::pcomp::build),
+    ("pfscan", Category::Client, crate::pfscan::build),
+    ("aget", Category::Client, crate::aget::build),
+    ("webserve", Category::Server, crate::webserve::build),
+    ("kvstore", Category::Server, crate::kvstore::build),
+    ("ocean", Category::Scientific, crate::ocean::build),
+    ("water", Category::Scientific, crate::water::build),
+    ("radix", Category::Scientific, crate::radix::build),
+    ("racey-counter", Category::Racy, crate::racey::counter),
+    ("racey-sparse", Category::Racy, crate::racey::sparse_counter),
+    ("racey-lazyinit", Category::Racy, crate::racey::lazy_init),
+    ("racey-bank", Category::Racy, crate::racey::banking),
+];
+
+/// Builds, in table order, every workload whose category passes `keep`.
+fn build_where(threads: usize, size: Size, keep: impl Fn(Category) -> bool) -> Vec<WorkloadCase> {
+    WORKLOADS
+        .iter()
+        .filter(|(_, category, _)| keep(*category))
+        .map(|(_, _, build)| build(threads, size))
+        .collect()
+}
+
 /// Builds the full paper-style suite for a worker-thread count: client
 /// utilities, servers, and scientific kernels (no racy microbenchmarks).
 pub fn suite(threads: usize, size: Size) -> Vec<WorkloadCase> {
-    vec![
-        crate::pcomp::build(threads, size),
-        crate::pfscan::build(threads, size),
-        crate::aget::build(threads, size),
-        crate::webserve::build(threads, size),
-        crate::kvstore::build(threads, size),
-        crate::ocean::build(threads, size),
-        crate::water::build(threads, size),
-        crate::radix::build(threads, size),
-    ]
+    build_where(threads, size, |c| c != Category::Racy)
 }
 
 /// The racy microbenchmarks (experiment E8).
 pub fn racy_suite(threads: usize, size: Size) -> Vec<WorkloadCase> {
-    vec![
-        crate::racey::counter(threads, size),
-        crate::racey::sparse_counter(threads, size),
-        crate::racey::lazy_init(threads, size),
-        crate::racey::banking(threads, size),
-    ]
+    build_where(threads, size, |c| c == Category::Racy)
 }
 
 /// The full suite plus the racy microbenchmarks — the session mix a
 /// multi-tenant recording service sees (experiment E14, `dpd-load`).
 pub fn mixed_suite(threads: usize, size: Size) -> Vec<WorkloadCase> {
-    let mut cases = suite(threads, size);
-    cases.extend(racy_suite(threads, size));
-    cases
+    build_where(threads, size, |_| true)
 }
 
-/// Builds the named workload (searching [`mixed_suite`]), or `None` for an
-/// unknown name. Shared by the CLI, the load generator, and the bench
-/// runner so "a workload name" means the same thing everywhere.
+/// Builds the named workload of [`mixed_suite`], and only that one, or
+/// returns `None` for an unknown name. Shared by the CLI, the daemon, and
+/// the bench runner so "a workload name" means the same thing everywhere.
 pub fn find(name: &str, threads: usize, size: Size) -> Option<WorkloadCase> {
-    mixed_suite(threads, size)
-        .into_iter()
-        .find(|c| c.name == name)
+    WORKLOADS
+        .iter()
+        .find(|(n, ..)| *n == name)
+        .map(|(_, _, build)| build(threads, size))
 }
 
 #[cfg(test)]
@@ -193,6 +209,34 @@ mod tests {
         assert_eq!(
             names,
             vec!["pcomp", "pfscan", "aget", "webserve", "kvstore", "ocean", "water", "radix"]
+        );
+    }
+
+    #[test]
+    fn find_builds_the_suite_case_it_names() {
+        for case in mixed_suite(2, Size::Small) {
+            let found = find(case.name, 2, Size::Small).expect("suite name resolves");
+            assert_eq!(found.name, case.name);
+            assert_eq!(found.spec.program_hash(), case.spec.program_hash());
+        }
+        assert!(find("no-such-workload", 2, Size::Small).is_none());
+    }
+
+    #[test]
+    fn the_workload_table_matches_its_builders() {
+        for (name, category, build) in WORKLOADS {
+            let case = build(2, Size::Small);
+            assert_eq!((case.name, case.category), (name, category));
+        }
+        let racy: Vec<_> = racy_suite(2, Size::Small).iter().map(|w| w.name).collect();
+        assert_eq!(
+            racy,
+            vec![
+                "racey-counter",
+                "racey-sparse",
+                "racey-lazyinit",
+                "racey-bank"
+            ]
         );
     }
 

@@ -72,15 +72,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = DoublePlayConfig::new(2).epoch_cycles(100_000);
     let bundle = record(&spec, &config)?;
     let stats = &bundle.stats;
+    // Recording does not run the guest natively; measure the baseline the
+    // overhead ratio divides by separately.
+    let native = measure_native(&spec, &config)?;
     println!(
         "recorded {} epochs ({} divergences)",
         stats.epochs, stats.divergences
     );
     println!(
         "native {} cycles, recorded {} cycles -> overhead {:.1}%",
-        stats.native_cycles,
+        native,
         stats.recorded_cycles,
-        stats.overhead() * 100.0
+        stats.overhead(native) * 100.0
     );
     println!(
         "log: {} schedule bytes + {} syscall bytes",

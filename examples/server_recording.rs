@@ -23,10 +23,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let bundle = record_to(&case.spec, &config, &mut journal)?;
     drop(journal);
     let stats = &bundle.stats;
+    let native = measure_native(&case.spec, &config)?;
     println!(
         "served requests under recording: {} epochs, overhead {:.1}%",
         stats.epochs,
-        stats.overhead() * 100.0
+        stats.overhead(native) * 100.0
     );
 
     // External output (the responses) was buffered speculatively and

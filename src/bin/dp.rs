@@ -72,7 +72,7 @@
 
 use doubleplay::analyze;
 use doubleplay::prelude::*;
-use doubleplay::workloads::{racy_suite, suite};
+use doubleplay::workloads::find;
 use std::process::exit;
 
 fn usage() -> ! {
@@ -228,14 +228,10 @@ fn parse_opts(args: &[String]) -> Opts {
 }
 
 fn find_case(name: &str, threads: usize, size: Size) -> WorkloadCase {
-    suite(threads, size)
-        .into_iter()
-        .chain(racy_suite(threads, size))
-        .find(|c| c.name == name)
-        .unwrap_or_else(|| {
-            eprintln!("unknown workload `{name}` (try `dp list`)");
-            exit(2);
-        })
+    find(name, threads, size).unwrap_or_else(|| {
+        eprintln!("unknown workload `{name}` (try `dp list`)");
+        exit(2);
+    })
 }
 
 /// The replay-based analyses need the recorded program; resolve it from
@@ -727,10 +723,7 @@ fn main() {
     let Some(cmd) = argv.first() else { usage() };
     match cmd.as_str() {
         "list" => {
-            for c in suite(2, Size::Small)
-                .iter()
-                .chain(racy_suite(2, Size::Small).iter())
-            {
+            for c in mixed_suite(2, Size::Small) {
                 println!("{:16} {}", c.name, c.category);
             }
         }
@@ -806,11 +799,14 @@ fn main() {
                 Err(e) => fail("record", e),
             };
             let s = &bundle.stats;
+            // Recording does not measure the native baseline the overhead
+            // ratio divides by; measure it beside the recording.
+            let native = measure_native(&case.spec, &config).unwrap_or_else(|e| fail("record", e));
             println!(
                 "{name}: {} epochs, {} divergences, overhead {:.1}%, log {} B",
                 s.epochs,
                 s.divergences,
-                s.overhead() * 100.0,
+                s.overhead(native) * 100.0,
                 s.log_bytes()
             );
             println!(
