@@ -84,6 +84,7 @@ pub fn replay_epoch_observed<O: ReplayObserver>(
     };
 
     for event in epoch.schedule.events() {
+        check_event_thread(&machine, event, epoch.index)?;
         match *event {
             SchedEvent::LoggedWake { tid } => {
                 let pending = machine.thread(tid).pending.ok_or_else(|| {
@@ -224,6 +225,33 @@ pub fn replay_epoch_observed<O: ReplayObserver>(
         });
     }
     Ok((machine, kernel, instructions))
+}
+
+/// Checks the thread a schedule event names against the machine: it must
+/// exist, and a signal's target must be ready to take the handler frame.
+/// A recording that fails this is corrupt or was made from another guest;
+/// replay reports it as [`ReplayError::ScheduleMismatch`] instead of
+/// panicking on the thread table.
+fn check_event_thread(
+    machine: &Machine,
+    event: &SchedEvent,
+    epoch: u32,
+) -> Result<(), ReplayError> {
+    let (tid, signal) = match *event {
+        SchedEvent::Slice { tid, .. } | SchedEvent::LoggedWake { tid } => (tid, false),
+        SchedEvent::Signal { tid, .. } => (tid, true),
+    };
+    let detail = match machine.threads().get(tid.index()) {
+        None => format!(
+            "{event:?} names a thread the machine does not have ({} threads)",
+            machine.threads().len()
+        ),
+        Some(t) if signal && !t.is_ready() => {
+            format!("signal delivery to a thread that is {:?}", t.status)
+        }
+        Some(_) => return Ok(()),
+    };
+    Err(ReplayError::ScheduleMismatch { epoch, tid, detail })
 }
 
 /// Replays one epoch with panic isolation: a panicking worker — injected
@@ -414,6 +442,7 @@ pub fn replay_to_point(
     let mut cursor = epoch.syscalls.cursor();
 
     for event in epoch.schedule.events() {
+        check_event_thread(&machine, event, epoch.index)?;
         match *event {
             SchedEvent::LoggedWake { tid: t } => {
                 if let Some(entry) = cursor.pop(t) {
@@ -615,5 +644,57 @@ mod tests {
         ));
         // Sequential replay still works without checkpoints.
         assert!(replay_sequential(&bundle.recording, &spec.program).is_ok());
+    }
+
+    #[test]
+    fn signal_to_a_thread_that_is_not_ready_is_a_schedule_mismatch() {
+        use dp_vm::builder::ProgramBuilder;
+        use dp_vm::Reg;
+        // Thread 0 installs a handler, signals itself, then blocks in a
+        // logged sleep; the schedule then delivers the signal while it is
+        // still waiting, which no recorder ever logs.
+        let mut pb = ProgramBuilder::new();
+        let mut h = pb.function("handler");
+        h.ret();
+        h.finish();
+        let handler = pb.declare("handler");
+        let mut f = pb.function("main");
+        f.consti(Reg(0), 7);
+        f.consti(Reg(1), handler.0 as i64);
+        f.syscall(abi::SYS_SIGACTION);
+        f.consti(Reg(0), 0);
+        f.consti(Reg(1), 7);
+        f.syscall(abi::SYS_KILL);
+        f.consti(Reg(0), 100);
+        f.syscall(abi::SYS_SLEEP);
+        f.ret();
+        f.finish();
+        let machine = Machine::new(Arc::new(pb.finish("main")), &[]);
+        let start = Checkpoint::capture(&machine, &Kernel::new(Default::default()));
+        let epoch = EpochRecord {
+            index: 0,
+            schedule: [
+                SchedEvent::Slice {
+                    tid: Tid(0),
+                    instrs: 8,
+                },
+                SchedEvent::Signal {
+                    tid: Tid(0),
+                    sig: 7,
+                },
+            ]
+            .into_iter()
+            .collect(),
+            syscalls: Default::default(),
+            end_machine_hash: 0,
+            external: Vec::new(),
+            start: None,
+            tp_cycles: 0,
+        };
+        let err = replay_epoch(&start, &epoch).unwrap_err();
+        assert!(
+            matches!(err, ReplayError::ScheduleMismatch { tid: Tid(0), .. }),
+            "{err:?}"
+        );
     }
 }

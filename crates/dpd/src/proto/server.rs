@@ -18,7 +18,7 @@ use dp_core::JournalReader;
 use dp_support::wire::{from_bytes, to_bytes, Bytes};
 use std::io;
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -48,9 +48,10 @@ impl Default for ServerConfig {
 
 /// Serves `daemon` on a unix-domain socket at `path` until a client
 /// sends [`Request::Shutdown`]. A stale socket file at `path` is
-/// replaced. Returns once every connection thread has exited; draining
-/// and shutting down the daemon itself stays the caller's job (the
-/// server only borrows it).
+/// replaced. The socket appears at `path` only once it is listening, so
+/// a client that sees the file is never refused. Returns once every
+/// connection thread has exited; draining and shutting down the daemon
+/// itself stays the caller's job (the server only borrows it).
 ///
 /// # Errors
 ///
@@ -61,8 +62,18 @@ pub fn serve<S: SessionStore + 'static>(
     path: &Path,
     cfg: ServerConfig,
 ) -> io::Result<()> {
-    let _ = std::fs::remove_file(path);
-    let listener = UnixListener::bind(path)?;
+    // `bind` creates the socket file before the socket listens; a client
+    // connecting in between is refused. Bind under a staging name and
+    // rename the listening socket into place (replacing any stale one).
+    let mut staging = path.as_os_str().to_owned();
+    staging.push(".bind");
+    let staging = PathBuf::from(staging);
+    let _ = std::fs::remove_file(&staging);
+    let listener = UnixListener::bind(&staging)?;
+    if let Err(e) = std::fs::rename(&staging, path) {
+        let _ = std::fs::remove_file(&staging);
+        return Err(e);
+    }
     listener.set_nonblocking(true)?;
     let shutdown = Arc::new(AtomicBool::new(false));
     let active = Arc::new(AtomicUsize::new(0));

@@ -17,6 +17,14 @@
 //! `Machine` is `Clone`: cloning is a copy-on-write checkpoint (page tables
 //! are shared `Arc`s). It is also `Send`, so checkpointed epochs can replay
 //! on real OS threads in parallel.
+//!
+//! One function defines what each instruction does. [`Machine::step`] runs
+//! it once; [`Machine::run_slice`], the hot path of every recorder, verify
+//! worker and replay, checks halt, readiness and its limits once per slice
+//! and then runs it back to back, decoding from the current function's code
+//! until a call or return moves to another function. Both are generic over
+//! the [`MemObserver`], so the recorder's
+//! [`NullObserver`](crate::observer::NullObserver) costs nothing.
 
 use crate::error::Fault;
 use crate::instr::Instr;
@@ -24,7 +32,7 @@ use crate::memory::Memory;
 use crate::observer::{Access, AccessKind, MemObserver};
 use crate::program::{initial_sp, FuncId, Program};
 use crate::thread::{Pc, SyscallRequest, ThreadState, ThreadStatus};
-use crate::value::{Src, Tid, Width, Word};
+use crate::value::{Reg, Src, Tid, Width, Word};
 use dp_support::wire::{Reader, Wire, WireError};
 use std::sync::Arc;
 
@@ -393,309 +401,362 @@ impl Machine {
 
     /// Executes exactly one instruction on `tid`.
     ///
+    /// This is the reference semantics: [`Machine::run_slice`] executes the
+    /// same per-instruction function in its loop, so a slice of `n`
+    /// instructions is observably `n` steps.
+    ///
     /// # Errors
     ///
     /// Returns the fault if the instruction faults, the thread is not
-    /// runnable, or the machine has halted. The fault is also latched into
-    /// [`Machine::fault`] and the thread is exited, so a faulted machine
-    /// remains safe to inspect.
-    pub fn step(&mut self, tid: Tid, obs: &mut dyn MemObserver) -> Result<Step, Fault> {
+    /// runnable, or the machine has halted. An instruction's fault is also
+    /// latched into [`Machine::fault`] and the thread is exited, so a
+    /// faulted machine remains safe to inspect.
+    pub fn step<O: MemObserver + ?Sized>(&mut self, tid: Tid, obs: &mut O) -> Result<Step, Fault> {
         if self.halted.is_some() || !self.threads[tid.index()].is_ready() {
             return Err(Fault::NotRunnable { tid });
         }
-        match self.exec_one(tid, obs) {
-            Ok(step) => Ok(step),
-            Err(fault) => {
-                self.fault.get_or_insert(fault.clone());
-                self.exit_thread(tid, u64::MAX);
-                Err(fault)
+        let Machine {
+            program,
+            mem,
+            threads,
+            max_call_depth,
+            ..
+        } = self;
+        let t = &mut threads[tid.index()];
+        let mut code = code_of(program, t.pc.func);
+        match exec(t, mem, program, &mut code, *max_call_depth, obs) {
+            Ok(Step::Exited) => {
+                self.live -= 1;
+                Ok(Step::Exited)
             }
+            Ok(step) => Ok(step),
+            Err(fault) => Err(self.latch(tid, fault)),
         }
     }
 
     /// Runs `tid` until a limit is hit, it traps, or it exits.
     ///
     /// Stops *before* executing an instruction that would exceed
-    /// `limits.icount_target`; stops *after* a syscall instruction with the
-    /// trap as the stop reason (the syscall is pending, not yet serviced).
+    /// `limits.icount_target` (when the budget runs out at the same
+    /// instruction, the stop is [`StopReason::IcountTarget`]); stops
+    /// *after* a syscall instruction with the trap as the stop reason (the
+    /// syscall is pending, not yet serviced).
+    ///
+    /// Equivalent to calling [`Machine::step`] once per instruction, but
+    /// halt, readiness and the limits are checked once per slice, and the
+    /// loop keeps the thread, memory and current function's code borrowed
+    /// for the whole slice. The observer is dispatched statically: with
+    /// [`NullObserver`](crate::observer::NullObserver) its hooks compile
+    /// away, and `&mut dyn MemObserver` still works.
     ///
     /// # Errors
     ///
-    /// Returns the fault if the thread faults or is not runnable.
-    pub fn run_slice(
+    /// Returns the fault if the thread faults, or [`Fault::NotRunnable`]
+    /// (not latched) if an instruction would run on a thread that is not
+    /// ready or on a halted machine.
+    pub fn run_slice<O: MemObserver + ?Sized>(
         &mut self,
         tid: Tid,
         limits: SliceLimits,
-        obs: &mut dyn MemObserver,
+        obs: &mut O,
     ) -> Result<SliceRun, Fault> {
+        let icount = self.threads[tid.index()].icount;
+        let to_target = limits.icount_target.map(|target| {
+            debug_assert!(icount <= target, "thread {tid} overshot icount target");
+            target.saturating_sub(icount)
+        });
+        let (allowance, limit_stop) = match to_target {
+            Some(n) if n <= limits.max_instrs => (n, StopReason::IcountTarget),
+            _ => (limits.max_instrs, StopReason::Budget),
+        };
+        if allowance == 0 {
+            return Ok(SliceRun {
+                executed: 0,
+                stop: limit_stop,
+            });
+        }
+        if self.halted.is_some() || !self.threads[tid.index()].is_ready() {
+            return Err(Fault::NotRunnable { tid });
+        }
+        let Machine {
+            program,
+            mem,
+            threads,
+            live,
+            max_call_depth,
+            ..
+        } = self;
+        let t = &mut threads[tid.index()];
+        let mut code = code_of(program, t.pc.func);
         let mut executed = 0u64;
-        loop {
-            if let Some(target) = limits.icount_target {
-                let ic = self.threads[tid.index()].icount;
-                debug_assert!(ic <= target, "thread {tid} overshot icount target");
-                if ic >= target {
-                    return Ok(SliceRun {
-                        executed,
-                        stop: StopReason::IcountTarget,
-                    });
-                }
+        let stop = loop {
+            if executed == allowance {
+                break limit_stop;
             }
-            if executed >= limits.max_instrs {
-                return Ok(SliceRun {
-                    executed,
-                    stop: StopReason::Budget,
-                });
-            }
-            match self.step(tid, obs)? {
-                Step::Ran => executed += 1,
-                Step::RanAtomic { addr, wrote } => {
-                    executed += 1;
+            executed += 1;
+            match exec(t, mem, program, &mut code, *max_call_depth, obs) {
+                Ok(Step::Ran) => {}
+                Ok(Step::RanAtomic { addr, wrote }) => {
                     if limits.stop_at_atomics {
-                        return Ok(SliceRun {
-                            executed,
-                            stop: StopReason::Atomic { addr, wrote },
-                        });
+                        break StopReason::Atomic { addr, wrote };
                     }
                 }
-                Step::Syscall(req) => {
-                    return Ok(SliceRun {
-                        executed: executed + 1,
-                        stop: StopReason::Syscall(req),
-                    })
+                Ok(Step::Syscall(req)) => break StopReason::Syscall(req),
+                Ok(Step::Exited) => {
+                    *live -= 1;
+                    break StopReason::Exited;
                 }
-                Step::Exited => {
-                    return Ok(SliceRun {
-                        executed: executed + 1,
-                        stop: StopReason::Exited,
-                    })
-                }
+                Err(fault) => return Err(self.latch(tid, fault)),
             }
-        }
+        };
+        Ok(SliceRun { executed, stop })
     }
 
-    fn reg(&self, tid: Tid, r: crate::value::Reg) -> Word {
-        self.threads[tid.index()].regs[r.index()]
+    /// Latches `fault` (the first one wins) and exits the faulting thread.
+    fn latch(&mut self, tid: Tid, fault: Fault) -> Fault {
+        self.fault.get_or_insert(fault.clone());
+        self.exit_thread(tid, u64::MAX);
+        fault
     }
+}
 
-    fn src(&self, tid: Tid, s: Src) -> Word {
-        match s {
-            Src::Reg(r) => self.reg(tid, r),
-            Src::Imm(v) => v as u64,
-        }
-    }
+/// The code of `func`, or no code if the function does not exist (the
+/// next fetch then faults with [`fetch_fault`]).
+fn code_of(program: &Program, func: FuncId) -> &[Instr] {
+    program.function(func).map_or(&[], |f| &f.code)
+}
 
-    fn exec_one(&mut self, tid: Tid, obs: &mut dyn MemObserver) -> Result<Step, Fault> {
-        let pc = self.threads[tid.index()].pc;
-        let func = self.program.function(pc.func).ok_or(Fault::BadFunction {
+/// The fault for a pc with no instruction: its function does not exist, or
+/// execution ran off the function's end.
+#[cold]
+fn fetch_fault(program: &Program, t: &ThreadState) -> Fault {
+    let (tid, pc) = (t.tid, t.pc);
+    if program.function(pc.func).is_none() {
+        Fault::BadFunction {
             tid,
             pc,
             func: pc.func,
-        })?;
-        let instr = match func.code.get(pc.idx as usize) {
-            Some(i) => *i,
-            None => return Err(Fault::FellOffFunction { tid, func: pc.func }),
-        };
-
-        // Advance pc and icount first; control flow overwrites pc below.
-        {
-            let t = &mut self.threads[tid.index()];
-            t.pc.idx += 1;
-            t.icount += 1;
         }
-        let icount = self.threads[tid.index()].icount;
+    } else {
+        Fault::FellOffFunction { tid, func: pc.func }
+    }
+}
 
-        macro_rules! set_reg {
-            ($r:expr, $v:expr) => {{
-                let v = $v;
-                self.threads[tid.index()].regs[$r.index()] = v;
-            }};
+/// Executes one instruction of `t`, the interpreter's single definition of
+/// instruction semantics. `code` is the code of `t.pc.func`; calls and
+/// returns repoint it. The caller owns the machine-level effects: the live
+/// count on [`Step::Exited`], and latching a fault.
+#[inline(always)]
+fn exec<'p, O: MemObserver + ?Sized>(
+    t: &mut ThreadState,
+    mem: &mut Memory,
+    program: &'p Program,
+    code: &mut &'p [Instr],
+    max_call_depth: usize,
+    obs: &mut O,
+) -> Result<Step, Fault> {
+    let pc = t.pc;
+    let Some(&instr) = code.get(pc.idx as usize) else {
+        return Err(fetch_fault(program, t));
+    };
+
+    // Advance pc and icount first; control flow overwrites pc below.
+    t.pc.idx += 1;
+    t.icount += 1;
+    let tid = t.tid;
+    let icount = t.icount;
+    let reg = |t: &ThreadState, r: Reg| t.regs[r.index()];
+    let src = |t: &ThreadState, s: Src| match s {
+        Src::Reg(r) => t.regs[r.index()],
+        Src::Imm(v) => v as u64,
+    };
+
+    match instr {
+        Instr::Nop => {}
+        Instr::Const { dst, imm } => t.regs[dst.index()] = imm,
+        Instr::Mov { dst, src: s } => t.regs[dst.index()] = src(t, s),
+        Instr::Bin { op, dst, a, b } => {
+            let v = op
+                .eval(reg(t, a), src(t, b))
+                .ok_or(Fault::DivideByZero { tid, pc })?;
+            t.regs[dst.index()] = v;
         }
-
-        match instr {
-            Instr::Nop => {}
-            Instr::Const { dst, imm } => set_reg!(dst, imm),
-            Instr::Mov { dst, src } => set_reg!(dst, self.src(tid, src)),
-            Instr::Bin { op, dst, a, b } => {
-                let va = self.reg(tid, a);
-                let vb = self.src(tid, b);
-                let v = op.eval(va, vb).ok_or(Fault::DivideByZero { tid, pc })?;
-                set_reg!(dst, v);
-            }
-            Instr::Un { op, dst, a } => {
-                let v = op.eval(self.reg(tid, a));
-                set_reg!(dst, v);
-            }
-            Instr::Load {
-                dst,
-                addr,
-                offset,
+        Instr::Un { op, dst, a } => t.regs[dst.index()] = op.eval(reg(t, a)),
+        Instr::Load {
+            dst,
+            addr,
+            offset,
+            width,
+        } => {
+            let a = reg(t, addr).wrapping_add(offset as u64);
+            let v = obs
+                .intercept_load(tid, a, width)
+                .unwrap_or_else(|| mem.read(a, width));
+            t.regs[dst.index()] = v;
+            obs.on_access(Access {
+                tid,
+                icount,
+                addr: a,
                 width,
-            } => {
-                let a = self.reg(tid, addr).wrapping_add(offset as u64);
-                let v = obs
-                    .intercept_load(tid, a, width)
-                    .unwrap_or_else(|| self.mem.read(a, width));
-                set_reg!(dst, v);
-                obs.on_access(Access {
-                    tid,
-                    icount,
-                    addr: a,
-                    width,
-                    kind: AccessKind::Read,
-                    value: v,
-                });
-            }
-            Instr::Store {
-                src,
-                addr,
-                offset,
+                kind: AccessKind::Read,
+                value: v,
+            });
+        }
+        Instr::Store {
+            src: s,
+            addr,
+            offset,
+            width,
+        } => {
+            let a = reg(t, addr).wrapping_add(offset as u64);
+            let v = width.truncate(reg(t, s));
+            mem.write(a, v, width);
+            obs.on_access(Access {
+                tid,
+                icount,
+                addr: a,
                 width,
-            } => {
-                let a = self.reg(tid, addr).wrapping_add(offset as u64);
-                let v = width.truncate(self.reg(tid, src));
-                self.mem.write(a, v, width);
-                obs.on_access(Access {
-                    tid,
-                    icount,
-                    addr: a,
-                    width,
-                    kind: AccessKind::Write,
-                    value: v,
-                });
-            }
-            Instr::Cas {
-                dst,
-                addr,
-                expected,
-                new,
-            } => {
-                let a = self.reg(tid, addr);
-                if let Some(old) = obs.intercept_atomic(tid, a) {
-                    set_reg!(dst, old);
-                    return Ok(Step::RanAtomic {
-                        addr: a,
-                        wrote: false,
-                    });
-                }
-                let old = self.mem.read(a, Width::W8);
-                let wrote = old == self.reg(tid, expected);
-                if wrote {
-                    let nv = self.reg(tid, new);
-                    self.mem.write(a, nv, Width::W8);
-                }
-                set_reg!(dst, old);
-                obs.on_access(Access {
-                    tid,
-                    icount,
-                    addr: a,
-                    width: Width::W8,
-                    kind: AccessKind::Atomic,
-                    value: old,
-                });
-                return Ok(Step::RanAtomic { addr: a, wrote });
-            }
-            Instr::FetchAdd { dst, addr, val } => {
-                let a = self.reg(tid, addr);
-                if let Some(old) = obs.intercept_atomic(tid, a) {
-                    set_reg!(dst, old);
-                    return Ok(Step::RanAtomic {
-                        addr: a,
-                        wrote: false,
-                    });
-                }
-                let old = self.mem.read(a, Width::W8);
-                let add = self.src(tid, val);
-                self.mem.write(a, old.wrapping_add(add), Width::W8);
-                set_reg!(dst, old);
-                obs.on_access(Access {
-                    tid,
-                    icount,
-                    addr: a,
-                    width: Width::W8,
-                    kind: AccessKind::Atomic,
-                    value: old,
-                });
+                kind: AccessKind::Write,
+                value: v,
+            });
+        }
+        Instr::Cas {
+            dst,
+            addr,
+            expected,
+            new,
+        } => {
+            let a = reg(t, addr);
+            if let Some(old) = obs.intercept_atomic(tid, a) {
+                t.regs[dst.index()] = old;
                 return Ok(Step::RanAtomic {
                     addr: a,
-                    wrote: true,
+                    wrote: false,
                 });
             }
-            Instr::Swap { dst, addr, val } => {
-                let a = self.reg(tid, addr);
-                if let Some(old) = obs.intercept_atomic(tid, a) {
-                    set_reg!(dst, old);
-                    return Ok(Step::RanAtomic {
-                        addr: a,
-                        wrote: false,
-                    });
-                }
-                let old = self.mem.read(a, Width::W8);
-                let nv = self.reg(tid, val);
-                self.mem.write(a, nv, Width::W8);
-                set_reg!(dst, old);
-                obs.on_access(Access {
-                    tid,
-                    icount,
-                    addr: a,
-                    width: Width::W8,
-                    kind: AccessKind::Atomic,
-                    value: old,
-                });
+            let old = mem.read(a, Width::W8);
+            let wrote = old == reg(t, expected);
+            if wrote {
+                mem.write(a, reg(t, new), Width::W8);
+            }
+            t.regs[dst.index()] = old;
+            obs.on_access(Access {
+                tid,
+                icount,
+                addr: a,
+                width: Width::W8,
+                kind: AccessKind::Atomic,
+                value: old,
+            });
+            return Ok(Step::RanAtomic { addr: a, wrote });
+        }
+        Instr::FetchAdd { dst, addr, val } => {
+            let a = reg(t, addr);
+            if let Some(old) = obs.intercept_atomic(tid, a) {
+                t.regs[dst.index()] = old;
                 return Ok(Step::RanAtomic {
                     addr: a,
-                    wrote: true,
+                    wrote: false,
                 });
             }
-            Instr::Jmp { target } => {
-                self.threads[tid.index()].pc.idx = target;
+            let old = mem.read(a, Width::W8);
+            mem.write(a, old.wrapping_add(src(t, val)), Width::W8);
+            t.regs[dst.index()] = old;
+            obs.on_access(Access {
+                tid,
+                icount,
+                addr: a,
+                width: Width::W8,
+                kind: AccessKind::Atomic,
+                value: old,
+            });
+            return Ok(Step::RanAtomic {
+                addr: a,
+                wrote: true,
+            });
+        }
+        Instr::Swap { dst, addr, val } => {
+            let a = reg(t, addr);
+            if let Some(old) = obs.intercept_atomic(tid, a) {
+                t.regs[dst.index()] = old;
+                return Ok(Step::RanAtomic {
+                    addr: a,
+                    wrote: false,
+                });
             }
-            Instr::Jnz { cond, target } => {
-                if self.reg(tid, cond) != 0 {
-                    self.threads[tid.index()].pc.idx = target;
-                }
-            }
-            Instr::Jz { cond, target } => {
-                if self.reg(tid, cond) == 0 {
-                    self.threads[tid.index()].pc.idx = target;
-                }
-            }
-            Instr::Call { func } => return self.do_call(tid, func, pc),
-            Instr::CallIndirect { func } => {
-                let id = FuncId(self.reg(tid, func) as u32);
-                return self.do_call(tid, id, pc);
-            }
-            Instr::Ret => {
-                let t = &mut self.threads[tid.index()];
-                if !t.leave_call() {
-                    self.live -= 1;
-                    return Ok(Step::Exited);
-                }
-            }
-            Instr::Syscall { num } => {
-                let t = &mut self.threads[tid.index()];
-                let mut args = [0u64; 6];
-                args.copy_from_slice(&t.regs[..6]);
-                let req = SyscallRequest { tid, num, args };
-                t.pending = Some(req);
-                t.status = ThreadStatus::Waiting;
-                return Ok(Step::Syscall(req));
+            let old = mem.read(a, Width::W8);
+            mem.write(a, reg(t, val), Width::W8);
+            t.regs[dst.index()] = old;
+            obs.on_access(Access {
+                tid,
+                icount,
+                addr: a,
+                width: Width::W8,
+                kind: AccessKind::Atomic,
+                value: old,
+            });
+            return Ok(Step::RanAtomic {
+                addr: a,
+                wrote: true,
+            });
+        }
+        Instr::Jmp { target } => t.pc.idx = target,
+        Instr::Jnz { cond, target } => {
+            if reg(t, cond) != 0 {
+                t.pc.idx = target;
             }
         }
-        Ok(Step::Ran)
+        Instr::Jz { cond, target } => {
+            if reg(t, cond) == 0 {
+                t.pc.idx = target;
+            }
+        }
+        Instr::Call { func } => return call(t, program, code, func, pc, max_call_depth),
+        Instr::CallIndirect { func } => {
+            let id = FuncId(reg(t, func) as u32);
+            return call(t, program, code, id, pc, max_call_depth);
+        }
+        Instr::Ret => {
+            if !t.leave_call() {
+                return Ok(Step::Exited);
+            }
+            *code = code_of(program, t.pc.func);
+        }
+        Instr::Syscall { num } => {
+            let mut args = [0u64; 6];
+            args.copy_from_slice(&t.regs[..6]);
+            let req = SyscallRequest { tid, num, args };
+            t.pending = Some(req);
+            t.status = ThreadStatus::Waiting;
+            return Ok(Step::Syscall(req));
+        }
     }
+    Ok(Step::Ran)
+}
 
-    fn do_call(&mut self, tid: Tid, func: FuncId, pc: Pc) -> Result<Step, Fault> {
-        if self.program.function(func).is_none() {
-            return Err(Fault::BadFunction { tid, pc, func });
-        }
-        let t = &mut self.threads[tid.index()];
-        if t.frames.len() >= self.max_call_depth {
-            return Err(Fault::StackOverflow { tid, pc });
-        }
-        let ret_pc = t.pc; // already advanced past the call
-        t.enter_call(func, ret_pc);
-        Ok(Step::Ran)
+/// Enters `func` from the call at `pc`, repointing `code` at its body.
+fn call<'p>(
+    t: &mut ThreadState,
+    program: &'p Program,
+    code: &mut &'p [Instr],
+    func: FuncId,
+    pc: Pc,
+    max_call_depth: usize,
+) -> Result<Step, Fault> {
+    let Some(callee) = program.function(func) else {
+        return Err(Fault::BadFunction {
+            tid: t.tid,
+            pc,
+            func,
+        });
+    };
+    if t.frames.len() >= max_call_depth {
+        return Err(Fault::StackOverflow { tid: t.tid, pc });
     }
+    let ret_pc = t.pc; // already advanced past the call
+    t.enter_call(func, ret_pc);
+    *code = &callee.code;
+    Ok(Step::Ran)
 }
 
 #[cfg(test)]
@@ -795,6 +856,47 @@ mod tests {
         assert_eq!(a.kind, AccessKind::Write);
         assert_eq!(a.value, 42);
         assert_eq!(a.addr, m.program().symbol("answer").unwrap());
+    }
+
+    #[test]
+    fn intercepted_atomic_skips_memory_and_the_access_report() {
+        /// Feeds every atomic the value 9, as value-logging replay does.
+        struct Feed(CollectingObserver);
+        impl MemObserver for Feed {
+            fn on_access(&mut self, access: Access) {
+                self.0.on_access(access);
+            }
+            fn intercept_atomic(&mut self, _tid: Tid, _addr: Word) -> Option<Word> {
+                Some(9)
+            }
+        }
+        let mut pb = ProgramBuilder::new();
+        let g = pb.global("counter", 8);
+        let mut f = pb.function("main");
+        f.consti(Reg(1), g as i64);
+        f.consti(Reg(2), 0);
+        f.consti(Reg(3), 5);
+        f.cas(Reg(4), Reg(1), Reg(2), Reg(3));
+        f.fetch_add(Reg(5), Reg(1), Src::Imm(5));
+        f.swap(Reg(6), Reg(1), Reg(3));
+        f.ret();
+        f.finish();
+        let mut m = Machine::new(Arc::new(pb.finish("main")), &[]);
+        let mut obs = Feed(CollectingObserver::default());
+        let limits = SliceLimits::budget(100).stopping_at_atomics();
+        for dst in 4..=6 {
+            let run = m.run_slice(Tid(0), limits, &mut obs).unwrap();
+            assert_eq!(
+                run.stop,
+                StopReason::Atomic {
+                    addr: g,
+                    wrote: false
+                }
+            );
+            assert_eq!(m.thread(Tid(0)).regs[dst], 9);
+        }
+        assert_eq!(m.mem().read(g, Width::W8), 0);
+        assert!(obs.0.accesses.is_empty());
     }
 
     #[test]

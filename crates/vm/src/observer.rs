@@ -51,7 +51,12 @@ pub struct Access {
 
 /// Receives every data access the interpreter performs.
 ///
-/// Implementations must be cheap: the interpreter calls this on the hot path.
+/// [`Machine::step`](crate::Machine::step) and
+/// [`Machine::run_slice`](crate::Machine::run_slice) are generic over the
+/// observer, so dispatch is static: with [`NullObserver`] the hooks, and the
+/// [`Access`] values built for them, compile away. `&mut dyn MemObserver`
+/// still works, with one virtual call per hook. A real observer runs once
+/// per data access, so it should stay cheap.
 pub trait MemObserver {
     /// Called after each data memory access.
     fn on_access(&mut self, access: Access);
@@ -77,7 +82,7 @@ pub trait MemObserver {
 }
 
 /// An observer that ignores everything; used by the DoublePlay recorder and
-/// anywhere access tracking is not needed.
+/// anywhere access tracking is not needed. It costs the interpreter nothing.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullObserver;
 

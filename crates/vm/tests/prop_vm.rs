@@ -5,9 +5,12 @@
 use dp_support::check::{check, Gen};
 use dp_vm::builder::ProgramBuilder;
 use dp_vm::memory::Memory;
-use dp_vm::observer::NullObserver;
-use dp_vm::{BinOp, Machine, Reg, SliceLimits, Src, Tid, Width};
-use std::collections::HashMap;
+use dp_vm::observer::{Access, CollectingObserver, MemObserver, NullObserver};
+use dp_vm::{
+    BinOp, DataSegment, Fault, FuncId, Function, Instr, Machine, Program, Reg, SliceLimits,
+    SliceRun, Src, Step, StopReason, ThreadStatus, Tid, Width, Word,
+};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// A write operation for the memory model test.
@@ -140,6 +143,257 @@ fn slicing_does_not_change_semantics() {
     });
 }
 
+/// A register from the few that the generated address, divisor and
+/// call-target constants land in, so the instructions that use them often
+/// see those values.
+fn low_reg(g: &mut Gen) -> Reg {
+    Reg(g.below(4) as u8)
+}
+
+/// One instruction of a function `len` instructions long in a program of
+/// `funcs` functions: mostly [`asm_props::instr`], plus in-range jumps,
+/// direct and indirect calls (function id `funcs` is invalid), returns,
+/// page-straddling loads and stores, atomics on those addresses, swaps and
+/// division (by zero, too).
+fn call_instr(g: &mut Gen, funcs: u64, len: u64) -> Instr {
+    match g.index(18) {
+        0..=7 => asm_props::instr(g),
+        8 | 9 => {
+            let target = g.below(len) as u32;
+            match g.index(3) {
+                0 => Instr::Jmp { target },
+                1 => Instr::Jnz {
+                    cond: low_reg(g),
+                    target,
+                },
+                _ => Instr::Jz {
+                    cond: low_reg(g),
+                    target,
+                },
+            }
+        }
+        10 => Instr::Call {
+            func: FuncId(if g.prob(0.15) { funcs } else { g.below(funcs) } as u32),
+        },
+        11 => Instr::CallIndirect { func: low_reg(g) },
+        12 => Instr::Const {
+            dst: low_reg(g),
+            imm: g.below(funcs + 1),
+        },
+        // An address within 8 bytes of a page boundary.
+        13 => Instr::Const {
+            dst: low_reg(g),
+            imm: g.range(1, 4) * 4096 + g.below(16) - 8,
+        },
+        14 => {
+            let (addr, offset, width) = (low_reg(g), g.below(8) as i64 - 4, asm_props::width(g));
+            if g.bool() {
+                Instr::Load {
+                    dst: asm_props::reg(g),
+                    addr,
+                    offset,
+                    width,
+                }
+            } else {
+                Instr::Store {
+                    src: asm_props::reg(g),
+                    addr,
+                    offset,
+                    width,
+                }
+            }
+        }
+        15 => match g.index(3) {
+            0 => Instr::Swap {
+                dst: asm_props::reg(g),
+                addr: low_reg(g),
+                val: asm_props::reg(g),
+            },
+            1 => Instr::FetchAdd {
+                dst: asm_props::reg(g),
+                addr: low_reg(g),
+                val: asm_props::src(g),
+            },
+            _ => Instr::Cas {
+                dst: asm_props::reg(g),
+                addr: low_reg(g),
+                expected: asm_props::reg(g),
+                new: asm_props::reg(g),
+            },
+        },
+        16 => Instr::Bin {
+            op: *g.pick(&[BinOp::Divu, BinOp::Remu, BinOp::Divs, BinOp::Rems]),
+            dst: asm_props::reg(g),
+            a: asm_props::reg(g),
+            b: match g.index(4) {
+                0 => Src::Imm(0),
+                1 => Src::Reg(low_reg(g)),
+                _ => Src::Imm(g.range(1, 8) as i64),
+            },
+        },
+        _ => Instr::Ret,
+    }
+}
+
+/// A program of 2–3 functions built from [`call_instr`]. Three in four
+/// functions end in `Ret`; the rest let execution fall off their end. A
+/// data segment straddles the first page boundary.
+fn call_program(g: &mut Gen) -> Arc<Program> {
+    let funcs = g.range(2, 4);
+    let functions = (0..funcs)
+        .map(|i| {
+            let len = g.range(4, 32);
+            let mut code: Vec<Instr> = (0..len).map(|_| call_instr(g, funcs, len)).collect();
+            if g.prob(0.75) {
+                code.push(Instr::Ret);
+            }
+            Function {
+                name: format!("f{i}"),
+                code,
+            }
+        })
+        .collect();
+    let data = vec![DataSegment {
+        addr: 4096 - 4,
+        bytes: (0..8).map(|_| g.u8()).collect(),
+    }];
+    Arc::new(Program::new(functions, FuncId(0), data, BTreeMap::new()))
+}
+
+/// Slice limits relative to the thread's current `icount`: budgets of 0, 1
+/// and more; no target, or a target at the count, tied with the budget, or
+/// above it; and atomic stops on or off. Targets below the count are drawn
+/// in release builds only, since debug builds assert against them.
+fn slice_limits(g: &mut Gen, icount: u64) -> SliceLimits {
+    let max_instrs = match g.index(4) {
+        0 => 0,
+        1 => 1,
+        _ => g.range(2, 64),
+    };
+    let icount_target = match g.index(6) {
+        0 if !cfg!(debug_assertions) => Some(icount.saturating_sub(g.range(1, 4))),
+        0 | 1 => None,
+        2 => Some(icount),
+        3 => Some(icount + max_instrs),
+        _ => Some(icount + g.range(1, 64)),
+    };
+    SliceLimits {
+        max_instrs,
+        icount_target,
+        stop_at_atomics: g.bool(),
+    }
+}
+
+/// [`Machine::run_slice`]'s documented contract, built from single
+/// [`Machine::step`]s: the icount target is checked before the budget, so
+/// it wins a tie; a trap and an exit count their instruction; an atomic
+/// ends the slice just after it when asked to.
+fn stepped_slice<O: MemObserver>(
+    m: &mut Machine,
+    tid: Tid,
+    limits: SliceLimits,
+    obs: &mut O,
+) -> Result<SliceRun, Fault> {
+    let mut executed = 0;
+    loop {
+        let at_target = limits
+            .icount_target
+            .is_some_and(|t| m.thread(tid).icount >= t);
+        if at_target || executed >= limits.max_instrs {
+            let stop = if at_target {
+                StopReason::IcountTarget
+            } else {
+                StopReason::Budget
+            };
+            return Ok(SliceRun { executed, stop });
+        }
+        executed += 1;
+        let stop = match m.step(tid, obs)? {
+            Step::Ran => continue,
+            Step::RanAtomic { addr, wrote } if limits.stop_at_atomics => {
+                StopReason::Atomic { addr, wrote }
+            }
+            Step::RanAtomic { .. } => continue,
+            Step::Syscall(req) => StopReason::Syscall(req),
+            Step::Exited => StopReason::Exited,
+        };
+        return Ok(SliceRun { executed, stop });
+    }
+}
+
+/// A [`CollectingObserver`] that, when `intercepts` is set, also answers
+/// loads and atomics at addresses divisible by 3 itself, the way
+/// value-logging replay feeds a thread its logged values.
+struct Probe {
+    seen: CollectingObserver,
+    intercepts: bool,
+}
+
+impl MemObserver for Probe {
+    fn on_access(&mut self, access: Access) {
+        self.seen.on_access(access);
+    }
+
+    fn intercept_load(&mut self, _tid: Tid, addr: Word, width: Width) -> Option<Word> {
+        (self.intercepts && addr.is_multiple_of(3)).then(|| width.truncate(addr.rotate_left(7)))
+    }
+
+    fn intercept_atomic(&mut self, _tid: Tid, addr: Word) -> Option<Word> {
+        (self.intercepts && addr.is_multiple_of(3)).then_some(addr ^ 0x5a)
+    }
+}
+
+/// `run_slice`'s per-slice loop is observably a sequence of single steps:
+/// random two-thread programs with calls, returns, jumps, page-straddling
+/// accesses, atomics, division by zero and syscalls, run slice by slice
+/// under random limits, give the same `SliceRun` or fault, the same machine
+/// state and the same access stream as [`stepped_slice`]. Half the slices
+/// go through `&mut dyn MemObserver`.
+#[test]
+fn run_slice_matches_single_steps() {
+    check("run_slice_matches_single_steps", 128, |g| {
+        let program = call_program(g);
+        let funcs = program.functions().len() as u64;
+        let mut fast = Machine::new(program, &[g.u64()]);
+        fast.spawn_thread(FuncId(g.below(funcs) as u32), &[g.u64()]);
+        let mut slow = fast.clone();
+        let intercepts = g.bool();
+        let mut fast_obs = Probe {
+            seen: CollectingObserver::default(),
+            intercepts,
+        };
+        let mut slow_obs = Probe {
+            seen: CollectingObserver::default(),
+            intercepts,
+        };
+        for _ in 0..g.range(1, 32) {
+            let tid = Tid(g.below(2) as u32);
+            if fast.thread(tid).status == ThreadStatus::Waiting && g.prob(0.8) {
+                let ret = g.u64();
+                fast.complete_syscall(tid, ret);
+                slow.complete_syscall(tid, ret);
+            }
+            if g.prob(0.01) {
+                fast.halt(1);
+                slow.halt(1);
+            }
+            let limits = slice_limits(g, fast.thread(tid).icount);
+            let got = if g.bool() {
+                fast.run_slice(tid, limits, &mut fast_obs)
+            } else {
+                fast.run_slice(tid, limits, &mut fast_obs as &mut dyn MemObserver)
+            };
+            let want = stepped_slice(&mut slow, tid, limits, &mut slow_obs);
+            assert_eq!(got, want, "{tid} under {limits:?}");
+            assert_eq!(fast.state_hash(), slow.state_hash());
+            assert_eq!(fast.threads(), slow.threads());
+            assert_eq!(fast.live_threads(), slow.live_threads());
+            assert_eq!(fast.fault(), slow.fault());
+            assert_eq!(fast_obs.seen.accesses, slow_obs.seen.accesses);
+        }
+    });
+}
+
 /// The incremental per-page digest equals a from-scratch digest after any
 /// interleaving of writes, CoW clones, snapshot restores, and dirty-set
 /// drains — the invariant the recorder's verify hot path rests on. Clones
@@ -204,11 +458,11 @@ mod asm_props {
     use dp_vm::asm::{assemble, program_to_asm};
     use dp_vm::{BinOp, Instr, Reg, Src, UnOp, Width};
 
-    fn reg(g: &mut Gen) -> Reg {
+    pub(super) fn reg(g: &mut Gen) -> Reg {
         Reg(g.below(32) as u8)
     }
 
-    fn src(g: &mut Gen) -> Src {
+    pub(super) fn src(g: &mut Gen) -> Src {
         if g.bool() {
             Src::Reg(reg(g))
         } else {
@@ -216,7 +470,7 @@ mod asm_props {
         }
     }
 
-    fn width(g: &mut Gen) -> Width {
+    pub(super) fn width(g: &mut Gen) -> Width {
         *g.pick(&[Width::W1, Width::W2, Width::W4, Width::W8])
     }
 
@@ -239,7 +493,7 @@ mod asm_props {
 
     /// Straight-line instructions only (jumps are added separately with
     /// valid targets).
-    fn instr(g: &mut Gen) -> Instr {
+    pub(super) fn instr(g: &mut Gen) -> Instr {
         match g.index(10) {
             0 => Instr::Const {
                 dst: reg(g),

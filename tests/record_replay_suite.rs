@@ -3,11 +3,21 @@
 //! workload's ground-truth verifier applied to the replayed final state),
 //! and check that sequential and parallel replay reproduce the recording
 //! exactly.
+//!
+//! Each workload also pins what the guest computes: its epoch count,
+//! thread-parallel instruction count and final machine digest. These do not
+//! depend on the recording format; they move only when the interpreter's or
+//! the scheduler's semantics move, which the in-build comparisons of
+//! sequential against parallel replay cannot see.
 
 use doubleplay::prelude::*;
 use dp_core::checkpoint::Checkpoint;
 
-fn record_and_replay(case: &WorkloadCase, cpus: usize) {
+/// What a workload's recording must compute: `(epochs, tp_instructions,
+/// final_hash)`.
+type Pinned = (u64, u64, u64);
+
+fn record_and_replay(case: &WorkloadCase, cpus: usize, pinned: Pinned) {
     let config = DoublePlayConfig::new(cpus).epoch_cycles(120_000);
     let bundle =
         record(&case.spec, &config).unwrap_or_else(|e| panic!("{}: record failed: {e}", case.name));
@@ -53,46 +63,84 @@ fn record_and_replay(case: &WorkloadCase, cpus: usize) {
         case.name
     );
     assert_eq!(seq.instructions, par.instructions, "{}", case.name);
+    assert_eq!(
+        (stats.epochs, stats.tp_instructions, seq.final_hash),
+        pinned,
+        "{}: (epochs, tp_instructions, final_hash) moved",
+        case.name
+    );
 }
 
 #[test]
 fn pcomp_records_and_replays() {
-    record_and_replay(&doubleplay::workloads::pcomp::build(2, Size::Small), 2);
+    record_and_replay(
+        &doubleplay::workloads::pcomp::build(2, Size::Small),
+        2,
+        (8, 1_705_165, 0x7c8ab84cb30d006f),
+    );
 }
 
 #[test]
 fn pfscan_records_and_replays() {
-    record_and_replay(&doubleplay::workloads::pfscan::build(2, Size::Small), 2);
+    record_and_replay(
+        &doubleplay::workloads::pfscan::build(2, Size::Small),
+        2,
+        (14, 3_101_855, 0xc5000a691c994480),
+    );
 }
 
 #[test]
 fn aget_records_and_replays() {
-    record_and_replay(&doubleplay::workloads::aget::build(2, Size::Small), 2);
+    record_and_replay(
+        &doubleplay::workloads::aget::build(2, Size::Small),
+        2,
+        (11, 2_361_008, 0xcb5972f0282111cb),
+    );
 }
 
 #[test]
 fn webserve_records_and_replays() {
-    record_and_replay(&doubleplay::workloads::webserve::build(2, Size::Small), 2);
+    record_and_replay(
+        &doubleplay::workloads::webserve::build(2, Size::Small),
+        2,
+        (5, 774_297, 0x6e6b7148f886a2f4),
+    );
 }
 
 #[test]
 fn kvstore_records_and_replays() {
-    record_and_replay(&doubleplay::workloads::kvstore::build(2, Size::Small), 2);
+    record_and_replay(
+        &doubleplay::workloads::kvstore::build(2, Size::Small),
+        2,
+        (7, 1_022_625, 0xdfcf105dc5d21355),
+    );
 }
 
 #[test]
 fn ocean_records_and_replays() {
-    record_and_replay(&doubleplay::workloads::ocean::build(2, Size::Small), 2);
+    record_and_replay(
+        &doubleplay::workloads::ocean::build(2, Size::Small),
+        2,
+        (10, 2_268_833, 0x43c8fe23b94d8a8a),
+    );
 }
 
 #[test]
 fn water_records_and_replays() {
-    record_and_replay(&doubleplay::workloads::water::build(2, Size::Small), 2);
+    record_and_replay(
+        &doubleplay::workloads::water::build(2, Size::Small),
+        2,
+        (7, 1_482_841, 0x598f67fd787cd733),
+    );
 }
 
 #[test]
 fn radix_records_and_replays() {
-    record_and_replay(&doubleplay::workloads::radix::build(2, Size::Small), 2);
+    record_and_replay(
+        &doubleplay::workloads::radix::build(2, Size::Small),
+        2,
+        (15, 3_262_734, 0x1650460478b9e1f0),
+    );
 }
 
 #[test]

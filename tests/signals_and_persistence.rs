@@ -154,3 +154,54 @@ fn compact_recordings_replay_without_checkpoints() {
     // Parallel replay needs checkpoints and must refuse cleanly.
     assert!(replay_parallel(&bundle.recording, &case.spec.program, 2).is_err());
 }
+
+/// A saved recording whose schedule names a thread the guest never
+/// created — bit rot the CRCs cannot catch once `save` recomputes them, or
+/// a recording paired with the wrong guest — must replay to a typed
+/// `ScheduleMismatch` on every replay path, never an index panic (and, in
+/// parallel replay, never a worker panic).
+#[test]
+fn schedule_naming_a_missing_thread_is_a_typed_replay_error() {
+    use doubleplay::core::logs::SchedEvent;
+    use doubleplay::vm::Tid;
+
+    let case = doubleplay::workloads::pfscan::build(2, Size::Small);
+    let program = &case.spec.program;
+    let bundle = record(&case.spec, &DoublePlayConfig::new(2)).unwrap();
+    assert!(bundle.recording.epochs.len() > 1, "epoch 0 must not halt");
+    let ghost = Tid(9); // pfscan runs a main thread and 2 workers
+    for bad in [
+        SchedEvent::Slice {
+            tid: ghost,
+            instrs: 3,
+        },
+        SchedEvent::LoggedWake { tid: ghost },
+        SchedEvent::Signal { tid: ghost, sig: 7 },
+    ] {
+        let mut tampered = bundle.recording.clone();
+        let first = &mut tampered.epochs[0];
+        let mut events = first.schedule.events().to_vec();
+        events.push(bad);
+        first.schedule = events.into_iter().collect();
+        let mut bytes = Vec::new();
+        tampered.save(&mut bytes).unwrap();
+        let loaded = Recording::load(bytes.as_slice()).unwrap();
+
+        let expect_mismatch = |what: &str, err: ReplayError| match err {
+            ReplayError::ScheduleMismatch { epoch: 0, tid, .. } if tid == ghost => {}
+            other => panic!("{bad:?} via {what}: expected ScheduleMismatch, got {other:?}"),
+        };
+        expect_mismatch(
+            "replay_sequential",
+            replay_sequential(&loaded, program).unwrap_err(),
+        );
+        expect_mismatch(
+            "replay_parallel",
+            replay_parallel(&loaded, program, 2).unwrap_err(),
+        );
+        expect_mismatch(
+            "replay_to_point",
+            replay_to_point(&loaded, program, 0, Tid(0), u64::MAX).unwrap_err(),
+        );
+    }
+}
