@@ -7,13 +7,6 @@
 //! The size defaults to medium and may only come first; no experiment id
 //! means all of them. An unknown size, an unknown experiment id, or a
 //! misplaced size word is refused with a typed message and exit status 2.
-//!
-//! `e14` (the multi-session service soak) additionally writes its
-//! machine-readable perf record to `BENCH_6.json` in the working
-//! directory; `e15` (sharded parallel journaling) writes
-//! `BENCH_7.json`; `e16` (the `dpnet` socket service) writes
-//! `BENCH_8.json`; `e17` (crash-resume) writes `BENCH_9.json`;
-//! `e18` (incremental state hashing) writes `BENCH_10.json`.
 
 use dp_bench::experiments as exp;
 use dp_workloads::Size;
@@ -113,50 +106,21 @@ fn main() {
         println!("{}", exp::table_wallclock(size));
     }
     if want("e14") {
-        let run = exp::service_run(size);
-        println!("{}", exp::table_service(&run));
-        let json = exp::bench6_json(&run);
-        match std::fs::write("BENCH_6.json", &json) {
-            Ok(()) => println!("wrote BENCH_6.json"),
-            Err(e) => eprintln!("warning: cannot write BENCH_6.json: {e}"),
-        }
+        println!("{}", exp::table_service(&exp::service_run(size)));
     }
     if want("e15") {
-        let run = exp::shard_run(size);
-        println!("{}", exp::table_shards(&run));
-        let json = exp::bench7_json(&run);
-        match std::fs::write("BENCH_7.json", &json) {
-            Ok(()) => println!("wrote BENCH_7.json"),
-            Err(e) => eprintln!("warning: cannot write BENCH_7.json: {e}"),
-        }
+        println!("{}", exp::table_shards(&exp::shard_run(size)));
     }
     if want("e16") {
-        let run = exp::dpnet_run(size);
-        println!("{}", exp::table_dpnet(&run));
-        let json = exp::bench8_json(&run);
-        match std::fs::write("BENCH_8.json", &json) {
-            Ok(()) => println!("wrote BENCH_8.json"),
-            Err(e) => eprintln!("warning: cannot write BENCH_8.json: {e}"),
-        }
+        println!("{}", exp::table_dpnet(&exp::dpnet_run(size)));
     }
     if want("e17") {
-        let run = exp::resume_run(size);
-        println!("{}", exp::table_resume(&run));
-        let json = exp::bench9_json(&run);
-        match std::fs::write("BENCH_9.json", &json) {
-            Ok(()) => println!("wrote BENCH_9.json"),
-            Err(e) => eprintln!("warning: cannot write BENCH_9.json: {e}"),
-        }
+        println!("{}", exp::table_resume(&exp::resume_run(size)));
     }
     if want("e18") {
         let run = exp::hash_run(size);
         println!("{}", exp::table_hash_sweep(&run));
         println!("{}", exp::table_hash_record(&run));
-        let json = exp::bench10_json(&run);
-        match std::fs::write("BENCH_10.json", &json) {
-            Ok(()) => println!("wrote BENCH_10.json"),
-            Err(e) => eprintln!("warning: cannot write BENCH_10.json: {e}"),
-        }
     }
     if want("e19") {
         let run = exp::delta_run(size);

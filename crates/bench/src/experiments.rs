@@ -911,8 +911,7 @@ fn corruption_rejects(recording: &dp_core::Recording) -> String {
 }
 
 /// One measured run of the `dpd` multi-session service: the raw material
-/// shared by the E14 table and the machine-readable `BENCH_6.json`, so the
-/// two views always describe the same run.
+/// of the E14 table.
 pub struct ServiceRun {
     /// Suite size the run was scaled from.
     pub size: Size,
@@ -1069,51 +1068,6 @@ pub fn table_service(run: &ServiceRun) -> Table {
     t
 }
 
-/// The machine-readable perf record for the service experiment
-/// (`BENCH_6.json`): service throughput, epoch throughput, admission
-/// latency, and the terminal-state counters. Hand-rolled JSON — the
-/// workspace has no serializer dependency, and the schema is flat.
-pub fn bench6_json(run: &ServiceRun) -> String {
-    let m = &run.metrics;
-    let secs = run.wall.as_secs_f64();
-    format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": 6,\n",
-            "  \"name\": \"dpd-service\",\n",
-            "  \"size\": \"{size}\",\n",
-            "  \"sessions\": {sessions},\n",
-            "  \"finalized\": {finalized},\n",
-            "  \"salvaged\": {salvaged},\n",
-            "  \"failed\": {failed},\n",
-            "  \"rejected\": {rejected},\n",
-            "  \"degraded_runs\": {degraded},\n",
-            "  \"retries\": {retries},\n",
-            "  \"wall_ms\": {wall_ms:.1},\n",
-            "  \"sessions_per_sec\": {sps:.2},\n",
-            "  \"epochs_committed\": {epochs},\n",
-            "  \"epochs_per_sec\": {eps:.1},\n",
-            "  \"admission_p50_ns\": {p50},\n",
-            "  \"admission_p99_ns\": {p99}\n",
-            "}}\n"
-        ),
-        size = run.size,
-        sessions = run.sessions,
-        finalized = m.finalized,
-        salvaged = m.salvaged,
-        failed = m.failed,
-        rejected = m.rejected,
-        degraded = m.degraded_runs,
-        retries = m.retries,
-        wall_ms = secs * 1e3,
-        sps = run.sessions as f64 / secs,
-        epochs = m.epochs_committed,
-        eps = m.epochs_committed as f64 / secs,
-        p50 = m.admission_p50_ns,
-        p99 = m.admission_p99_ns,
-    )
-}
-
 /// A durable sink with a modelled fsync: every `flush()` sleeps for
 /// [`FLUSH_COST`], counts itself, and — when it runs on the thread that
 /// drives the recording — bills the sleep as *commit-stage stall*. The
@@ -1166,7 +1120,7 @@ pub struct ShardRow {
 }
 
 /// One measured run of the sharded-journaling experiment: the raw
-/// material shared by the E15 table and `BENCH_7.json`.
+/// material of the E15 table.
 pub struct ShardRun {
     /// Suite size the run was scaled from.
     pub size: Size,
@@ -1339,73 +1293,8 @@ pub fn table_shards(run: &ShardRun) -> Table {
     t
 }
 
-/// The machine-readable perf record for the sharded-journaling
-/// experiment (`BENCH_7.json`): per-layout flush counts, commit-stage
-/// stall, and the flush-reduction factor of the widest sharded layout
-/// vs the single stream. Hand-rolled JSON, same as `BENCH_6.json`.
-pub fn bench7_json(run: &ShardRun) -> String {
-    let single = run.rows.first().expect("single row");
-    let widest = run
-        .rows
-        .iter()
-        .filter(|r| r.shards > 1)
-        .max_by_key(|r| r.shards)
-        .expect("sharded row");
-    let rows: Vec<String> = run
-        .rows
-        .iter()
-        .map(|r| {
-            format!(
-                concat!(
-                    "    {{\"mode\": \"{mode}\", \"shards\": {shards}, ",
-                    "\"batch\": {batch}, \"flushes\": {flushes}, ",
-                    "\"bytes\": {bytes}, \"commit_stall_ms\": {stall:.3}, ",
-                    "\"wall_ms\": {wall:.1}}}"
-                ),
-                mode = r.mode,
-                shards = r.shards,
-                batch = r.batch,
-                flushes = r.flushes,
-                bytes = r.bytes,
-                stall = r.commit_stall_ms,
-                wall = r.wall_ms,
-            )
-        })
-        .collect();
-    format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": 7,\n",
-            "  \"name\": \"sharded-journal\",\n",
-            "  \"size\": \"{size}\",\n",
-            "  \"workload\": \"{workload}\",\n",
-            "  \"epochs\": {epochs},\n",
-            "  \"flush_cost_us\": {flush_cost},\n",
-            "  \"merged_identical\": {identical},\n",
-            "  \"single_flushes\": {single_flushes},\n",
-            "  \"sharded_flushes\": {sharded_flushes},\n",
-            "  \"flush_reduction\": {reduction:.2},\n",
-            "  \"single_commit_stall_ms\": {single_stall:.3},\n",
-            "  \"sharded_commit_stall_ms\": {sharded_stall:.3},\n",
-            "  \"rows\": [\n{rows}\n  ]\n",
-            "}}\n"
-        ),
-        size = run.size,
-        workload = run.workload,
-        epochs = run.epochs,
-        flush_cost = FLUSH_COST.as_micros(),
-        identical = run.merged_identical,
-        single_flushes = single.flushes,
-        sharded_flushes = widest.flushes,
-        reduction = single.flushes as f64 / widest.flushes.max(1) as f64,
-        single_stall = single.commit_stall_ms,
-        sharded_stall = widest.commit_stall_ms,
-        rows = rows.join(",\n"),
-    )
-}
-
 /// One measured run of the out-of-process `dpnet` service: the raw
-/// material shared by the E16 table and `BENCH_8.json`.
+/// material of the E16 table.
 pub struct DpnetRun {
     /// Suite size the run was scaled from.
     pub size: Size,
@@ -1668,56 +1557,6 @@ pub fn table_dpnet(run: &DpnetRun) -> Table {
     t
 }
 
-/// The machine-readable perf record for the socket-service experiment
-/// (`BENCH_8.json`): submission throughput, socket round-trip latency
-/// percentiles, and attach-stream throughput. Hand-rolled JSON, same as
-/// `BENCH_6.json`.
-pub fn bench8_json(run: &DpnetRun) -> String {
-    let m = &run.metrics;
-    let secs = run.wall.as_secs_f64();
-    let attach_secs = run.attach_wall.as_secs_f64().max(1e-9);
-    format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": 8,\n",
-            "  \"name\": \"dpnet-socket\",\n",
-            "  \"size\": \"{size}\",\n",
-            "  \"sessions\": {sessions},\n",
-            "  \"clients\": {clients},\n",
-            "  \"finalized\": {finalized},\n",
-            "  \"rejected\": {rejected},\n",
-            "  \"wall_ms\": {wall_ms:.1},\n",
-            "  \"submissions_per_sec\": {sps:.2},\n",
-            "  \"submit_rtt_p50_ns\": {sub50},\n",
-            "  \"submit_rtt_p99_ns\": {sub99},\n",
-            "  \"status_rtt_p50_ns\": {st50},\n",
-            "  \"status_rtt_p99_ns\": {st99},\n",
-            "  \"attach_frames\": {frames},\n",
-            "  \"attach_frames_per_sec\": {fps:.1},\n",
-            "  \"attach_bytes\": {bytes},\n",
-            "  \"attach_mib_per_sec\": {mibps:.2},\n",
-            "  \"byte_identical\": {identical}\n",
-            "}}\n"
-        ),
-        size = run.size,
-        sessions = run.sessions,
-        clients = run.clients,
-        finalized = m.finalized,
-        rejected = m.rejected,
-        wall_ms = secs * 1e3,
-        sps = run.sessions as f64 / secs,
-        sub50 = nearest_rank(&run.submit_ns, 50.0),
-        sub99 = nearest_rank(&run.submit_ns, 99.0),
-        st50 = nearest_rank(&run.status_ns, 50.0),
-        st99 = nearest_rank(&run.status_ns, 99.0),
-        frames = run.attach_frames,
-        fps = run.attach_frames as f64 / attach_secs,
-        bytes = run.attach_bytes,
-        mibps = run.attach_bytes as f64 / (1 << 20) as f64 / attach_secs,
-        identical = run.identical,
-    )
-}
-
 /// One crash-resume measurement: a session torn mid-epoch at a known
 /// point, salvaged by the daemon, then resumed to completion — against
 /// the restart-from-zero baseline of re-recording the whole run.
@@ -1736,7 +1575,7 @@ pub struct ResumeRow {
     pub identical: bool,
 }
 
-/// The raw material shared by the E17 table and `BENCH_9.json`.
+/// The raw material of the E17 table.
 pub struct ResumeRun {
     /// Suite size the run was scaled from.
     pub size: Size,
@@ -1944,55 +1783,6 @@ pub fn table_resume(run: &ResumeRun) -> Table {
     t
 }
 
-/// The machine-readable perf record for the crash-resume experiment
-/// (`BENCH_9.json`): per-crash-point resume latency, the prefix it
-/// re-enacts (verify passes skipped), the epochs it re-records, and the
-/// durable journal bytes it preserves against re-recording from zero.
-/// Hand-rolled JSON, same as `BENCH_8.json`.
-pub fn bench9_json(run: &ResumeRun) -> String {
-    let restart_ms = run.restart_wall.as_secs_f64() * 1e3;
-    let rows: Vec<String> = run
-        .rows
-        .iter()
-        .map(|row| {
-            let resume_ms = row.resume_wall.as_secs_f64() * 1e3;
-            format!(
-                concat!(
-                    "    {{\"crash_frac\": {frac:.2}, \"from_epoch\": {from}, ",
-                    "\"rerecorded_epochs\": {rerec}, ",
-                    "\"preserved_bytes\": {kept}, \"preserved_pct\": {kept_pct:.1}, ",
-                    "\"resume_wall_ms\": {resume:.2}, \"identical\": {ident}}}"
-                ),
-                frac = row.crash_frac,
-                from = row.from_epoch,
-                rerec = run.total_epochs - row.from_epoch,
-                kept = row.preserved_bytes,
-                kept_pct = row.preserved_bytes as f64 / run.total_bytes as f64 * 100.0,
-                resume = resume_ms,
-                ident = row.identical,
-            )
-        })
-        .collect();
-    format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": 9,\n",
-            "  \"name\": \"crash-resume\",\n",
-            "  \"size\": \"{size}\",\n",
-            "  \"total_epochs\": {epochs},\n",
-            "  \"total_bytes\": {bytes},\n",
-            "  \"restart_wall_ms\": {restart:.2},\n",
-            "  \"rows\": [\n{rows}\n  ]\n",
-            "}}\n"
-        ),
-        size = run.size,
-        epochs = run.total_epochs,
-        bytes = run.total_bytes,
-        restart = restart_ms,
-        rows = rows.join(",\n"),
-    )
-}
-
 /// One footprint point of the E18 hashing microbench: real wall time of
 /// one end-of-epoch state hash over a machine with `resident_pages`
 /// resident and `dirty_pages` freshly dirtied, incremental vs full rehash.
@@ -2029,7 +1819,7 @@ pub struct HashRecordRow {
     pub full_wall: std::time::Duration,
 }
 
-/// The raw material shared by the E18 tables and `BENCH_10.json`.
+/// The raw material of the E18 tables.
 pub struct HashRun {
     /// Suite size the run was scaled from.
     pub size: Size,
@@ -2291,73 +2081,6 @@ pub fn table_hash_record(run: &HashRun) -> Table {
         ]);
     }
     t
-}
-
-/// The machine-readable perf record for the hashing experiment
-/// (`BENCH_10.json`): the microbench sweep (per-hash wall nanoseconds,
-/// incremental vs full, plus checkpoint latency) and the end-to-end
-/// recordings (wall both ways, journal throughput, modeled hashed/skipped
-/// pages). Hand-rolled JSON, same as `BENCH_9.json`.
-pub fn bench10_json(run: &HashRun) -> String {
-    let sweep: Vec<String> = run
-        .sweep
-        .iter()
-        .map(|row| {
-            format!(
-                concat!(
-                    "    {{\"resident_pages\": {res}, \"dirty_pages\": {dirty}, ",
-                    "\"incremental_hash_ns\": {inc}, \"full_rehash_ns\": {full}, ",
-                    "\"checkpoint_capture_ns\": {ckpt}}}"
-                ),
-                res = row.resident_pages,
-                dirty = row.dirty_pages,
-                inc = row.incremental.as_nanos(),
-                full = row.full.as_nanos(),
-                ckpt = row.checkpoint.as_nanos(),
-            )
-        })
-        .collect();
-    let records: Vec<String> = run
-        .records
-        .iter()
-        .map(|row| {
-            let bps = if row.incremental_wall.as_secs_f64() > 0.0 {
-                row.journal_bytes as f64 / row.incremental_wall.as_secs_f64()
-            } else {
-                0.0
-            };
-            format!(
-                concat!(
-                    "    {{\"workload\": \"{name}\", \"epochs\": {epochs}, ",
-                    "\"hashed_pages\": {hashed}, \"hash_skipped_pages\": {skipped}, ",
-                    "\"incremental_wall_ms\": {inc:.2}, \"full_rehash_wall_ms\": {full:.2}, ",
-                    "\"journal_bytes\": {jb}, \"journal_bytes_per_sec\": {bps:.1}}}"
-                ),
-                name = row.name,
-                epochs = row.epochs,
-                hashed = row.hashed_pages,
-                skipped = row.hash_skipped_pages,
-                inc = row.incremental_wall.as_secs_f64() * 1e3,
-                full = row.full_wall.as_secs_f64() * 1e3,
-                jb = row.journal_bytes,
-                bps = bps,
-            )
-        })
-        .collect();
-    format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": 10,\n",
-            "  \"name\": \"incremental-hashing\",\n",
-            "  \"size\": \"{size}\",\n",
-            "  \"sweep\": [\n{sweep}\n  ],\n",
-            "  \"records\": [\n{records}\n  ]\n",
-            "}}\n"
-        ),
-        size = run.size,
-        sweep = sweep.join(",\n"),
-        records = records.join(",\n"),
-    )
 }
 
 /// One E19 sweep point: a fixed-footprint guest that rewrites

@@ -256,6 +256,38 @@ impl Instr {
             Instr::Cas { .. } | Instr::FetchAdd { .. } | Instr::Swap { .. }
         )
     }
+
+    /// Every register the instruction reads or writes.
+    pub(crate) fn registers(&self) -> impl Iterator<Item = Reg> {
+        let src = |s: Src| match s {
+            Src::Reg(r) => Some(r),
+            Src::Imm(_) => None,
+        };
+        let regs = match *self {
+            Instr::Const { dst, .. } => [Some(dst), None, None, None],
+            Instr::Mov { dst, src: s } => [Some(dst), src(s), None, None],
+            Instr::Bin { dst, a, b, .. } => [Some(dst), Some(a), src(b), None],
+            Instr::Un { dst, a, .. } => [Some(dst), Some(a), None, None],
+            Instr::Load { dst, addr, .. } => [Some(dst), Some(addr), None, None],
+            Instr::Store { src: s, addr, .. } => [Some(s), Some(addr), None, None],
+            Instr::Cas {
+                dst,
+                addr,
+                expected,
+                new,
+            } => [Some(dst), Some(addr), Some(expected), Some(new)],
+            Instr::FetchAdd { dst, addr, val } => [Some(dst), Some(addr), src(val), None],
+            Instr::Swap { dst, addr, val } => [Some(dst), Some(addr), Some(val), None],
+            Instr::Jnz { cond, .. } | Instr::Jz { cond, .. } => [Some(cond), None, None, None],
+            Instr::CallIndirect { func } => [Some(func), None, None, None],
+            Instr::Jmp { .. }
+            | Instr::Call { .. }
+            | Instr::Ret
+            | Instr::Syscall { .. }
+            | Instr::Nop => [None; 4],
+        };
+        regs.into_iter().flatten()
+    }
 }
 
 #[cfg(test)]

@@ -21,9 +21,10 @@
 //! One function defines what each instruction does. [`Machine::step`] runs
 //! it once; [`Machine::run_slice`], the hot path of every recorder, verify
 //! worker and replay, checks halt, readiness and its limits once per slice
-//! and then runs it back to back, decoding from the current function's code
-//! until a call or return moves to another function. Both are generic over
-//! the [`MemObserver`], so the recorder's
+//! and then runs it back to back. Both keep the thread's pc index, icount and
+//! current function's code in a local cursor, and write the cursor back to
+//! the thread only when the step or slice ends. Both are generic over the
+//! [`MemObserver`], so the recorder's
 //! [`NullObserver`](crate::observer::NullObserver) costs nothing.
 
 use crate::error::Fault;
@@ -32,7 +33,7 @@ use crate::memory::Memory;
 use crate::observer::{Access, AccessKind, MemObserver};
 use crate::program::{initial_sp, FuncId, Program};
 use crate::thread::{Pc, SyscallRequest, ThreadState, ThreadStatus};
-use crate::value::{Reg, Src, Tid, Width, Word};
+use crate::value::{Reg, Src, Tid, Width, Word, NUM_REGS};
 use dp_support::wire::{Reader, Wire, WireError};
 use std::sync::Arc;
 
@@ -423,8 +424,10 @@ impl Machine {
             ..
         } = self;
         let t = &mut threads[tid.index()];
-        let mut code = code_of(program, t.pc.func);
-        match exec(t, mem, program, &mut code, *max_call_depth, obs) {
+        let mut cur = Cursor::load(program, t);
+        let result = exec(t, &mut cur, mem, program, *max_call_depth, obs);
+        cur.store(t);
+        match result {
             Ok(Step::Exited) => {
                 self.live -= 1;
                 Ok(Step::Exited)
@@ -444,8 +447,9 @@ impl Machine {
     ///
     /// Equivalent to calling [`Machine::step`] once per instruction, but
     /// halt, readiness and the limits are checked once per slice, and the
-    /// loop keeps the thread, memory and current function's code borrowed
-    /// for the whole slice. The observer is dispatched statically: with
+    /// thread's pc index, icount and current code live in locals that go
+    /// back into the thread once, when the slice ends. The observer is
+    /// dispatched statically: with
     /// [`NullObserver`](crate::observer::NullObserver) its hooks compile
     /// away, and `&mut dyn MemObserver` still works.
     ///
@@ -487,29 +491,37 @@ impl Machine {
             ..
         } = self;
         let t = &mut threads[tid.index()];
-        let mut code = code_of(program, t.pc.func);
-        let mut executed = 0u64;
+        let mut cur = Cursor::load(program, t);
+        // Every instruction that runs adds one to the icount, so the slice
+        // ends at a fixed icount and the cursor is the only counter.
+        let end = icount.saturating_add(allowance);
         let stop = loop {
-            if executed == allowance {
-                break limit_stop;
+            if cur.icount == end {
+                break Ok(limit_stop);
             }
-            executed += 1;
-            match exec(t, mem, program, &mut code, *max_call_depth, obs) {
+            match exec(t, &mut cur, mem, program, *max_call_depth, obs) {
                 Ok(Step::Ran) => {}
                 Ok(Step::RanAtomic { addr, wrote }) => {
                     if limits.stop_at_atomics {
-                        break StopReason::Atomic { addr, wrote };
+                        break Ok(StopReason::Atomic { addr, wrote });
                     }
                 }
-                Ok(Step::Syscall(req)) => break StopReason::Syscall(req),
+                Ok(Step::Syscall(req)) => break Ok(StopReason::Syscall(req)),
                 Ok(Step::Exited) => {
                     *live -= 1;
-                    break StopReason::Exited;
+                    break Ok(StopReason::Exited);
                 }
-                Err(fault) => return Err(self.latch(tid, fault)),
+                Err(fault) => break Err(fault),
             }
         };
-        Ok(SliceRun { executed, stop })
+        cur.store(t);
+        match stop {
+            Ok(stop) => Ok(SliceRun {
+                executed: cur.icount - icount,
+                stop,
+            }),
+            Err(fault) => Err(self.latch(tid, fault)),
+        }
     }
 
     /// Latches `fault` (the first one wins) and exits the faulting thread.
@@ -526,62 +538,107 @@ fn code_of(program: &Program, func: FuncId) -> &[Instr] {
     program.function(func).map_or(&[], |f| &f.code)
 }
 
-/// The fault for a pc with no instruction: its function does not exist, or
-/// execution ran off the function's end.
+/// The running thread's pc index and icount, and the code of its current
+/// function, held in locals while [`Machine::step`] or
+/// [`Machine::run_slice`] runs it. [`exec`] advances the cursor instead of
+/// the [`ThreadState`], so the hot loop keeps all three in registers. The
+/// thread's own `pc.idx` and `icount` are stale until [`Cursor::store`]
+/// writes them back, once, when the step or slice ends, however it ends:
+/// limit, atomic stop, syscall, exit or fault. Calls and returns, which
+/// save or restore a pc in the thread's frames, hand the cursor's index
+/// over explicitly and reload the cursor from the new frame.
+struct Cursor<'p> {
+    code: &'p [Instr],
+    idx: u32,
+    icount: u64,
+}
+
+impl<'p> Cursor<'p> {
+    #[inline(always)]
+    fn load(program: &'p Program, t: &ThreadState) -> Self {
+        Cursor {
+            code: code_of(program, t.pc.func),
+            idx: t.pc.idx,
+            icount: t.icount,
+        }
+    }
+
+    #[inline(always)]
+    fn store(&self, t: &mut ThreadState) {
+        t.pc.idx = self.idx;
+        t.icount = self.icount;
+    }
+}
+
+/// `r`'s slot in a register file. [`Program::new`] refuses any register at
+/// or above [`NUM_REGS`], so the mask never changes a register; it only lets
+/// the compiler drop the per-operand bounds check.
+#[inline(always)]
+fn slot(r: Reg) -> usize {
+    r.0 as usize % NUM_REGS
+}
+
+/// The fault for the pc `idx` in `t`'s current function, where there is no
+/// instruction: the function does not exist, or execution ran off its end.
 #[cold]
-fn fetch_fault(program: &Program, t: &ThreadState) -> Fault {
-    let (tid, pc) = (t.tid, t.pc);
-    if program.function(pc.func).is_none() {
+fn fetch_fault(program: &Program, t: &ThreadState, idx: u32) -> Fault {
+    let func = t.pc.func;
+    if program.function(func).is_none() {
         Fault::BadFunction {
-            tid,
-            pc,
-            func: pc.func,
+            tid: t.tid,
+            pc: Pc { func, idx },
+            func,
         }
     } else {
-        Fault::FellOffFunction { tid, func: pc.func }
+        Fault::FellOffFunction { tid: t.tid, func }
     }
 }
 
 /// Executes one instruction of `t`, the interpreter's single definition of
-/// instruction semantics. `code` is the code of `t.pc.func`; calls and
-/// returns repoint it. The caller owns the machine-level effects: the live
-/// count on [`Step::Exited`], and latching a fault.
+/// instruction semantics. `cur` holds `t`'s pc index, icount and current
+/// code (see [`Cursor`]); calls and returns repoint it. The caller owns the
+/// machine-level effects: storing the cursor back, the live count on
+/// [`Step::Exited`], and latching a fault.
 #[inline(always)]
 fn exec<'p, O: MemObserver + ?Sized>(
     t: &mut ThreadState,
+    cur: &mut Cursor<'p>,
     mem: &mut Memory,
     program: &'p Program,
-    code: &mut &'p [Instr],
     max_call_depth: usize,
     obs: &mut O,
 ) -> Result<Step, Fault> {
-    let pc = t.pc;
-    let Some(&instr) = code.get(pc.idx as usize) else {
-        return Err(fetch_fault(program, t));
+    let idx = cur.idx;
+    let Some(&instr) = cur.code.get(idx as usize) else {
+        return Err(fetch_fault(program, t, idx));
     };
 
     // Advance pc and icount first; control flow overwrites pc below.
-    t.pc.idx += 1;
-    t.icount += 1;
+    cur.idx = idx + 1;
+    cur.icount += 1;
     let tid = t.tid;
-    let icount = t.icount;
-    let reg = |t: &ThreadState, r: Reg| t.regs[r.index()];
+    let icount = cur.icount;
+    let reg = |t: &ThreadState, r: Reg| t.regs[slot(r)];
     let src = |t: &ThreadState, s: Src| match s {
-        Src::Reg(r) => t.regs[r.index()],
+        Src::Reg(r) => t.regs[slot(r)],
         Src::Imm(v) => v as u64,
     };
 
     match instr {
         Instr::Nop => {}
-        Instr::Const { dst, imm } => t.regs[dst.index()] = imm,
-        Instr::Mov { dst, src: s } => t.regs[dst.index()] = src(t, s),
+        Instr::Const { dst, imm } => t.regs[slot(dst)] = imm,
+        Instr::Mov { dst, src: s } => t.regs[slot(dst)] = src(t, s),
         Instr::Bin { op, dst, a, b } => {
-            let v = op
-                .eval(reg(t, a), src(t, b))
-                .ok_or(Fault::DivideByZero { tid, pc })?;
-            t.regs[dst.index()] = v;
+            let Some(v) = op.eval(reg(t, a), src(t, b)) else {
+                let pc = Pc {
+                    func: t.pc.func,
+                    idx,
+                };
+                return Err(Fault::DivideByZero { tid, pc });
+            };
+            t.regs[slot(dst)] = v;
         }
-        Instr::Un { op, dst, a } => t.regs[dst.index()] = op.eval(reg(t, a)),
+        Instr::Un { op, dst, a } => t.regs[slot(dst)] = op.eval(reg(t, a)),
         Instr::Load {
             dst,
             addr,
@@ -592,7 +649,7 @@ fn exec<'p, O: MemObserver + ?Sized>(
             let v = obs
                 .intercept_load(tid, a, width)
                 .unwrap_or_else(|| mem.read(a, width));
-            t.regs[dst.index()] = v;
+            t.regs[slot(dst)] = v;
             obs.on_access(Access {
                 tid,
                 icount,
@@ -628,7 +685,7 @@ fn exec<'p, O: MemObserver + ?Sized>(
         } => {
             let a = reg(t, addr);
             if let Some(old) = obs.intercept_atomic(tid, a) {
-                t.regs[dst.index()] = old;
+                t.regs[slot(dst)] = old;
                 return Ok(Step::RanAtomic {
                     addr: a,
                     wrote: false,
@@ -639,7 +696,7 @@ fn exec<'p, O: MemObserver + ?Sized>(
             if wrote {
                 mem.write(a, reg(t, new), Width::W8);
             }
-            t.regs[dst.index()] = old;
+            t.regs[slot(dst)] = old;
             obs.on_access(Access {
                 tid,
                 icount,
@@ -653,7 +710,7 @@ fn exec<'p, O: MemObserver + ?Sized>(
         Instr::FetchAdd { dst, addr, val } => {
             let a = reg(t, addr);
             if let Some(old) = obs.intercept_atomic(tid, a) {
-                t.regs[dst.index()] = old;
+                t.regs[slot(dst)] = old;
                 return Ok(Step::RanAtomic {
                     addr: a,
                     wrote: false,
@@ -661,7 +718,7 @@ fn exec<'p, O: MemObserver + ?Sized>(
             }
             let old = mem.read(a, Width::W8);
             mem.write(a, old.wrapping_add(src(t, val)), Width::W8);
-            t.regs[dst.index()] = old;
+            t.regs[slot(dst)] = old;
             obs.on_access(Access {
                 tid,
                 icount,
@@ -678,7 +735,7 @@ fn exec<'p, O: MemObserver + ?Sized>(
         Instr::Swap { dst, addr, val } => {
             let a = reg(t, addr);
             if let Some(old) = obs.intercept_atomic(tid, a) {
-                t.regs[dst.index()] = old;
+                t.regs[slot(dst)] = old;
                 return Ok(Step::RanAtomic {
                     addr: a,
                     wrote: false,
@@ -686,7 +743,7 @@ fn exec<'p, O: MemObserver + ?Sized>(
             }
             let old = mem.read(a, Width::W8);
             mem.write(a, reg(t, val), Width::W8);
-            t.regs[dst.index()] = old;
+            t.regs[slot(dst)] = old;
             obs.on_access(Access {
                 tid,
                 icount,
@@ -700,27 +757,28 @@ fn exec<'p, O: MemObserver + ?Sized>(
                 wrote: true,
             });
         }
-        Instr::Jmp { target } => t.pc.idx = target,
+        Instr::Jmp { target } => cur.idx = target,
         Instr::Jnz { cond, target } => {
             if reg(t, cond) != 0 {
-                t.pc.idx = target;
+                cur.idx = target;
             }
         }
         Instr::Jz { cond, target } => {
             if reg(t, cond) == 0 {
-                t.pc.idx = target;
+                cur.idx = target;
             }
         }
-        Instr::Call { func } => return call(t, program, code, func, pc, max_call_depth),
+        Instr::Call { func } => return call(t, cur, program, func, idx, max_call_depth),
         Instr::CallIndirect { func } => {
             let id = FuncId(reg(t, func) as u32);
-            return call(t, program, code, id, pc, max_call_depth);
+            return call(t, cur, program, id, idx, max_call_depth);
         }
         Instr::Ret => {
             if !t.leave_call() {
                 return Ok(Step::Exited);
             }
-            *code = code_of(program, t.pc.func);
+            cur.code = code_of(program, t.pc.func);
+            cur.idx = t.pc.idx;
         }
         Instr::Syscall { num } => {
             let mut args = [0u64; 6];
@@ -734,15 +792,21 @@ fn exec<'p, O: MemObserver + ?Sized>(
     Ok(Step::Ran)
 }
 
-/// Enters `func` from the call at `pc`, repointing `code` at its body.
+/// Enters `func` from the call at index `idx` of the current function,
+/// saving the cursor's (already advanced) index as the return pc and
+/// repointing the cursor at the callee's first instruction.
 fn call<'p>(
     t: &mut ThreadState,
+    cur: &mut Cursor<'p>,
     program: &'p Program,
-    code: &mut &'p [Instr],
     func: FuncId,
-    pc: Pc,
+    idx: u32,
     max_call_depth: usize,
 ) -> Result<Step, Fault> {
+    let pc = Pc {
+        func: t.pc.func,
+        idx,
+    };
     let Some(callee) = program.function(func) else {
         return Err(Fault::BadFunction {
             tid: t.tid,
@@ -753,9 +817,13 @@ fn call<'p>(
     if t.frames.len() >= max_call_depth {
         return Err(Fault::StackOverflow { tid: t.tid, pc });
     }
-    let ret_pc = t.pc; // already advanced past the call
+    let ret_pc = Pc {
+        func: pc.func,
+        idx: cur.idx,
+    };
     t.enter_call(func, ret_pc);
-    *code = &callee.code;
+    cur.code = &callee.code;
+    cur.idx = 0;
     Ok(Step::Ran)
 }
 

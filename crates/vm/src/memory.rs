@@ -61,6 +61,14 @@ pub fn page_of(addr: Word) -> u64 {
 
 type Page = [u8; PAGE_SIZE as usize];
 
+/// The `N` bytes of `page` at `off`, which the caller keeps in the page.
+#[inline(always)]
+fn bytes_at<const N: usize>(page: &Page, off: usize) -> [u8; N] {
+    let mut out = [0u8; N];
+    out.copy_from_slice(&page[off..off + N]);
+    out
+}
+
 /// The process-wide shared zero page. Every caller gets the same `Arc`, so
 /// "is this page all zeros?" can often be answered by pointer identity
 /// before falling back to a byte scan.
@@ -280,38 +288,63 @@ impl Memory {
 
     /// Reads `width` bytes little-endian, zero-extended to a word.
     /// Accesses may be unaligned and may straddle pages.
+    ///
+    /// The in-page case is inlined into the interpreter's loop (plain
+    /// `#[inline]` still left a call there); a page-straddling access takes
+    /// the out-of-line byte path.
+    #[inline(always)]
     pub fn read(&self, addr: Word, width: Width) -> Word {
-        let n = width.bytes();
-        // Fast path: access within one page.
         let off = (addr % PAGE_SIZE) as usize;
-        if off as u64 + n <= PAGE_SIZE {
-            if let Some(p) = self.pages.get(&page_of(addr)) {
-                let mut buf = [0u8; 8];
-                buf[..n as usize].copy_from_slice(&p[off..off + n as usize]);
-                return u64::from_le_bytes(buf);
-            }
-            return 0;
+        if off + width.bytes() as usize > PAGE_SIZE as usize {
+            return self.read_straddling(addr, width);
         }
+        let Some(page) = self.pages.get(&page_of(addr)) else {
+            return 0;
+        };
+        match width {
+            Width::W1 => page[off] as Word,
+            Width::W2 => u16::from_le_bytes(bytes_at(page, off)) as Word,
+            Width::W4 => u32::from_le_bytes(bytes_at(page, off)) as Word,
+            Width::W8 => u64::from_le_bytes(bytes_at(page, off)),
+        }
+    }
+
+    /// [`Memory::read`] of an access that crosses a page boundary.
+    #[cold]
+    #[inline(never)]
+    fn read_straddling(&self, addr: Word, width: Width) -> Word {
         let mut v: Word = 0;
-        for i in 0..n {
+        for i in 0..width.bytes() {
             v |= (self.read_u8(addr.wrapping_add(i)) as Word) << (8 * i);
         }
         v
     }
 
-    /// Writes the low `width` bytes of `value` little-endian.
+    /// Writes the low `width` bytes of `value` little-endian, with the
+    /// same in-page fast path as [`Memory::read`].
+    #[inline(always)]
     pub fn write(&mut self, addr: Word, value: Word, width: Width) {
-        let n = width.bytes();
         let off = (addr % PAGE_SIZE) as usize;
-        if off as u64 + n <= PAGE_SIZE {
-            let pno = page_of(addr);
-            let page = self.pages.entry(pno).or_insert_with(zero_page);
-            let bytes = value.to_le_bytes();
-            Arc::make_mut(page)[off..off + n as usize].copy_from_slice(&bytes[..n as usize]);
-            self.mark_dirty(pno);
-            return;
+        if off + width.bytes() as usize > PAGE_SIZE as usize {
+            return self.write_straddling(addr, value, width);
         }
-        for i in 0..n {
+        let pno = page_of(addr);
+        let page = Arc::make_mut(self.pages.entry(pno).or_insert_with(zero_page));
+        let bytes = value.to_le_bytes();
+        match width {
+            Width::W1 => page[off] = value as u8,
+            Width::W2 => page[off..off + 2].copy_from_slice(&bytes[..2]),
+            Width::W4 => page[off..off + 4].copy_from_slice(&bytes[..4]),
+            Width::W8 => page[off..off + 8].copy_from_slice(&bytes),
+        }
+        self.mark_dirty(pno);
+    }
+
+    /// [`Memory::write`] of an access that crosses a page boundary.
+    #[cold]
+    #[inline(never)]
+    fn write_straddling(&mut self, addr: Word, value: Word, width: Width) {
+        for i in 0..width.bytes() {
             self.write_u8(addr.wrapping_add(i), (value >> (8 * i)) as u8);
         }
     }
@@ -342,10 +375,22 @@ impl Memory {
         out
     }
 
-    /// Copies bytes into guest memory.
+    /// Copies bytes into guest memory, one page at a time: one page
+    /// lookup, one copy-on-write and one dirty mark per page touched. The
+    /// result is exactly that of a [`Memory::write_u8`] per byte: the same
+    /// bytes, and the same resident, dirty and digest-stale pages (writing
+    /// zeros still makes a page resident).
     pub fn write_bytes(&mut self, addr: Word, bytes: &[u8]) {
-        for (i, &b) in bytes.iter().enumerate() {
-            self.write_u8(addr.wrapping_add(i as u64), b);
+        let mut done = 0usize;
+        while done < bytes.len() {
+            let a = addr.wrapping_add(done as u64);
+            let off = (a % PAGE_SIZE) as usize;
+            let n = (PAGE_SIZE as usize - off).min(bytes.len() - done);
+            let pno = page_of(a);
+            let page = self.pages.entry(pno).or_insert_with(zero_page);
+            Arc::make_mut(page)[off..off + n].copy_from_slice(&bytes[done..done + n]);
+            self.mark_dirty(pno);
+            done += n;
         }
     }
 

@@ -2,7 +2,7 @@
 //! segment" shared by every execution of a workload.
 
 use crate::instr::Instr;
-use crate::value::Word;
+use crate::value::{Word, NUM_REGS};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -76,9 +76,13 @@ pub struct Program {
 impl Program {
     /// Creates a program from parts. Prefer [`crate::builder::ProgramBuilder`].
     ///
+    /// Every register operand is checked here, once, so the interpreter
+    /// indexes register files without checking each operand it executes.
+    ///
     /// # Panics
     ///
-    /// Panics if `entry` is out of range.
+    /// Panics if `entry` is out of range, or if any instruction names a
+    /// register at or above [`NUM_REGS`].
     pub fn new(
         functions: Vec<Function>,
         entry: FuncId,
@@ -90,6 +94,17 @@ impl Program {
             "entry {entry} out of range ({} functions)",
             functions.len()
         );
+        for f in &functions {
+            for (idx, instr) in f.code.iter().enumerate() {
+                for r in instr.registers() {
+                    assert!(
+                        (r.0 as usize) < NUM_REGS,
+                        "register {r} out of range in {}[{idx}]",
+                        f.name
+                    );
+                }
+            }
+        }
         Program {
             functions,
             entry,
@@ -165,7 +180,8 @@ impl Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instr::Instr;
+    use crate::instr::{BinOp, Instr};
+    use crate::value::{Reg, Src};
 
     fn tiny() -> Program {
         Program::new(
@@ -197,6 +213,56 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn bad_entry_panics() {
         Program::new(vec![], FuncId(0), vec![], BTreeMap::new());
+    }
+
+    /// One bad register anywhere in any operand position is refused when
+    /// the program is built, naming the register and where it is.
+    #[test]
+    fn out_of_range_registers_panic_at_construction() {
+        let cases = [
+            Instr::Const {
+                dst: Reg(32),
+                imm: 1,
+            },
+            Instr::Bin {
+                op: BinOp::Add,
+                dst: Reg(0),
+                a: Reg(1),
+                b: Src::Reg(Reg(40)),
+            },
+            Instr::Cas {
+                dst: Reg(0),
+                addr: Reg(1),
+                expected: Reg(2),
+                new: Reg(255),
+            },
+            Instr::Jnz {
+                cond: Reg(33),
+                target: 0,
+            },
+            Instr::CallIndirect { func: Reg(64) },
+        ];
+        for (instr, bad) in cases.into_iter().zip([32, 40, 255, 33, 64]) {
+            let build = || {
+                let code = vec![Instr::Nop, instr, Instr::Ret];
+                let main = Function {
+                    name: "main".into(),
+                    code,
+                };
+                Program::new(vec![main], FuncId(0), vec![], BTreeMap::new())
+            };
+            let msg = *std::panic::catch_unwind(build)
+                .expect_err("built a program with a bad register")
+                .downcast::<String>()
+                .unwrap();
+            assert_eq!(msg, format!("register r{bad} out of range in main[1]"));
+        }
+        // r31, the last register, is fine.
+        let main = Function {
+            name: "main".into(),
+            code: vec![Instr::CallIndirect { func: Reg(31) }],
+        };
+        Program::new(vec![main], FuncId(0), vec![], BTreeMap::new());
     }
 
     #[test]

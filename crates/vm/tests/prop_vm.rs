@@ -3,12 +3,13 @@
 //! DoublePlay stack relies on.
 
 use dp_support::check::{check, Gen};
+use dp_support::wire::to_bytes;
 use dp_vm::builder::ProgramBuilder;
 use dp_vm::memory::Memory;
 use dp_vm::observer::{Access, CollectingObserver, MemObserver, NullObserver};
 use dp_vm::{
     BinOp, DataSegment, Fault, FuncId, Function, Instr, Machine, Program, Reg, SliceLimits,
-    SliceRun, Src, Step, StopReason, ThreadStatus, Tid, Width, Word,
+    SliceRun, Src, Step, StopReason, ThreadStatus, Tid, Width, Word, DEFAULT_MAX_CALL_DEPTH,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -44,25 +45,69 @@ fn write_ops(g: &mut Gen, min: usize, max: usize) -> Vec<WriteOp> {
     (0..n).map(|_| write_op(g)).collect()
 }
 
-/// Memory behaves like a flat byte array initialized to zero.
+/// A `write_bytes` call for the memory tests: 0 to 3 pages of bytes, all
+/// zero one time in four, starting near a page boundary, in pages no other
+/// op touches, or just below `u64::MAX`, so the copy wraps to address 0.
+fn bytes_op(g: &mut Gen) -> (u64, Vec<u8>) {
+    let addr = match g.index(4) {
+        0 | 1 => write_op(g).addr,
+        2 => g.range(64, 1 << 40) * 4096 + g.below(4096),
+        _ => u64::MAX - g.below(2 * 4096),
+    };
+    let len = match g.index(4) {
+        0 => g.below(2),
+        1 => g.range(2, 64),
+        2 => g.range(64, 4096),
+        _ => g.range(4096, 3 * 4096 + 1),
+    };
+    let zero = g.index(4) == 0;
+    let bytes = (0..len).map(|_| if zero { 0 } else { g.u8() }).collect();
+    (addr, bytes)
+}
+
+/// `write_bytes` spelled as one `write_u8` per byte: the reference the
+/// page-wise copy must match, bytes, resident and dirty pages and digest.
+fn write_bytewise(mem: &mut Memory, addr: u64, bytes: &[u8]) {
+    for (i, &b) in bytes.iter().enumerate() {
+        mem.write_u8(addr.wrapping_add(i as u64), b);
+    }
+}
+
+/// Memory behaves like a flat byte array initialized to zero, and
+/// `write_bytes` leaves memory exactly as a `write_u8` per byte does.
 #[test]
 fn memory_matches_byte_model() {
     check("memory_matches_byte_model", 96, |g| {
-        let ops = write_ops(g, 1, 64);
         let mut mem = Memory::new();
+        let mut bytewise = Memory::new();
         let mut model: HashMap<u64, u8> = HashMap::new();
-        for op in &ops {
+        let mut writes = Vec::new();
+        let mut copies = Vec::new();
+        for _ in 0..g.range(1, 64) {
+            if g.index(4) == 0 {
+                let (addr, bytes) = bytes_op(g);
+                mem.write_bytes(addr, &bytes);
+                write_bytewise(&mut bytewise, addr, &bytes);
+                for (i, &b) in bytes.iter().enumerate() {
+                    model.insert(addr.wrapping_add(i as u64), b);
+                }
+                copies.push((addr, bytes.len()));
+                continue;
+            }
+            let op = write_op(g);
             mem.write(op.addr, op.value, op.width);
+            bytewise.write(op.addr, op.value, op.width);
             for i in 0..op.width.bytes() {
                 model.insert(op.addr.wrapping_add(i), (op.value >> (8 * i)) as u8);
             }
+            writes.push(op);
         }
         // Every byte the model knows about must match; and reads of each
-        // written word must reassemble little-endian.
+        // written word and copied range must reassemble little-endian.
         for (&addr, &byte) in &model {
             assert_eq!(mem.read_u8(addr), byte);
         }
-        for op in &ops {
+        for op in &writes {
             let read = mem.read(op.addr, op.width);
             let mut expect = 0u64;
             for i in 0..op.width.bytes() {
@@ -70,6 +115,17 @@ fn memory_matches_byte_model() {
             }
             assert_eq!(read, expect);
         }
+        for &(addr, len) in &copies {
+            let expect: Vec<u8> = (0..len as u64)
+                .map(|i| model[&addr.wrapping_add(i)])
+                .collect();
+            assert_eq!(mem.read_bytes(addr, len), expect);
+        }
+        assert_eq!(mem.dirty(), bytewise.dirty());
+        assert_eq!(mem.state_digest(), bytewise.state_digest());
+        assert_eq!(mem.hash_stats(), bytewise.hash_stats());
+        // The encoding holds every resident page, zero ones included.
+        assert_eq!(to_bytes(&mem), to_bytes(&bytewise));
     });
 }
 
@@ -343,94 +399,161 @@ impl MemObserver for Probe {
     }
 }
 
+/// Runs up to `rounds` slices on random threads of `fast` under random
+/// [`slice_limits`], and each as [`stepped_slice`] on a clone, asserting
+/// after every slice that both give the same `SliceRun` or fault, the same
+/// threads, live count, latched fault, halt status, memory and access
+/// stream. A waiting thread usually has its syscall completed first, with
+/// the same random result on both; a round halts both machines with
+/// probability `halt`. Half the slices go through `&mut dyn MemObserver`.
+/// Returns the fast machine once no thread is live or the rounds run out.
+fn assert_slices_match_steps(g: &mut Gen, mut fast: Machine, rounds: u64, halt: f64) -> Machine {
+    let mut slow = fast.clone();
+    let threads = fast.threads().len() as u64;
+    let intercepts = g.bool();
+    let mut fast_obs = Probe {
+        seen: CollectingObserver::default(),
+        intercepts,
+    };
+    let mut slow_obs = Probe {
+        seen: CollectingObserver::default(),
+        intercepts,
+    };
+    for _ in 0..rounds {
+        let tid = Tid(g.below(threads) as u32);
+        if fast.thread(tid).status == ThreadStatus::Waiting && g.prob(0.8) {
+            let ret = g.u64();
+            fast.complete_syscall(tid, ret);
+            slow.complete_syscall(tid, ret);
+        }
+        if g.prob(halt) {
+            fast.halt(1);
+            slow.halt(1);
+        }
+        let limits = slice_limits(g, fast.thread(tid).icount);
+        let got = if g.bool() {
+            fast.run_slice(tid, limits, &mut fast_obs)
+        } else {
+            fast.run_slice(tid, limits, &mut fast_obs as &mut dyn MemObserver)
+        };
+        let want = stepped_slice(&mut slow, tid, limits, &mut slow_obs);
+        assert_eq!(got, want, "{tid} under {limits:?}");
+        assert_eq!(fast.threads(), slow.threads());
+        assert_eq!(fast.live_threads(), slow.live_threads());
+        assert_eq!(fast.fault(), slow.fault());
+        assert_eq!(fast.halted(), slow.halted());
+        assert_eq!(fast.mem().first_difference(slow.mem()), None);
+        assert_eq!(fast_obs.seen.accesses, slow_obs.seen.accesses);
+        if fast.live_threads() == 0 {
+            break;
+        }
+    }
+    assert_eq!(fast.state_hash(), slow.state_hash());
+    fast
+}
+
 /// `run_slice`'s per-slice loop is observably a sequence of single steps:
 /// random two-thread programs with calls, returns, jumps, page-straddling
 /// accesses, atomics, division by zero and syscalls, run slice by slice
-/// under random limits, give the same `SliceRun` or fault, the same machine
-/// state and the same access stream as [`stepped_slice`]. Half the slices
-/// go through `&mut dyn MemObserver`.
+/// under random limits, behave exactly as [`stepped_slice`].
 #[test]
 fn run_slice_matches_single_steps() {
     check("run_slice_matches_single_steps", 128, |g| {
         let program = call_program(g);
         let funcs = program.functions().len() as u64;
-        let mut fast = Machine::new(program, &[g.u64()]);
-        fast.spawn_thread(FuncId(g.below(funcs) as u32), &[g.u64()]);
-        let mut slow = fast.clone();
-        let intercepts = g.bool();
-        let mut fast_obs = Probe {
-            seen: CollectingObserver::default(),
-            intercepts,
-        };
-        let mut slow_obs = Probe {
-            seen: CollectingObserver::default(),
-            intercepts,
-        };
-        for _ in 0..g.range(1, 32) {
-            let tid = Tid(g.below(2) as u32);
-            if fast.thread(tid).status == ThreadStatus::Waiting && g.prob(0.8) {
-                let ret = g.u64();
-                fast.complete_syscall(tid, ret);
-                slow.complete_syscall(tid, ret);
+        let mut m = Machine::new(program, &[g.u64()]);
+        m.spawn_thread(FuncId(g.below(funcs) as u32), &[g.u64()]);
+        let rounds = g.range(1, 32);
+        assert_slices_match_steps(g, m, rounds, 0.01);
+    });
+}
+
+/// The same down to [`Fault::StackOverflow`]: two threads each recurse
+/// through a function that runs random straight-line code (loads, stores,
+/// atomics, syscalls) and calls itself, until the call past
+/// [`DEFAULT_MAX_CALL_DEPTH`] frames faults, inside a slice.
+#[test]
+fn run_slice_matches_single_steps_into_stack_overflow() {
+    check("run_slice_into_stack_overflow", 8, |g| {
+        let recursive = |g: &mut Gen, name: &str| {
+            let mut code: Vec<Instr> = (0..g.range(0, 4)).map(|_| asm_props::instr(g)).collect();
+            code.push(Instr::Call { func: FuncId(1) });
+            code.push(Instr::Ret);
+            Function {
+                name: name.into(),
+                code,
             }
-            if g.prob(0.01) {
-                fast.halt(1);
-                slow.halt(1);
-            }
-            let limits = slice_limits(g, fast.thread(tid).icount);
-            let got = if g.bool() {
-                fast.run_slice(tid, limits, &mut fast_obs)
-            } else {
-                fast.run_slice(tid, limits, &mut fast_obs as &mut dyn MemObserver)
-            };
-            let want = stepped_slice(&mut slow, tid, limits, &mut slow_obs);
-            assert_eq!(got, want, "{tid} under {limits:?}");
-            assert_eq!(fast.state_hash(), slow.state_hash());
-            assert_eq!(fast.threads(), slow.threads());
-            assert_eq!(fast.live_threads(), slow.live_threads());
-            assert_eq!(fast.fault(), slow.fault());
-            assert_eq!(fast_obs.seen.accesses, slow_obs.seen.accesses);
+        };
+        let functions = vec![recursive(g, "main"), recursive(g, "recurse")];
+        let program = Arc::new(Program::new(functions, FuncId(0), vec![], BTreeMap::new()));
+        let mut m = Machine::new(program, &[g.u64()]);
+        m.spawn_thread(FuncId(1), &[g.u64()]);
+        let m = assert_slices_match_steps(g, m, 100_000, 0.0);
+        assert_eq!(m.live_threads(), 0);
+        assert!(
+            matches!(m.fault(), Some(Fault::StackOverflow { .. })),
+            "{:?}",
+            m.fault()
+        );
+        for t in m.threads() {
+            assert_eq!(t.frames.len(), DEFAULT_MAX_CALL_DEPTH);
         }
     });
 }
 
 /// The incremental per-page digest equals a from-scratch digest after any
-/// interleaving of writes, CoW clones, snapshot restores, and dirty-set
-/// drains — the invariant the recorder's verify hot path rests on. Clones
-/// share the digest cache, restores revive older cache states, and
-/// `take_dirty` exercises the separation between the recorder's dirty set
-/// and the cache's staleness set.
+/// interleaving of writes, page-wise copies, CoW clones, snapshot restores,
+/// and dirty-set drains — the invariant the recorder's verify hot path
+/// rests on. Clones share the digest cache, restores revive older cache
+/// states, and `take_dirty` exercises the separation between the
+/// recorder's dirty set and the cache's staleness set. A twin memory takes
+/// every op too, with each `write_bytes` spelled as a `write_u8` per byte,
+/// and must keep the same dirty set, digest and digest counters.
 #[test]
 fn incremental_digest_equals_scratch_under_any_interleaving() {
     check("incremental_digest_equals_scratch", 96, |g| {
         let mut mem = Memory::new();
-        let mut snapshots: Vec<Memory> = Vec::new();
+        let mut twin = Memory::new();
+        let mut snapshots: Vec<(Memory, Memory)> = Vec::new();
         for _ in 0..g.range(4, 40) {
-            match g.index(8) {
+            match g.index(9) {
                 // Writes dominate: dirty some pages (occasionally writing
                 // zero, which must keep zero-fill equivalence).
                 0..=3 => {
                     let op = write_op(g);
                     let v = if g.index(8) == 0 { 0 } else { op.value };
                     mem.write(op.addr, v, op.width);
+                    twin.write(op.addr, v, op.width);
                 }
-                4 => snapshots.push(mem.clone()),
-                5 => {
-                    if let Some(snap) = snapshots.pop() {
+                4 => {
+                    let (addr, bytes) = bytes_op(g);
+                    mem.write_bytes(addr, &bytes);
+                    write_bytewise(&mut twin, addr, &bytes);
+                }
+                5 => snapshots.push((mem.clone(), twin.clone())),
+                6 => {
+                    if let Some((snap, snap_twin)) = snapshots.pop() {
                         mem = snap; // restore an older world
+                        twin = snap_twin;
                     }
                 }
-                6 => {
-                    mem.take_dirty();
+                7 => {
+                    assert_eq!(mem.take_dirty(), twin.take_dirty());
                 }
                 _ => {
-                    assert_eq!(mem.state_digest(), mem.state_digest_scratch());
+                    let digest = mem.state_digest();
+                    assert_eq!(digest, mem.state_digest_scratch());
+                    assert_eq!(digest, twin.state_digest());
+                    assert_eq!(mem.hash_stats(), twin.hash_stats());
                 }
             }
+            assert_eq!(mem.dirty(), twin.dirty());
         }
         assert_eq!(mem.state_digest(), mem.state_digest_scratch());
-        for snap in &snapshots {
+        assert_eq!(mem.state_digest(), twin.state_digest());
+        for (snap, snap_twin) in &snapshots {
             assert_eq!(snap.state_digest(), snap.state_digest_scratch());
+            assert_eq!(snap.state_digest(), snap_twin.state_digest());
         }
     });
 }
