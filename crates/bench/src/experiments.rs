@@ -8,7 +8,8 @@
 
 use crate::table::Table;
 use dp_core::{
-    measure_native, record, replay_parallel, replay_sequential, DoublePlayConfig, GuestSpec,
+    measure_native, record, record_to, replay_parallel, replay_sequential, DoublePlayConfig,
+    GuestSpec, JournalReader, JournalWriter, Recording,
 };
 use dp_workloads::{find, racy_suite, suite, Size, WorkloadCase};
 use std::time::Instant;
@@ -16,6 +17,23 @@ use std::time::Instant;
 /// The standard recorder configuration for a thread count.
 pub fn config_for(threads: usize) -> DoublePlayConfig {
     DoublePlayConfig::new(threads).epoch_cycles(200_000)
+}
+
+/// Records `spec` through a journal and returns the journal's bytes.
+pub fn record_journal(spec: &GuestSpec, config: &DoublePlayConfig) -> Vec<u8> {
+    let mut w = JournalWriter::new(Vec::new()).expect("journal header");
+    record_to(spec, config, &mut w).expect("record failed");
+    w.into_inner()
+}
+
+/// The recording salvage reads back from a journal: what `dp replay` and
+/// perfbench replay. Its start images arrive without page digests, where
+/// an in-memory recording's share the ones the recorder computed, so each
+/// timed replay takes a fresh one.
+pub fn read_back(journal: &[u8]) -> Recording {
+    JournalReader::salvage(journal)
+        .expect("salvage failed")
+        .recording
 }
 
 fn pct(x: f64) -> String {
@@ -238,6 +256,7 @@ pub fn fig_replay_speed(size: Size) -> Table {
         format!(
             "epochs are independent given checkpoints, so replay scales with \
              replay cores; wall-clock measured on {cores} host core(s), \
+             replaying the recording salvaged from a journal, \
              'model NxT' = critical-path speedup of N replay threads"
         ),
         &[
@@ -247,23 +266,23 @@ pub fn fig_replay_speed(size: Size) -> Table {
     );
     for name in ["pcomp", "ocean", "kvstore"] {
         let case = find(name, 4, size).unwrap();
-        let bundle = record(&case.spec, &config_for(4)).expect("record failed");
+        let journal = record_journal(&case.spec, &config_for(4));
+        let recording = read_back(&journal);
         let seq_t = {
             let t0 = Instant::now();
-            replay_sequential(&bundle.recording, &case.spec.program).expect("seq replay failed");
+            replay_sequential(&recording, &case.spec.program).expect("seq replay failed");
             t0.elapsed()
         };
         let mut par = Vec::new();
         for threads in [2usize, 4] {
+            let recording = read_back(&journal);
             let t0 = Instant::now();
-            replay_parallel(&bundle.recording, &case.spec.program, threads)
-                .expect("par replay failed");
+            replay_parallel(&recording, &case.spec.program, threads).expect("par replay failed");
             par.push(t0.elapsed());
         }
         // Modeled speedup: longest-processing-time partition of per-epoch
         // simulated replay work across N workers vs the serial sum.
-        let work: Vec<u64> = bundle
-            .recording
+        let work: Vec<u64> = recording
             .epochs
             .iter()
             .map(|e| e.schedule.total_instructions().max(1))
@@ -281,7 +300,7 @@ pub fn fig_replay_speed(size: Size) -> Table {
         };
         t.row(vec![
             name.to_string(),
-            bundle.recording.epochs.len().to_string(),
+            recording.epochs.len().to_string(),
             format!("{:.1}", seq_t.as_secs_f64() * 1e3),
             format!("{:.1}", par[0].as_secs_f64() * 1e3),
             format!("{:.1}", par[1].as_secs_f64() * 1e3),
@@ -1789,19 +1808,19 @@ pub fn table_resume(run: &ResumeRun) -> Table {
 pub struct HashSweepRow {
     /// Resident (non-zero) pages in the machine.
     pub resident_pages: u64,
-    /// Pages dirtied since the last digest refresh.
+    /// Pages rewritten before each timed hash.
     pub dirty_pages: u64,
     /// Median wall time of the incremental `state_hash`.
     pub incremental: std::time::Duration,
     /// Median wall time of a from-scratch `state_hash_scratch`.
     pub full: std::time::Duration,
-    /// Median wall time of `Checkpoint::capture` (hash + CoW clone) with a
-    /// warm digest cache.
+    /// Median wall time of `Checkpoint::capture` (hash + CoW clone) with
+    /// every clean page's digest cached.
     pub checkpoint: std::time::Duration,
 }
 
-/// One end-to-end E18 recording: the same guest recorded with the
-/// incremental digest cache and with the full-rehash knob forced on.
+/// One end-to-end E18 recording: the same guest recorded with cached page
+/// digests and with the full-rehash knob forced on.
 pub struct HashRecordRow {
     /// Workload label.
     pub name: String,
@@ -1835,8 +1854,9 @@ fn median_ns(samples: &mut [std::time::Duration]) -> std::time::Duration {
 }
 
 /// Microbench: a machine with `resident` resident pages, `dirty` of which
-/// are re-dirtied before every timed hash. The incremental digest's wall
-/// time must track `dirty`; the scratch hash tracks `resident`.
+/// are re-dirtied before every timed hash. The incremental digest hashes
+/// the `dirty` pages and reads a cached digest for the rest; the scratch
+/// hash hashes all `resident`.
 fn hash_sweep_row(resident: u64, dirty: u64, samples: usize) -> HashSweepRow {
     use dp_vm::builder::ProgramBuilder;
     let mut pb = ProgramBuilder::new();
@@ -1852,7 +1872,7 @@ fn hash_sweep_row(resident: u64, dirty: u64, samples: usize) -> HashSweepRow {
         machine.mem_mut().write_u8(p * 4096, (p % 251 + 1) as u8);
     }
     machine.mem_mut().take_dirty();
-    machine.state_hash(); // warm the digest cache
+    machine.state_hash(); // every page's digest is now cached
 
     let mut inc = Vec::with_capacity(samples);
     let mut full = Vec::with_capacity(samples);
@@ -1966,15 +1986,16 @@ fn hash_record_row(
 /// state hash at growing resident footprints with a fixed dirty set —
 /// incremental time must track the dirty count while the full rehash
 /// tracks the footprint. Part two records real guests end to end, the
-/// same run with the digest cache and with full rehash forced, reporting
+/// same run with cached page digests and with full rehash forced, reporting
 /// recording wall, journal throughput, and the modeled hashed/skipped
 /// page split from `RecorderStats`.
 pub fn hash_run(size: Size) -> HashRun {
     let factor = size.factor();
     let samples = (40 * factor).clamp(40, 200) as usize;
     // First hold the dirty set fixed while the footprint grows (the
-    // incremental column must stay flat), then hold the footprint fixed
-    // while the dirty set grows (it must scale with dirty pages).
+    // incremental column grows only by the walk's cost per resident page),
+    // then hold the footprint fixed while the dirty set grows (it must
+    // scale with dirty pages).
     let sweep = [
         (256u64, 16u64),
         (1024, 16),
@@ -2008,10 +2029,10 @@ pub fn hash_run(size: Size) -> HashRun {
 pub fn table_hash_sweep(run: &HashRun) -> Table {
     let mut t = Table::new(
         "E18 / Table A: state-hash wall time vs resident footprint",
-        "with a fixed dirty set, the incremental digest's cost must stay \
-         flat as the resident footprint grows (it re-hashes only dirty \
-         pages), while a full rehash grows linearly with the footprint; \
-         checkpoint capture rides the incremental path",
+        "with a fixed dirty set, the incremental digest hashes only the \
+         dirty pages and reads a cached digest per resident page, so it \
+         grows by that read as the footprint grows, while a full rehash \
+         hashes every page; checkpoint capture rides the incremental path",
         &[
             "resident pages",
             "dirty pages",
@@ -2044,7 +2065,7 @@ pub fn table_hash_record(run: &HashRun) -> Table {
     let mut t = Table::new(
         "E18 / Table B: recording wall time, incremental vs forced full rehash",
         "the recorder's verify hot path hashes every epoch's end state; on \
-         a large-footprint/low-dirty guest the incremental digest cache \
+         a large-footprint/low-dirty guest the cached page digests \
          must produce a measurable record wall-clock win, with identical \
          recordings either way (the knob changes cost, never the value)",
         &[

@@ -40,10 +40,8 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Snapshots the current world. The digest is computed *before* the
-    /// machine is cloned so the refreshed per-page digest cache is part of
-    /// the snapshot: restoring or re-hashing the checkpoint reuses it
-    /// instead of re-hashing the resident footprint.
+    /// Snapshots the current world with its machine digest. The snapshot
+    /// shares its pages, and their cached digests, with `machine`.
     pub fn capture(machine: &Machine, kernel: &Kernel) -> Self {
         let machine_hash = machine.state_hash();
         Checkpoint {

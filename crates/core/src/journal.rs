@@ -1582,6 +1582,37 @@ mod tests {
         }
     }
 
+    /// Replaying a journal digests the start images salvage decoded. Each
+    /// page version hashes once: the header image's pages on first use,
+    /// and after that only the pages each start delta carries, because a
+    /// delta-decoded start shares every other page, digest included, with
+    /// the start before it.
+    #[test]
+    fn salvaged_start_images_hash_only_their_delta_pages() {
+        let mut w = JournalWriter::new(Vec::new()).unwrap();
+        let config = DoublePlayConfig::new(2).epoch_cycles(20_000);
+        record_to(&fill_then_spin_spec(), &config, &mut w).unwrap();
+        let recording = JournalReader::salvage(w.get_ref()).unwrap().recording;
+        let digest = |mem: &dp_vm::memory::Memory| {
+            let before = mem.hash_stats().hashed_pages;
+            assert_eq!(mem.state_digest(), mem.state_digest_scratch());
+            mem.hash_stats().hashed_pages - before
+        };
+        let mut base = &recording.initial.machine.mem;
+        let mut bound = base.resident_pages() as u64;
+        let mut hashed = digest(base);
+        for e in &recording.epochs {
+            let mem = &e.start.as_ref().unwrap().machine.mem;
+            let mut delta = Vec::new();
+            mem.put_delta(base, &mut delta);
+            bound += usize::get(&mut Reader::new(&delta)).unwrap() as u64;
+            hashed += digest(mem);
+            base = mem;
+        }
+        assert!(recording.epochs.len() >= 8, "{}", recording.epochs.len());
+        assert!(hashed <= bound, "{hashed} pages hashed, bound {bound}");
+    }
+
     #[test]
     fn owned_counts_round_robin_epochs() {
         for n in 1..6u32 {

@@ -310,11 +310,6 @@ pub(crate) fn run_tp_epoch(
     let tp_out = tp.run_epoch(machine, kernel, epoch_start, epoch_len)?;
     let dirty = machine.mem_mut().take_dirty().len() as u64;
     kernel.take_external(); // thread-parallel output is speculative only
-                            // Refresh the live machine's per-page digest cache before cloning it:
-                            // both clones below (the verify job's end-state machine and the
-                            // commit-stage checkpoint) inherit warm digests, so the verify stage's
-                            // state_hash re-hashes only the pages this epoch dirtied.
-    machine.mem().state_digest();
     Ok(EpochWork {
         index,
         epoch_start,
@@ -430,8 +425,9 @@ pub(crate) fn charge_tp_side(c: &mut CommitState, cost: &CostModel, work: &Epoch
 /// incremental digest (proportional to the pages the epoch dirtied, not the
 /// resident footprint) and records the modeled hashed/skipped page split.
 /// Both drivers retire through this, so the counts are deterministic and
-/// mode-independent — the real cache counters ([`dp_vm::memory::HashStats`])
-/// vary with clone topology and belong to bench introspection only.
+/// mode-independent — the real per-memory counters
+/// ([`dp_vm::memory::HashStats`]) depend on which clone digests a shared
+/// page first and serve tests only.
 fn charge_state_hash(c: &mut CommitState, cost: &CostModel, machine: &Machine) -> u64 {
     let dirty = machine.mem().dirty().len() as u64;
     let resident = machine.mem().resident_pages() as u64;

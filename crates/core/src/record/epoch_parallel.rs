@@ -411,12 +411,12 @@ pub fn run_verify_cancellable(
         }
     }
 
-    // End-of-epoch checks.
+    // End-of-epoch checks, against the one digest of the end state.
+    let end_hash = machine.state_hash();
     if divergence.is_none() {
-        divergence = end_checks(&machine, &inputs, &cursor);
+        divergence = end_checks(&machine, end_hash, &inputs, &cursor);
     }
 
-    let end_hash = machine.state_hash();
     let finished = machine.halted().is_some() || machine.live_threads() == 0;
     Ok(Some(EpOutcome {
         schedule: inputs.hint.clone(),
@@ -432,8 +432,12 @@ pub fn run_verify_cancellable(
     }))
 }
 
+/// Checks the end of a verify run against the next checkpoint: thread
+/// targets, the syscall log fully consumed, and `end_hash`, the digest of
+/// `machine`.
 fn end_checks(
     machine: &Machine,
+    end_hash: u64,
     inputs: &VerifyInputs<'_>,
     cursor: &crate::logs::SyscallCursor<'_>,
 ) -> Option<Divergence> {
@@ -469,14 +473,13 @@ fn end_checks(
             remaining: cursor.remaining(),
         });
     }
-    let actual = machine.state_hash();
-    if actual != inputs.expected_hash {
+    if end_hash != inputs.expected_hash {
         let first_difference = inputs
             .expected_machine
             .and_then(|m| machine.mem().first_difference(m.mem()));
         return Some(Divergence::HashMismatch {
             expected: inputs.expected_hash,
-            actual,
+            actual: end_hash,
             first_difference,
         });
     }

@@ -362,22 +362,26 @@ pub fn replay_parallel(
     // The recording carries the fault plan it was made under; replay
     // re-injects the same worker panics to exercise the same recovery.
     let plan = recording.meta.config.faults;
-    let per_worker: Vec<Result<u64, ReplayError>> = std::thread::scope(|scope| {
+    // Each worker returns its instruction count and the exit code its last
+    // epoch ended with.
+    let per_worker: Vec<Result<(u64, Option<u64>), ReplayError>> = std::thread::scope(|scope| {
         let handles: Vec<_> = chunks
             .into_iter()
             .map(|chunk| {
                 let program = program.clone();
                 scope.spawn(move || {
                     let mut instructions = 0u64;
+                    let mut exit_code = None;
                     for epoch in chunk {
                         let image = epoch.start.clone().ok_or_else(|| ReplayError::BadRequest {
                             detail: format!("epoch {} has no checkpoint", epoch.index),
                         })?;
                         let start = Checkpoint::from_image(program.clone(), image);
-                        let (_, _, n) = replay_epoch_guarded(&plan, &start, epoch)?;
+                        let (end, _, n) = replay_epoch_guarded(&plan, &start, epoch)?;
                         instructions += n;
+                        exit_code = end.halted();
                     }
-                    Ok(instructions)
+                    Ok((instructions, exit_code))
                 })
             })
             .collect();
@@ -393,8 +397,14 @@ pub fn replay_parallel(
             .collect()
     });
     let mut instructions = 0u64;
-    for res in per_worker {
-        instructions += res?;
+    let mut exit_code = recording.initial.machine.halted;
+    for (k, res) in per_worker.into_iter().enumerate() {
+        let (worker_instructions, worker_exit) = res?;
+        instructions += worker_instructions;
+        // The worker holding the last epoch ended on the guest's final state.
+        if n > 0 && k == (n - 1) % threads {
+            exit_code = worker_exit;
+        }
     }
     let final_hash = recording
         .epochs
@@ -405,7 +415,7 @@ pub fn replay_parallel(
         epochs: n as u32,
         instructions,
         final_hash,
-        exit_code: None,
+        exit_code,
     })
 }
 
@@ -528,6 +538,7 @@ mod tests {
         assert_eq!(par.epochs, seq.epochs);
         assert_eq!(par.instructions, seq.instructions);
         assert_eq!(par.final_hash, seq.final_hash);
+        assert_eq!(par.exit_code, seq.exit_code);
     }
 
     #[test]
@@ -548,6 +559,7 @@ mod tests {
             assert_eq!(report.epochs as u64, bundle.stats.epochs);
             let par = replay_parallel(&bundle.recording, &spec.program, 3).unwrap();
             assert_eq!(par.final_hash, report.final_hash);
+            assert_eq!(par.exit_code, report.exit_code);
         }
     }
 

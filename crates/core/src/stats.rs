@@ -103,8 +103,9 @@ pub struct RecorderStats {
     /// Pages the incremental state digest actually re-hashed across all
     /// retiring epochs (the epoch's dirty pages). Modeled at the in-order
     /// retire points, so the count is deterministic and identical across
-    /// sequential/pipelined/sharded runs — unlike the live cache counters
-    /// (`dp_vm::memory::HashStats`), which vary with clone topology.
+    /// sequential/pipelined/sharded runs — unlike the live per-memory
+    /// counters (`dp_vm::memory::HashStats`), which depend on which clone
+    /// digests a shared page first.
     pub hashed_pages: u64,
     /// Resident pages the incremental digest did *not* have to re-hash at
     /// retire time (resident minus dirty, per epoch) — the work a full

@@ -7,6 +7,9 @@
 //! addresses return zero (anonymous-mapping semantics), which keeps guest
 //! programs simple and makes the zero page irrelevant to state digests.
 //!
+//! Each page version carries its own digest, computed once, so clones,
+//! checkpoints and decoded start images never re-hash a page they share.
+//!
 //! Dirty-page tracking serves two masters: the checkpoint cost model (cost is
 //! proportional to pages dirtied per epoch) and fast divergence diagnostics
 //! (only dirty pages need diffing).
@@ -16,8 +19,8 @@ use crate::value::{Width, Word};
 use dp_support::wire::{put_varint, Reader, Wire, WireError};
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// A fast, deterministic hasher for page numbers (FxHash-style multiply).
 /// Page tables are in the interpreter's hottest path; SipHash would cost
@@ -59,49 +62,121 @@ pub fn page_of(addr: Word) -> u64 {
     addr >> PAGE_SHIFT
 }
 
-type Page = [u8; PAGE_SIZE as usize];
+type PageBytes = [u8; PAGE_SIZE as usize];
+
+/// One page version: its bytes and their digest, shared by every memory
+/// holding this `Arc`. A write copies the page if it is shared and empties
+/// the digest slot of its now unique copy.
+#[derive(Debug, Clone)]
+struct Page {
+    bytes: PageBytes,
+    digest: DigestSlot,
+}
+
+/// A page version's [`page_digest`], once a digest has computed it. A
+/// digest claims an empty slot before hashing, so each version is hashed
+/// once however many threads digest memories that share it; a digest that
+/// finds a slot claimed elsewhere reads it after its other pages. The
+/// `Release` store of `state` publishes `value` to `get`'s `Acquire` load.
+#[derive(Debug, Default)]
+struct DigestSlot {
+    state: AtomicU8,
+    value: AtomicU64,
+}
+
+/// [`DigestSlot`] states: empty, claimed, all-zero page, digest in `value`.
+const SLOT_EMPTY: u8 = 0;
+const SLOT_CLAIMED: u8 = 1;
+const SLOT_ZERO: u8 = 2;
+const SLOT_DIGEST: u8 = 3;
+
+impl DigestSlot {
+    /// The digest if known: `Some(None)` for an all-zero page.
+    fn get(&self) -> Option<Option<u64>> {
+        match self.state.load(Ordering::Acquire) {
+            SLOT_ZERO => Some(None),
+            SLOT_DIGEST => Some(Some(self.value.load(Ordering::Relaxed))),
+            _ => None,
+        }
+    }
+
+    /// The digest of `bytes`, from the slot or hashed into it by this call
+    /// (counted in `hashed`); `None` while another thread holds the claim.
+    /// States only rise while the page is shared, so `fetch_max` claims an
+    /// empty slot and leaves a claimed or filled one as it is.
+    fn get_or_hash(&self, bytes: &PageBytes, hashed: &mut u64) -> Option<Option<u64>> {
+        let relaxed = Ordering::Relaxed;
+        if self.get().is_some() || self.state.fetch_max(SLOT_CLAIMED, relaxed) != SLOT_EMPTY {
+            return self.get();
+        }
+        *hashed += 1;
+        let digest = page_digest(bytes);
+        self.value.store(digest.unwrap_or(0), relaxed);
+        let state = digest.map_or(SLOT_ZERO, |_| SLOT_DIGEST);
+        self.state.store(state, Ordering::Release);
+        Some(digest)
+    }
+}
+
+/// Only `Arc::make_mut` copies a page, to write it: the copy starts empty.
+impl Clone for DigestSlot {
+    fn clone(&self) -> Self {
+        DigestSlot::default()
+    }
+}
 
 /// The `N` bytes of `page` at `off`, which the caller keeps in the page.
 #[inline(always)]
-fn bytes_at<const N: usize>(page: &Page, off: usize) -> [u8; N] {
+fn bytes_at<const N: usize>(page: &PageBytes, off: usize) -> [u8; N] {
     let mut out = [0u8; N];
     out.copy_from_slice(&page[off..off + N]);
     out
 }
 
-/// The process-wide shared zero page. Every caller gets the same `Arc`, so
-/// "is this page all zeros?" can often be answered by pointer identity
-/// before falling back to a byte scan.
+/// The process-wide shared zero page, its digest known. Every caller gets
+/// the same `Arc`, so "is this page all zeros?" can often be answered by
+/// pointer identity before falling back to a byte scan.
 fn zero_page() -> Arc<Page> {
     static ZERO: OnceLock<Arc<Page>> = OnceLock::new();
-    ZERO.get_or_init(|| Arc::new([0u8; PAGE_SIZE as usize]))
-        .clone()
+    ZERO.get_or_init(|| {
+        Arc::new(Page {
+            bytes: [0u8; PAGE_SIZE as usize],
+            digest: DigestSlot {
+                state: AtomicU8::new(SLOT_ZERO),
+                value: AtomicU64::new(0),
+            },
+        })
+    })
+    .clone()
 }
 
 /// True when a page holds only zero bytes (pointer identity first).
 fn is_zero(page: &Arc<Page>) -> bool {
-    Arc::ptr_eq(page, &zero_page()) || page.iter().all(|&b| b == 0)
+    Arc::ptr_eq(page, &zero_page()) || page.bytes.iter().all(|&b| b == 0)
 }
 
 /// True when two page slots hold the same bytes; an absent page (`None`)
 /// reads as zero. Shared `Arc`s short-circuit before the byte compare.
 fn same_bytes(a: Option<&Arc<Page>>, b: Option<&Arc<Page>>) -> bool {
     match (a, b) {
-        (Some(a), Some(b)) => Arc::ptr_eq(a, b) || a[..] == b[..],
+        (Some(a), Some(b)) => Arc::ptr_eq(a, b) || a.bytes == b.bytes,
         (Some(p), None) | (None, Some(p)) => is_zero(p),
         (None, None) => true,
     }
 }
 
-/// A decoded page body, with all-zero bodies interned to the shared zero
-/// `Arc` so digests skip them by pointer identity instead of a byte scan.
+/// A decoded page body, all-zero bodies interned to the shared zero `Arc`;
+/// other pages arrive with an empty digest slot: decoding hashes nothing.
 fn page_from(raw: &[u8]) -> Arc<Page> {
     if raw.iter().all(|&b| b == 0) {
         return zero_page();
     }
-    let mut page = [0u8; PAGE_SIZE as usize];
-    page.copy_from_slice(raw);
-    Arc::new(page)
+    let mut bytes = [0u8; PAGE_SIZE as usize];
+    bytes.copy_from_slice(raw);
+    Arc::new(Page {
+        bytes,
+        digest: DigestSlot::default(),
+    })
 }
 
 /// Page-delta entry tags: the page is now zero (or absent), or its new
@@ -110,9 +185,9 @@ const PAGE_ZERO: u8 = 0;
 const PAGE_BYTES: u8 = 1;
 
 /// Forces [`Memory::state_digest`] to recompute from scratch on every call,
-/// bypassing the incremental cache. The digest *value* is identical either
-/// way (property-tested); this knob exists so benchmarks can measure the
-/// full-rehash baseline through the unmodified recorder path.
+/// bypassing the per-page digest slots. The digest *value* is identical
+/// either way (property-tested); this knob exists so benchmarks can
+/// measure the full-rehash baseline through the unmodified recorder path.
 pub fn set_full_rehash(enabled: bool) {
     FULL_REHASH.store(enabled, Ordering::Relaxed);
 }
@@ -120,10 +195,12 @@ pub fn set_full_rehash(enabled: bool) {
 static FULL_REHASH: AtomicBool = AtomicBool::new(false);
 
 /// Mixes one `(page_no, page_digest)` pair into a 64-bit contribution
-/// (splitmix64 finalizer). Contributions combine by wrapping addition, so
-/// the memory digest is order-independent and can be updated per page
-/// without re-folding the whole page table.
-fn mix(pno: u64, digest: u64) -> u64 {
+/// (splitmix64 finalizer), 0 for an all-zero page. Contributions combine by
+/// wrapping addition, so the memory digest is order-independent.
+fn mix(pno: u64, digest: Option<u64>) -> u64 {
+    let Some(digest) = digest else {
+        return 0;
+    };
     let mut x = pno
         .wrapping_mul(0x9e37_79b9_7f4a_7c15)
         .wrapping_add(digest)
@@ -135,99 +212,54 @@ fn mix(pno: u64, digest: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Digest of one page's bytes, or `None` for an all-zero page. A shared
-/// zero-page `Arc` short-circuits by pointer identity; otherwise the byte
-/// scan bails at the first nonzero byte and the page is FNV-hashed.
-/// `hashed` counts pages whose bytes were actually examined.
-fn page_digest(page: &Arc<Page>, hashed: &mut u64) -> Option<u64> {
-    if Arc::ptr_eq(page, &zero_page()) {
-        return None;
-    }
-    *hashed += 1;
-    if page.iter().all(|&b| b == 0) {
+/// Digest of one page's bytes, or `None` for an all-zero page, which
+/// digests as absent. The zero scan bails at the first nonzero byte; a
+/// nonzero page is FNV-hashed.
+fn page_digest(bytes: &PageBytes) -> Option<u64> {
+    if bytes.iter().all(|&b| b == 0) {
         return None;
     }
     let mut h = Fnv1a::new();
-    h.write_bytes(page.as_slice());
+    h.write_bytes(bytes);
     Some(h.finish())
 }
 
-/// Cumulative counters of the incremental digest cache: how many pages'
-/// bytes refreshes actually hashed vs. how many cached digests were reused.
+/// Cumulative digest counters of one memory: how many pages' bytes its
+/// digests hashed vs. how many cached page digests they reused.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HashStats {
-    /// Pages whose bytes a digest refresh scanned (cache misses).
+    /// Pages whose bytes a digest scanned: page versions no memory had
+    /// digested yet.
     pub hashed_pages: u64,
     /// Resident pages whose cached digest a [`Memory::state_digest`] call
-    /// reused without touching their bytes (cache hits).
+    /// reused without touching their bytes.
     pub skipped_pages: u64,
 }
 
-/// Incremental digest state for one `Memory`.
-///
-/// Lives behind a `Mutex` because [`Memory::state_digest`] refreshes
-/// through `&self` (state hashing happens on shared references in the
-/// verify hot path); the write paths go through `Mutex::get_mut`, which
-/// never locks. The staleness set is deliberately *separate* from the
-/// recorder's dirty set: `take_dirty` must not clear digest staleness, and
-/// a digest refresh must not clear recorder dirt.
-#[derive(Debug, Clone)]
-struct DigestCache {
-    /// Per-page digests. A page absent here contributes nothing — all-zero
-    /// and unmapped pages are both "absent", so zero-fill semantics cannot
-    /// cause false divergence.
-    digests: HashMap<u64, u64, BuildHasherDefault<PageHasher>>,
-    /// Wrapping sum of [`mix`]`(pno, digest)` over every entry of
-    /// `digests`: the commutative memory digest.
-    acc: u64,
-    /// Pages whose cached digest may be out of date.
-    stale: BTreeSet<u64>,
-    /// Fast path: the page most recently marked stale (writes cluster).
-    /// Reset whenever a refresh drains `stale`, so a write after a refresh
-    /// to the same page re-marks it.
-    last_stale: u64,
-    /// Cumulative refresh counters.
-    stats: HashStats,
+/// [`HashStats`] behind atomics, so [`Memory::state_digest`] can count
+/// through `&self` on a memory that other threads share. Statistics only,
+/// hence `Relaxed`. A clone counts its own digests from zero.
+#[derive(Debug, Default)]
+struct Counters {
+    hashed: AtomicU64,
+    skipped: AtomicU64,
 }
 
-impl DigestCache {
-    /// A cache where every resident page is stale: the first refresh
-    /// recomputes everything (the cold full rehash).
-    fn cold(pages: &PageMap) -> Self {
-        DigestCache {
-            digests: HashMap::default(),
-            acc: 0,
-            stale: pages.keys().copied().collect(),
-            last_stale: u64::MAX,
-            stats: HashStats::default(),
-        }
+impl Clone for Counters {
+    fn clone(&self) -> Self {
+        Counters::default()
     }
 }
 
 /// Sparse, copy-on-write paged memory.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Memory {
     pages: PageMap,
     /// Pages written since the last [`Memory::take_dirty`].
     dirty: BTreeSet<u64>,
     /// Fast path: the page most recently marked dirty (writes cluster).
     last_dirty: u64,
-    /// Incremental digest cache; see [`DigestCache`].
-    cache: Mutex<DigestCache>,
-}
-
-/// Cloning copies the digest cache, so a checkpoint inherits every cached
-/// page digest for free — the clone's next [`Memory::state_digest`] pays
-/// only for pages written since the source's last refresh.
-impl Clone for Memory {
-    fn clone(&self) -> Self {
-        Memory {
-            pages: self.pages.clone(),
-            dirty: self.dirty.clone(),
-            last_dirty: self.last_dirty,
-            cache: Mutex::new(self.lock_cache().clone()),
-        }
-    }
+    counters: Counters,
 }
 
 impl Memory {
@@ -237,53 +269,37 @@ impl Memory {
             pages: PageMap::default(),
             dirty: BTreeSet::new(),
             last_dirty: u64::MAX,
-            cache: Mutex::new(DigestCache::cold(&PageMap::default())),
+            counters: Counters::default(),
         }
-    }
-
-    /// Poison-tolerant cache lock: a panicking verify worker (injected
-    /// faults are caught with `catch_unwind`) must not wedge digests.
-    fn lock_cache(&self) -> MutexGuard<'_, DigestCache> {
-        self.cache
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     /// Reads one byte.
     #[inline]
     pub fn read_u8(&self, addr: Word) -> u8 {
         match self.pages.get(&page_of(addr)) {
-            Some(p) => p[(addr % PAGE_SIZE) as usize],
+            Some(p) => p.bytes[(addr % PAGE_SIZE) as usize],
             None => 0,
         }
+    }
+
+    /// The bytes of page `pno`, ready to be written: the page is allocated
+    /// (as zeros) or copied if shared, marked dirty, and its digest slot
+    /// emptied. Every write goes through here.
+    #[inline(always)]
+    fn page_mut(&mut self, pno: u64) -> &mut PageBytes {
+        if self.last_dirty != pno {
+            self.last_dirty = pno;
+            self.dirty.insert(pno);
+        }
+        let page = Arc::make_mut(self.pages.entry(pno).or_insert_with(zero_page));
+        *page.digest.state.get_mut() = SLOT_EMPTY;
+        &mut page.bytes
     }
 
     /// Writes one byte, allocating or copying the page as needed.
     #[inline]
     pub fn write_u8(&mut self, addr: Word, value: u8) {
-        let pno = page_of(addr);
-        let page = self.pages.entry(pno).or_insert_with(zero_page);
-        Arc::make_mut(page)[(addr % PAGE_SIZE) as usize] = value;
-        self.mark_dirty(pno);
-    }
-
-    #[inline]
-    fn mark_dirty(&mut self, pno: u64) {
-        if self.last_dirty != pno {
-            self.last_dirty = pno;
-            self.dirty.insert(pno);
-        }
-        // `&mut self` makes the lock free; the stale fast path is tracked
-        // separately from `last_dirty` because a digest refresh clears
-        // staleness without clearing recorder dirt.
-        let cache = match self.cache.get_mut() {
-            Ok(c) => c,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        if cache.last_stale != pno {
-            cache.last_stale = pno;
-            cache.stale.insert(pno);
-        }
+        self.page_mut(page_of(addr))[(addr % PAGE_SIZE) as usize] = value;
     }
 
     /// Reads `width` bytes little-endian, zero-extended to a word.
@@ -301,6 +317,7 @@ impl Memory {
         let Some(page) = self.pages.get(&page_of(addr)) else {
             return 0;
         };
+        let page = &page.bytes;
         match width {
             Width::W1 => page[off] as Word,
             Width::W2 => u16::from_le_bytes(bytes_at(page, off)) as Word,
@@ -328,8 +345,7 @@ impl Memory {
         if off + width.bytes() as usize > PAGE_SIZE as usize {
             return self.write_straddling(addr, value, width);
         }
-        let pno = page_of(addr);
-        let page = Arc::make_mut(self.pages.entry(pno).or_insert_with(zero_page));
+        let page = self.page_mut(page_of(addr));
         let bytes = value.to_le_bytes();
         match width {
             Width::W1 => page[off] = value as u8,
@@ -337,7 +353,6 @@ impl Memory {
             Width::W4 => page[off..off + 4].copy_from_slice(&bytes[..4]),
             Width::W8 => page[off..off + 8].copy_from_slice(&bytes),
         }
-        self.mark_dirty(pno);
     }
 
     /// [`Memory::write`] of an access that crosses a page boundary.
@@ -361,7 +376,7 @@ impl Memory {
             let off = (a % PAGE_SIZE) as usize;
             let n = (PAGE_SIZE as usize - off).min(out.len() - done);
             match self.pages.get(&page_of(a)) {
-                Some(p) => out[done..done + n].copy_from_slice(&p[off..off + n]),
+                Some(p) => out[done..done + n].copy_from_slice(&p.bytes[off..off + n]),
                 None => out[done..done + n].fill(0),
             }
             done += n;
@@ -378,18 +393,15 @@ impl Memory {
     /// Copies bytes into guest memory, one page at a time: one page
     /// lookup, one copy-on-write and one dirty mark per page touched. The
     /// result is exactly that of a [`Memory::write_u8`] per byte: the same
-    /// bytes, and the same resident, dirty and digest-stale pages (writing
-    /// zeros still makes a page resident).
+    /// bytes, and the same resident and dirty pages (writing zeros still
+    /// makes a page resident).
     pub fn write_bytes(&mut self, addr: Word, bytes: &[u8]) {
         let mut done = 0usize;
         while done < bytes.len() {
             let a = addr.wrapping_add(done as u64);
             let off = (a % PAGE_SIZE) as usize;
             let n = (PAGE_SIZE as usize - off).min(bytes.len() - done);
-            let pno = page_of(a);
-            let page = self.pages.entry(pno).or_insert_with(zero_page);
-            Arc::make_mut(page)[off..off + n].copy_from_slice(&bytes[done..done + n]);
-            self.mark_dirty(pno);
+            self.page_mut(page_of(a))[off..off + n].copy_from_slice(&bytes[done..done + n]);
             done += n;
         }
     }
@@ -411,63 +423,57 @@ impl Memory {
         &self.dirty
     }
 
-    /// Digest of memory contents, computed incrementally: only pages
-    /// written since the last call are re-hashed; everything else reuses
-    /// its cached per-page digest. All-zero pages digest identically to
-    /// unmapped pages, so zero-fill semantics cannot cause false
-    /// divergence. Equal to [`Memory::state_digest_scratch`] always.
+    /// Digest of memory contents: a commutative mix of every resident
+    /// page's number and digest, reading each page version's cached digest
+    /// and hashing only versions no memory has digested yet. It walks
+    /// every resident page, but hashes bytes only for pages written (or
+    /// decoded) since they were last digested, wherever that was.
+    /// All-zero pages digest identically to unmapped pages, so zero-fill
+    /// semantics cannot cause false divergence. Equal to
+    /// [`Memory::state_digest_scratch`] always.
     pub fn state_digest(&self) -> u64 {
         if FULL_REHASH.load(Ordering::Relaxed) {
             return self.state_digest_scratch();
         }
-        let mut cache = self.lock_cache();
-        self.refresh(&mut cache);
-        cache.acc
-    }
-
-    /// Re-digests every stale page, adjusting the commutative accumulator
-    /// by the old and new per-page contributions.
-    fn refresh(&self, cache: &mut DigestCache) {
-        cache.last_stale = u64::MAX;
-        let stale = std::mem::take(&mut cache.stale);
-        let mut examined = 0u64;
-        for pno in stale {
-            examined += 1;
-            let fresh = self
-                .pages
-                .get(&pno)
-                .and_then(|p| page_digest(p, &mut cache.stats.hashed_pages));
-            let old = match fresh {
-                Some(d) => cache.digests.insert(pno, d),
-                None => cache.digests.remove(&pno),
-            };
-            if let Some(d) = old {
-                cache.acc = cache.acc.wrapping_sub(mix(pno, d));
-            }
-            if let Some(d) = fresh {
-                cache.acc = cache.acc.wrapping_add(mix(pno, d));
-            }
-        }
-        cache.stats.skipped_pages += (self.pages.len() as u64).saturating_sub(examined);
-    }
-
-    /// Digest of memory contents recomputed from scratch, ignoring (and
-    /// not touching) the incremental cache. The correctness oracle for
-    /// [`Memory::state_digest`] and the benchmark baseline.
-    pub fn state_digest_scratch(&self) -> u64 {
-        let mut hashed = 0u64;
-        let mut acc = 0u64;
+        let (mut hashed, mut acc) = (0u64, 0u64);
+        let mut claimed_elsewhere = Vec::new();
         for (&pno, page) in &self.pages {
-            if let Some(d) = page_digest(page, &mut hashed) {
-                acc = acc.wrapping_add(mix(pno, d));
+            match page.digest.get_or_hash(&page.bytes, &mut hashed) {
+                Some(digest) => acc = acc.wrapping_add(mix(pno, digest)),
+                None => claimed_elsewhere.push((pno, &page.digest)),
             }
         }
+        // Pages another thread claimed: it fills each as soon as it is hashed.
+        for (pno, slot) in claimed_elsewhere {
+            while slot.get().is_none() {
+                std::thread::yield_now();
+            }
+            acc = acc.wrapping_add(mix(pno, slot.get().flatten()));
+        }
+        let skipped = self.pages.len() as u64 - hashed;
+        self.counters.hashed.fetch_add(hashed, Ordering::Relaxed);
+        self.counters.skipped.fetch_add(skipped, Ordering::Relaxed);
         acc
     }
 
-    /// Cumulative digest-cache counters: pages hashed vs. cache hits.
+    /// Digest of memory contents recomputed from scratch, ignoring (and
+    /// not filling) the per-page digest slots. The correctness oracle for
+    /// [`Memory::state_digest`] and the benchmark baseline.
+    pub fn state_digest_scratch(&self) -> u64 {
+        let digests = self
+            .pages
+            .iter()
+            .map(|(&pno, p)| mix(pno, page_digest(&p.bytes)));
+        digests.fold(0, u64::wrapping_add)
+    }
+
+    /// Digest counters of this memory since it was created, cloned or
+    /// decoded: pages hashed vs. cached digests reused.
     pub fn hash_stats(&self) -> HashStats {
-        self.lock_cache().stats
+        HashStats {
+            hashed_pages: self.counters.hashed.load(Ordering::Relaxed),
+            skipped_pages: self.counters.skipped.load(Ordering::Relaxed),
+        }
     }
 
     /// Finds the first byte address at which `self` and `other` differ, if
@@ -487,7 +493,7 @@ impl Memory {
                 continue;
             }
             for i in 0..PAGE_SIZE as usize {
-                if a[i] != b[i] {
+                if a.bytes[i] != b.bytes[i] {
                     return Some(pno * PAGE_SIZE + i as u64);
                 }
             }
@@ -504,8 +510,8 @@ impl Default for Memory {
 
 /// Wire encoding: pages as sorted `(page_no, raw 4096 bytes)` pairs (so the
 /// `Arc` sharing is transparent to the format), then the dirty set. The
-/// `last_dirty` fast path and the digest cache are reset on decode — a
-/// decoded memory pays one cold full rehash on its first digest.
+/// `last_dirty` fast path and the counters reset on decode, and the
+/// decoded pages hash on their first digest.
 impl Wire for Memory {
     fn put(&self, out: &mut Vec<u8>) {
         let mut pnos: Vec<u64> = self.pages.keys().copied().collect();
@@ -513,7 +519,7 @@ impl Wire for Memory {
         put_varint(out, pnos.len() as u64);
         for pno in pnos {
             pno.put(out);
-            out.extend_from_slice(&self.pages[&pno][..]);
+            out.extend_from_slice(&self.pages[&pno].bytes);
         }
         self.dirty.put(out);
     }
@@ -528,12 +534,10 @@ impl Wire for Memory {
             pages.insert(pno, page_from(r.take(PAGE_SIZE as usize, "memory page")?));
         }
         let dirty = <BTreeSet<u64> as Wire>::get(r)?;
-        let cache = Mutex::new(DigestCache::cold(&pages));
         Ok(Memory {
             pages,
             dirty,
-            last_dirty: u64::MAX,
-            cache,
+            ..Memory::new()
         })
     }
 }
@@ -547,7 +551,7 @@ impl Wire for Memory {
 ///
 /// An all-zero page equals an absent one, and `Arc` identity is only a
 /// fast path before the byte compare, so the bytes are a pure function of
-/// the two memories' contents — never of clone topology or cache state.
+/// the two memories' contents — never of clone topology or digest state.
 impl Memory {
     /// Appends the delta that turns `base` into `self`.
     pub fn put_delta(&self, base: &Memory, out: &mut Vec<u8>) {
@@ -573,7 +577,7 @@ impl Memory {
                 None => out.push(PAGE_ZERO),
                 Some(p) => {
                     out.push(PAGE_BYTES);
-                    out.extend_from_slice(&p[..]);
+                    out.extend_from_slice(&p.bytes);
                 }
             }
         }
@@ -581,8 +585,8 @@ impl Memory {
     }
 
     /// Applies a [`put_delta`](Memory::put_delta) encoding to `base`. The
-    /// result shares every unchanged page with `base` and inherits its
-    /// digest cache, with only the changed pages marked stale.
+    /// result shares every unchanged page, and so its digest, with `base`;
+    /// only the pages the delta carries hash on its first digest.
     ///
     /// # Errors
     ///
@@ -590,10 +594,6 @@ impl Memory {
     /// ascending order, or truncated input; never a panic.
     pub fn get_delta(base: &Memory, r: &mut Reader<'_>) -> Result<Self, WireError> {
         let mut mem = base.clone();
-        let cache = match mem.cache.get_mut() {
-            Ok(c) => c,
-            Err(poisoned) => poisoned.into_inner(),
-        };
         let count = usize::get(r)?;
         let mut prev = None;
         for _ in 0..count {
@@ -622,7 +622,6 @@ impl Memory {
                     })
                 }
             }
-            cache.stale.insert(pno);
         }
         mem.dirty = <BTreeSet<u64> as Wire>::get(r)?;
         mem.last_dirty = u64::MAX;
@@ -633,10 +632,12 @@ impl Memory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
 
     /// Serializes the tests that either flip the process-wide
-    /// [`set_full_rehash`] knob or assert exact cache-counter values (a
-    /// concurrently enabled knob would bypass the cache and skew counts).
+    /// [`set_full_rehash`] knob or assert exact counter values (a
+    /// concurrently enabled knob would bypass the digest slots and skew
+    /// counts).
     static KNOB: Mutex<()> = Mutex::new(());
 
     #[test]
@@ -718,34 +719,79 @@ mod tests {
         m.write(0x1000, 7, Width::W8);
         m.write(PAGE_SIZE * 9, 0xff, Width::W1);
         assert_eq!(m.state_digest(), m.state_digest_scratch());
-        // Mutating after a refresh must re-stale the page even though the
-        // dirty fast path still points at it.
+        // A write after a digest must empty the page's digest slot even
+        // though the dirty fast path still points at the page, whichever
+        // write path it takes.
         m.write(0x1000, 8, Width::W8);
         assert_eq!(m.state_digest(), m.state_digest_scratch());
-        // take_dirty must not clear digest staleness.
+        m.write_u8(0x1001, 9);
+        assert_eq!(m.state_digest(), m.state_digest_scratch());
+        m.write_bytes(0x1002, &[10, 11]);
+        assert_eq!(m.state_digest(), m.state_digest_scratch());
+        m.write(PAGE_SIZE * 10 - 2, u64::MAX, Width::W4); // straddles 9 and 10
+        assert_eq!(m.state_digest(), m.state_digest_scratch());
+        m.write(PAGE_SIZE * 10 - 1, 0x1234, Width::W2);
+        assert_eq!(m.state_digest(), m.state_digest_scratch());
+        // take_dirty must not touch digests.
         m.write(0x2000, 3, Width::W4);
         m.take_dirty();
         assert_eq!(m.state_digest(), m.state_digest_scratch());
     }
 
     #[test]
-    fn clones_inherit_the_digest_cache() {
+    fn clones_share_page_digests() {
         let _serial = KNOB.lock().unwrap_or_else(|p| p.into_inner());
         let mut m = Memory::new();
         m.write_bytes(0x4000, b"checkpointed");
-        m.state_digest(); // warm
-        let hashed_before = m.hash_stats().hashed_pages;
+        m.write_bytes(0x9000, b"twice");
         let snap = m.clone();
-        // The clone's digest is served entirely from the inherited cache.
+        // Digesting the clone fills the slots the source shares: the
+        // source's own digest then hashes nothing.
         assert_eq!(snap.state_digest(), m.state_digest_scratch());
-        assert_eq!(snap.hash_stats().hashed_pages, hashed_before);
-        // Writes diverge the two digests independently and correctly.
+        assert_eq!(snap.hash_stats().hashed_pages, 2);
+        assert_eq!(m.state_digest(), snap.state_digest());
+        assert_eq!(m.hash_stats().hashed_pages, 0);
+        // Writes diverge the two digests independently and correctly, and
+        // each side hashes only the page it copied.
         let mut snap = snap;
         snap.write(0x4000, 0xaa, Width::W1);
-        m.write(0x8000, 0xbb, Width::W1);
+        m.write(0x9000, 0xbb, Width::W1);
         assert_eq!(snap.state_digest(), snap.state_digest_scratch());
         assert_eq!(m.state_digest(), m.state_digest_scratch());
         assert_ne!(m.state_digest(), snap.state_digest());
+        assert_eq!(snap.hash_stats().hashed_pages, 3);
+        assert_eq!(m.hash_stats().hashed_pages, 1);
+    }
+
+    /// Four threads digest clones of one never-digested memory at once.
+    /// Every digest is right, and each shared page version is hashed by
+    /// exactly one of them.
+    #[test]
+    fn concurrent_clones_hash_each_page_version_once() {
+        let _serial = KNOB.lock().unwrap_or_else(|p| p.into_inner());
+        let mut m = Memory::new();
+        for p in 0..256u64 {
+            m.write(p * PAGE_SIZE + p, p + 1, Width::W8);
+        }
+        let expect = m.state_digest_scratch();
+        let barrier = std::sync::Barrier::new(4);
+        let hashed: u64 = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    let clone = m.clone();
+                    let barrier = &barrier;
+                    scope.spawn(move || {
+                        barrier.wait();
+                        assert_eq!(clone.state_digest(), expect);
+                        clone.hash_stats().hashed_pages
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).sum()
+        });
+        assert_eq!(hashed, 256);
+        assert_eq!(m.state_digest(), expect);
+        assert_eq!(m.hash_stats().hashed_pages, 0);
     }
 
     #[test]
@@ -755,13 +801,13 @@ mod tests {
         for p in 0..64u64 {
             m.write(p * PAGE_SIZE, p + 1, Width::W8);
         }
-        m.state_digest(); // cold rehash: 64 pages
+        m.state_digest(); // every page is a new version: 64 hashed
         assert_eq!(m.hash_stats().hashed_pages, 64);
         m.write(5 * PAGE_SIZE, 99, Width::W8);
         m.state_digest();
         let stats = m.hash_stats();
         assert_eq!(stats.hashed_pages, 65, "only the written page re-hashed");
-        assert_eq!(stats.skipped_pages, 63, "the other 63 served from cache");
+        assert_eq!(stats.skipped_pages, 63, "the other 63 reused their digest");
     }
 
     #[test]

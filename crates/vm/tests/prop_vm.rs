@@ -3,9 +3,9 @@
 //! DoublePlay stack relies on.
 
 use dp_support::check::{check, Gen};
-use dp_support::wire::to_bytes;
+use dp_support::wire::{from_bytes, to_bytes, Reader, Wire};
 use dp_vm::builder::ProgramBuilder;
-use dp_vm::memory::Memory;
+use dp_vm::memory::{Memory, PAGE_SIZE};
 use dp_vm::observer::{Access, CollectingObserver, MemObserver, NullObserver};
 use dp_vm::{
     BinOp, DataSegment, Fault, FuncId, Function, Instr, Machine, Program, Reg, SliceLimits,
@@ -501,14 +501,40 @@ fn run_slice_matches_single_steps_into_stack_overflow() {
     });
 }
 
-/// The incremental per-page digest equals a from-scratch digest after any
+/// Pages whose bytes a [`Memory::put_delta`] encoding carries: entries
+/// `pno | tag`, where tag 1 is followed by the page's bytes and tag 0
+/// zeroes the page.
+fn delta_byte_pages(delta: &[u8]) -> u64 {
+    let mut r = Reader::new(delta);
+    let mut pages = 0;
+    for _ in 0..usize::get(&mut r).unwrap() {
+        u64::get(&mut r).unwrap();
+        if r.u8("page delta tag").unwrap() == 1 {
+            r.take(PAGE_SIZE as usize, "memory page").unwrap();
+            pages += 1;
+        }
+    }
+    pages
+}
+
+/// `mem`'s digest equals its from-scratch digest and its twin's, with the
+/// same digest counters.
+fn assert_digest_matches(mem: &Memory, twin: &Memory) {
+    let digest = mem.state_digest();
+    assert_eq!(digest, mem.state_digest_scratch());
+    assert_eq!(digest, twin.state_digest());
+    assert_eq!(mem.hash_stats(), twin.hash_stats());
+}
+
+/// The per-page cached digest equals a from-scratch digest after any
 /// interleaving of writes, page-wise copies, CoW clones, snapshot restores,
-/// and dirty-set drains — the invariant the recorder's verify hot path
-/// rests on. Clones share the digest cache, restores revive older cache
-/// states, and `take_dirty` exercises the separation between the
-/// recorder's dirty set and the cache's staleness set. A twin memory takes
-/// every op too, with each `write_bytes` spelled as a `write_u8` per byte,
-/// and must keep the same dirty set, digest and digest counters.
+/// dirty-set drains, wire decodes and delta rebuilds — the invariant the
+/// recorder's verify hot path and every replay of a journal rest on.
+/// Clones and snapshots share page versions and so their digests, a
+/// decoded memory starts with none, and a delta-decoded one shares every
+/// page the delta leaves alone with its base. A twin memory takes every op
+/// too, with each `write_bytes` spelled as a `write_u8` per byte, and must
+/// keep the same dirty set, digest and digest counters.
 #[test]
 fn incremental_digest_equals_scratch_under_any_interleaving() {
     check("incremental_digest_equals_scratch", 96, |g| {
@@ -516,7 +542,7 @@ fn incremental_digest_equals_scratch_under_any_interleaving() {
         let mut twin = Memory::new();
         let mut snapshots: Vec<(Memory, Memory)> = Vec::new();
         for _ in 0..g.range(4, 40) {
-            match g.index(9) {
+            match g.index(11) {
                 // Writes dominate: dirty some pages (occasionally writing
                 // zero, which must keep zero-fill equivalence).
                 0..=3 => {
@@ -540,12 +566,33 @@ fn incremental_digest_equals_scratch_under_any_interleaving() {
                 7 => {
                     assert_eq!(mem.take_dirty(), twin.take_dirty());
                 }
-                _ => {
-                    let digest = mem.state_digest();
-                    assert_eq!(digest, mem.state_digest_scratch());
-                    assert_eq!(digest, twin.state_digest());
-                    assert_eq!(mem.hash_stats(), twin.hash_stats());
+                8 => {
+                    mem = from_bytes(&to_bytes(&mem)).unwrap();
+                    twin = from_bytes(&to_bytes(&twin)).unwrap();
+                    assert_digest_matches(&mem, &twin);
                 }
+                9 => {
+                    // Rebuild both as a delta against a live snapshot whose
+                    // pages are digested: only the pages the delta carries
+                    // are new versions, so only they hash.
+                    if let Some((snap, snap_twin)) = snapshots.last() {
+                        assert_digest_matches(snap, snap_twin);
+                        let mut delta = Vec::new();
+                        mem.put_delta(snap, &mut delta);
+                        let mut twin_delta = Vec::new();
+                        twin.put_delta(snap_twin, &mut twin_delta);
+                        assert_eq!(delta, twin_delta);
+                        mem = Memory::get_delta(snap, &mut Reader::new(&delta)).unwrap();
+                        twin = Memory::get_delta(snap_twin, &mut Reader::new(&twin_delta)).unwrap();
+                        let before = mem.hash_stats().hashed_pages;
+                        assert_digest_matches(&mem, &twin);
+                        assert_eq!(
+                            mem.hash_stats().hashed_pages - before,
+                            delta_byte_pages(&delta)
+                        );
+                    }
+                }
+                _ => assert_digest_matches(&mem, &twin),
             }
             assert_eq!(mem.dirty(), twin.dirty());
         }
