@@ -19,6 +19,25 @@ use std::sync::Arc;
 /// epoch boundary markers.
 pub type EpochTargets = BTreeMap<Tid, ThreadTarget>;
 
+/// The epoch-boundary targets `machine`'s thread table sets: running the
+/// previous epoch must bring every thread to exactly these instruction
+/// counts.
+pub(crate) fn targets_of(machine: &Machine) -> EpochTargets {
+    machine
+        .threads()
+        .iter()
+        .map(|t| {
+            (
+                t.tid,
+                ThreadTarget {
+                    icount: t.icount,
+                    exited: t.is_exited(),
+                },
+            )
+        })
+        .collect()
+}
+
 /// One thread's epoch-boundary position.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ThreadTarget {
@@ -64,25 +83,6 @@ impl Checkpoint {
             kernel: kernel.clone(),
             machine_hash: 0,
         }
-    }
-
-    /// Epoch-boundary targets derived from this checkpoint's thread table:
-    /// running the previous epoch must bring every thread to exactly these
-    /// instruction counts.
-    pub fn targets(&self) -> EpochTargets {
-        self.machine
-            .threads()
-            .iter()
-            .map(|t| {
-                (
-                    t.tid,
-                    ThreadTarget {
-                        icount: t.icount,
-                        exited: t.is_exited(),
-                    },
-                )
-            })
-            .collect()
     }
 
     /// Converts to a serializable image.
@@ -199,7 +199,7 @@ mod tests {
         let t1 = m.spawn_thread(entry, &[]);
         m.exit_thread(t1, 9);
         let ckpt = Checkpoint::capture(&m, &k);
-        let targets = ckpt.targets();
+        let targets = targets_of(&ckpt.machine);
         assert_eq!(targets[&Tid(0)].icount, 7);
         assert!(!targets[&Tid(0)].exited);
         assert!(targets[&t1].exited);

@@ -168,6 +168,11 @@ impl<'a> SyscallCursor<'a> {
     pub fn exhausted(&self) -> bool {
         self.remaining() == 0
     }
+
+    /// The entries not yet consumed, thread by thread.
+    pub(crate) fn unconsumed(&self) -> impl Iterator<Item = &'a SyscallLogEntry> + '_ {
+        self.per_tid.values().flatten().copied()
+    }
 }
 
 /// Applies a logged completion to the machine: performs the guest memory

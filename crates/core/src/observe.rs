@@ -10,11 +10,16 @@
 //! order — syscall traps (futex wait/wake, thread exit/join), thread
 //! spawns, logged-wake deliveries, and signal deliveries — and
 //! [`replay_observed`] drives a full sequential replay through one.
+//! [`crate::replay_sequential`] is [`replay_observed`] with the
+//! [`NullObserver`], whose hooks compile away.
 //!
-//! The observer sees events in the epoch-parallel execution's total order
-//! (the recorded time-slice order), interleaved with every data access the
-//! interpreter performs. `dp-analyze` builds its vector-clock data-race
-//! detector on exactly this stream.
+//! The events come from `replay::follow`, the one loop that walks a
+//! schedule for the recorder's verify pass and for every replay path, so
+//! the observer sees exactly the execution replay verifies: the
+//! epoch-parallel execution's total order (the recorded time-slice
+//! order), interleaved with every data access the interpreter performs.
+//! `dp-analyze` builds its vector-clock data-race detector on exactly this
+//! stream.
 
 use dp_vm::observer::{MemObserver, NullObserver};
 use dp_vm::{Program, SyscallRequest, Tid, Word};
@@ -23,7 +28,7 @@ use std::sync::Arc;
 use crate::checkpoint::Checkpoint;
 use crate::error::ReplayError;
 use crate::recording::Recording;
-use crate::replay::{check_program, replay_epoch_observed, ReplayReport};
+use crate::replay::{check_program, replay_from, ReplayReport};
 
 /// One kernel-level event surfaced during observed replay, in the recorded
 /// total order of the epoch-parallel execution.
@@ -97,9 +102,10 @@ impl ReplayObserver for NullObserver {}
 
 /// Replays the whole recording sequentially (chaining state across epochs
 /// from the initial checkpoint) while feeding every data access and kernel
-/// event to `obs`. Verification is identical to
-/// [`crate::replay_sequential`] — the analysis rides a fully verified
-/// replay, so its input is exactly the recorded execution.
+/// event to `obs`. Each epoch's end world moves into the next epoch.
+/// [`crate::replay_sequential`] is this function with
+/// [`NullObserver`], so the analysis rides exactly the verified replay and
+/// its input is exactly the recorded execution.
 ///
 /// # Errors
 ///
@@ -116,8 +122,7 @@ pub fn replay_observed<O: ReplayObserver>(
     let mut final_hash = recording.meta.initial_machine_hash;
     for epoch in &recording.epochs {
         obs.on_epoch_start(epoch.index);
-        let start = Checkpoint::capture(&state.0, &state.1);
-        let (m, k, n) = replay_epoch_observed(&start, epoch, obs)?;
+        let (m, k, n) = replay_from(state.0, state.1, epoch, None, obs)?;
         instructions += n;
         final_hash = epoch.end_machine_hash;
         state = (m, k);

@@ -35,7 +35,7 @@
 //! run with recording work disabled (same hidden seed), [`measure_native`];
 //! callers that report a ratio run it themselves.
 
-use crate::checkpoint::{Checkpoint, EpochTargets, ThreadTarget};
+use crate::checkpoint::{targets_of, Checkpoint, EpochTargets};
 use crate::config::DoublePlayConfig;
 use crate::error::RecordError;
 use crate::faults::{FaultPlan, INJECTED_PANIC_TAG};
@@ -384,24 +384,6 @@ pub(crate) fn execute_verify(
         Err(_) => VerifyVerdict::Panicked,
     };
     (expected_hash, verdict)
-}
-
-/// Epoch-boundary targets of a machine's thread table (as
-/// [`Checkpoint::targets`], without needing a digest-bearing checkpoint).
-pub(crate) fn targets_of(machine: &Machine) -> EpochTargets {
-    machine
-        .threads()
-        .iter()
-        .map(|t| {
-            (
-                t.tid,
-                ThreadTarget {
-                    icount: t.icount,
-                    exited: t.is_exited(),
-                },
-            )
-        })
-        .collect()
 }
 
 /// Thread-parallel-side accounting for one epoch, applied at the in-order

@@ -9,15 +9,17 @@
 //!
 //! * **Verify** ([`run_verify`]) — the normal recording path. The run
 //!   *follows the thread-parallel run's schedule hint* (sync-ordered
-//!   slices), re-executing deterministic syscalls against the epoch's own
-//!   kernel snapshot and consuming logged-class results from the syscall
-//!   log (checking number and argument digest). At the end, every thread
-//!   must sit exactly at its epoch-boundary target and the machine digest
-//!   must equal the next checkpoint's. Any deviation — a slice that can't
-//!   be followed, a syscall that doesn't match, a digest mismatch — is a
-//!   **divergence**: some data race resolved differently between the two
-//!   executions. The hint (which was followed successfully) becomes the
-//!   epoch's schedule log on commit.
+//!   slices) through `replay::follow`, the same loop replay walks a
+//!   recorded schedule with: deterministic syscalls re-execute against the
+//!   epoch's own kernel snapshot and logged-class results come from the
+//!   syscall log (number and argument digest checked). Only the end
+//!   checks are verify's own: every thread must sit exactly at its
+//!   epoch-boundary target, the log must be consumed, and the machine
+//!   digest must equal the next checkpoint's. Any deviation — a slice that
+//!   can't be followed, a syscall that doesn't match, a digest mismatch —
+//!   is a **divergence**: some data race resolved differently between the
+//!   two executions. The hint (which was followed successfully) becomes
+//!   the epoch's schedule log on commit.
 //! * **Live** ([`run_live`]) — re-execution after a divergence (forward
 //!   recovery), and the whole-run mode of the uniprocessor baseline. The
 //!   scheduler is a deterministic round-robin; all syscalls execute for
@@ -27,20 +29,15 @@
 use dp_os::abi;
 use dp_os::kernel::{Disposition, Kernel, Wake};
 use dp_vm::observer::NullObserver;
-use dp_vm::{Fault, Machine, SliceLimits, StopReason, ThreadStatus, Tid, Word};
+use dp_vm::{Machine, SliceLimits, StopReason, Tid, Word};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::checkpoint::{Checkpoint, EpochTargets};
+use crate::checkpoint::{targets_of, Checkpoint, EpochTargets};
 use crate::error::RecordError;
 use crate::logs::{
-    apply_entry, request_hash, request_hash_args, SchedEvent, ScheduleLog, SyscallLog,
-    SyscallLogEntry,
+    request_hash, request_hash_args, ScheduleLog, SyscallCursor, SyscallLog, SyscallLogEntry,
 };
-
-/// How many instructions a cancellable verify run executes between token
-/// checks. Slices are chunked to this quantum; a mid-slice `Budget` stop
-/// just continues the slice, so chunking never changes the outcome.
-const CANCEL_CHECK_QUANTUM: u64 = 8_192;
+use crate::replay::{follow, Follow};
 
 /// Generation-based cooperative cancellation for speculative verify work.
 ///
@@ -193,10 +190,10 @@ pub fn run_verify(start: &Checkpoint, inputs: VerifyInputs<'_>) -> Result<EpOutc
 
 /// [`run_verify`] with cooperative cancellation: when `cancel` is given as
 /// `(token, stamp)` the run checks the token at every schedule event and
-/// every [`CANCEL_CHECK_QUANTUM`] instructions within a slice, returning
-/// `Ok(None)` as soon as the stamp goes stale. A completed run is
-/// bit-identical to an uncancelled [`run_verify`] — chunked slices change
-/// only where the interpreter pauses, never what it computes.
+/// every few thousand instructions within a slice, returning `Ok(None)` as
+/// soon as the stamp goes stale. A completed run is bit-identical to an
+/// uncancelled [`run_verify`] — chunked slices change only where the
+/// interpreter pauses, never what it computes.
 ///
 /// # Errors
 ///
@@ -206,229 +203,43 @@ pub fn run_verify_cancellable(
     inputs: VerifyInputs<'_>,
     cancel: Option<(&CancelToken, u64)>,
 ) -> Result<Option<EpOutcome>, RecordError> {
-    let stale = || matches!(cancel, Some((token, stamp)) if token.is_stale(stamp));
-    let chunk = if cancel.is_some() {
-        CANCEL_CHECK_QUANTUM
-    } else {
-        u64::MAX
-    };
     let mut machine = start.machine.clone();
-    let mut kernel = start.kernel.clone();
     machine.mem_mut().take_dirty();
-    let switch = kernel.cost_model().context_switch;
-    let mut cursor = inputs.log.cursor();
-    let mut external: Vec<dp_os::kernel::ExternalChunk> = Vec::new();
-    let mut cycles = 0u64;
-    let mut instructions = 0u64;
-    let mut divergence: Option<Divergence> = None;
-    let mut last_tid: Option<Tid> = None;
-
-    'events: for event in inputs.hint.events() {
-        if stale() {
-            return Ok(None);
-        }
-        match *event {
-            SchedEvent::LoggedWake { tid } => {
-                let pending = match machine.threads().get(tid.index()).and_then(|t| t.pending) {
-                    Some(p) => p,
-                    None => {
-                        divergence = Some(Divergence::SliceMismatch {
-                            tid,
-                            detail: "logged wake but no pending syscall".into(),
-                        });
-                        break 'events;
-                    }
-                };
-                let my_hash = request_hash(&machine, &pending);
-                match cursor.peek(tid) {
-                    Some(e) if e.num == pending.num && e.arg_hash == my_hash => {
-                        let e = cursor.pop(tid).unwrap();
-                        cycles += kernel.cost_model().syscall(e.effect.bytes());
-                        external.extend(e.effect.external.iter().cloned());
-                        apply_entry(&mut machine, e);
-                    }
-                    Some(e) => {
-                        divergence = Some(Divergence::SyscallMismatch {
-                            tid,
-                            detail: format!(
-                                "wake entry {} (hash {:#x}) vs pending {} (hash {:#x})",
-                                abi::name(e.num),
-                                e.arg_hash,
-                                abi::name(pending.num),
-                                my_hash
-                            ),
-                        });
-                        break 'events;
-                    }
-                    None => {
-                        divergence = Some(Divergence::SyscallMismatch {
-                            tid,
-                            detail: "logged wake with no log entry".into(),
-                        });
-                        break 'events;
-                    }
-                }
-            }
-            SchedEvent::Signal { tid, sig } => match kernel.take_pending_signal(tid) {
-                Some((got, handler)) if got == sig && machine.thread(tid).is_ready() => {
-                    machine.push_signal_frame(tid, handler, &[sig]);
-                }
-                other => {
-                    divergence = Some(Divergence::SliceMismatch {
-                        tid,
-                        detail: format!("signal {sig} event but kernel has {other:?}"),
-                    });
-                    break 'events;
-                }
-            },
-            SchedEvent::Slice { tid, instrs } => {
-                if last_tid != Some(tid) {
-                    cycles += switch;
-                    last_tid = Some(tid);
-                }
-                if tid.index() >= machine.threads().len() {
-                    divergence = Some(Divergence::SliceMismatch {
-                        tid,
-                        detail: "slice for a thread that does not exist".into(),
-                    });
-                    break 'events;
-                }
-                let mut remaining = instrs;
-                while remaining > 0 {
-                    if stale() {
-                        return Ok(None);
-                    }
-                    if !machine.thread(tid).is_ready() {
-                        divergence = Some(Divergence::SliceMismatch {
-                            tid,
-                            detail: format!(
-                                "{remaining} instrs left but thread is {:?}",
-                                machine.thread(tid).status
-                            ),
-                        });
-                        break 'events;
-                    }
-                    let run = match machine.run_slice(
-                        tid,
-                        SliceLimits::budget(remaining.min(chunk)),
-                        &mut NullObserver,
-                    ) {
-                        Ok(run) => run,
-                        Err(fault) => {
-                            divergence = Some(Divergence::GuestFault {
-                                detail: fault.to_string(),
-                            });
-                            break 'events;
-                        }
-                    };
-                    instructions += run.executed;
-                    cycles += run.executed;
-                    remaining -= run.executed;
-                    match run.stop {
-                        StopReason::Budget
-                        | StopReason::IcountTarget
-                        | StopReason::Atomic { .. } => {}
-                        StopReason::Exited => {
-                            kernel.on_thread_exited(&mut machine, tid);
-                            if remaining > 0 {
-                                divergence = Some(Divergence::SliceMismatch {
-                                    tid,
-                                    detail: format!("exited with {remaining} instrs left"),
-                                });
-                                break 'events;
-                            }
-                        }
-                        StopReason::Syscall(req) => {
-                            if abi::is_logged(req.num) {
-                                let my_hash = request_hash(&machine, &req);
-                                match cursor.peek(tid) {
-                                    Some(e)
-                                        if e.num == req.num
-                                            && e.arg_hash == my_hash
-                                            && !e.via_wake =>
-                                    {
-                                        let e = cursor.pop(tid).unwrap();
-                                        cycles += kernel.cost_model().syscall(e.effect.bytes());
-                                        external.extend(e.effect.external.iter().cloned());
-                                        apply_entry(&mut machine, e);
-                                    }
-                                    Some(e) if e.num == req.num && e.via_wake => {
-                                        // Blocks; the LoggedWake event will
-                                        // complete it later.
-                                    }
-                                    Some(e) => {
-                                        divergence = Some(Divergence::SyscallMismatch {
-                                            tid,
-                                            detail: format!(
-                                                "issued {} (hash {:#x}) but log has {} (hash {:#x})",
-                                                abi::name(req.num),
-                                                my_hash,
-                                                abi::name(e.num),
-                                                e.arg_hash
-                                            ),
-                                        });
-                                        break 'events;
-                                    }
-                                    None => {
-                                        // Completion lies beyond this epoch:
-                                        // the thread stays blocked, as the
-                                        // thread-parallel run's did.
-                                    }
-                                }
-                            } else {
-                                let out = kernel.handle(&mut machine, req, cycles);
-                                cycles += out.cost;
-                            }
-                            if remaining > 0 && !machine.thread(tid).is_ready() {
-                                divergence = Some(Divergence::SliceMismatch {
-                                    tid,
-                                    detail: format!(
-                                        "blocked at {} with {remaining} instrs left",
-                                        abi::name(req.num)
-                                    ),
-                                });
-                                break 'events;
-                            }
-                        }
-                    }
-                    if machine.halted().is_some() {
-                        if remaining > 0 {
-                            divergence = Some(Divergence::SliceMismatch {
-                                tid,
-                                detail: "halted mid-slice".into(),
-                            });
-                        }
-                        break;
-                    }
-                }
-                if machine.halted().is_some() && divergence.is_none() {
-                    // Any hint events after a halt would be unfollowable;
-                    // the thread-parallel run halted here too, so there are
-                    // none (the end checks confirm).
-                    continue;
-                }
-            }
-        }
-    }
+    let how = Follow {
+        cancel,
+        stop: None,
+        external: true,
+    };
+    let kernel = start.kernel.clone();
+    let Some(f) = follow(
+        machine,
+        kernel,
+        inputs.hint,
+        inputs.log,
+        how,
+        &mut NullObserver,
+    ) else {
+        return Ok(None);
+    };
 
     // End-of-epoch checks, against the one digest of the end state.
-    let end_hash = machine.state_hash();
-    if divergence.is_none() {
-        divergence = end_checks(&machine, end_hash, &inputs, &cursor);
-    }
-
-    let finished = machine.halted().is_some() || machine.live_threads() == 0;
+    let end_hash = f.machine.state_hash();
+    let divergence = match f.mismatch {
+        Some(mismatch) => Some(mismatch.divergence()),
+        None => end_checks(&f.machine, end_hash, &inputs, &f.cursor),
+    };
+    let finished = f.machine.halted().is_some() || f.machine.live_threads() == 0;
     Ok(Some(EpOutcome {
         schedule: inputs.hint.clone(),
         generated: SyscallLog::new(),
         end_hash,
-        external,
-        cycles,
-        instructions,
+        external: f.external,
+        cycles: f.cycles,
+        instructions: f.instructions,
         divergence,
         finished,
-        machine,
-        kernel,
+        machine: f.machine,
+        kernel: f.kernel,
     }))
 }
 
@@ -439,33 +250,21 @@ fn end_checks(
     machine: &Machine,
     end_hash: u64,
     inputs: &VerifyInputs<'_>,
-    cursor: &crate::logs::SyscallCursor<'_>,
+    cursor: &SyscallCursor<'_>,
 ) -> Option<Divergence> {
-    for (tid, t) in inputs.targets {
-        if tid.index() >= machine.threads().len() {
-            return Some(Divergence::TargetMismatch {
-                tid: *tid,
-                detail: "thread never created".into(),
-            });
-        }
-        let th = machine.thread(*tid);
-        if th.icount != t.icount || th.is_exited() != t.exited {
-            return Some(Divergence::TargetMismatch {
-                tid: *tid,
-                detail: format!(
-                    "icount {} (want {}), exited {} (want {})",
-                    th.icount,
-                    t.icount,
-                    th.is_exited(),
-                    t.exited
-                ),
-            });
-        }
-    }
-    if machine.threads().len() > inputs.targets.len() {
+    // The lowest thread whose position differs, including one that only
+    // one side has.
+    let reached = targets_of(machine);
+    let wrong = reached
+        .keys()
+        .chain(inputs.targets.keys())
+        .filter(|tid| reached.get(tid) != inputs.targets.get(tid))
+        .min();
+    if let Some(&tid) = wrong {
+        let (got, want) = (reached.get(&tid), inputs.targets.get(&tid));
         return Some(Divergence::TargetMismatch {
-            tid: Tid(inputs.targets.len() as u32),
-            detail: "spawned thread unknown to the next checkpoint".into(),
+            tid,
+            detail: format!("at {got:?}, the next checkpoint has {want:?}"),
         });
     }
     if !cursor.exhausted() {
@@ -628,20 +427,6 @@ fn log_live_wakes(generated: &mut SyscallLog, schedule: &mut ScheduleLog, wakes:
     }
 }
 
-/// A convenience used by tests and diagnostics: true when a thread is
-/// blocked inside a syscall.
-pub fn is_waiting(machine: &Machine, tid: Tid) -> bool {
-    machine.thread(tid).status == ThreadStatus::Waiting
-}
-
-/// Formats a fault as a divergence (shared helper for drivers that treat
-/// verify-time faults as divergence).
-pub fn fault_divergence(fault: &Fault) -> Divergence {
-    Divergence::GuestFault {
-        detail: fault.to_string(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -673,7 +458,7 @@ mod tests {
             &start,
             VerifyInputs {
                 hint: &tp_out.hint,
-                targets: &next.targets(),
+                targets: &targets_of(&next.machine),
                 log: &tp_out.syscalls,
                 expected_hash: next.machine_hash,
                 expected_machine: Some(&next.machine),
@@ -706,7 +491,7 @@ mod tests {
             .unwrap();
         kernel.take_external();
         let next = Checkpoint::capture(&machine, &kernel);
-        let targets = next.targets();
+        let targets = targets_of(&next.machine);
         let inputs = || VerifyInputs {
             hint: &tp_out.hint,
             targets: &targets,
@@ -752,7 +537,7 @@ mod tests {
                 &prev,
                 VerifyInputs {
                     hint: &tp_out.hint,
-                    targets: &next.targets(),
+                    targets: &targets_of(&next.machine),
                     log: &tp_out.syscalls,
                     expected_hash: next.machine_hash,
                     expected_machine: Some(&next.machine),
@@ -853,7 +638,7 @@ mod tests {
                     &prev,
                     VerifyInputs {
                         hint: &tp_out.hint,
-                        targets: &next.targets(),
+                        targets: &targets_of(&next.machine),
                         log: &tp_out.syscalls,
                         expected_hash: next.machine_hash,
                         expected_machine: Some(&next.machine),

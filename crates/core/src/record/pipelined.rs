@@ -36,7 +36,7 @@
 //! pure function of the job (`expected_hash`, the verify outcome), never
 //! as a function of worker scheduling.
 
-use crate::checkpoint::{Checkpoint, EpochTargets};
+use crate::checkpoint::{targets_of, Checkpoint, EpochTargets};
 use crate::config::DoublePlayConfig;
 use crate::error::RecordError;
 use crate::faults::FaultPlan;
@@ -44,7 +44,7 @@ use crate::journal::RecordSink;
 use crate::logs::{ScheduleLog, SyscallLog};
 use crate::record::coordinator::{
     begin_session, charge_tp_side, commit_clean, execute_verify, finish_session,
-    record_serialized_epoch, retire_diverged, run_tp_epoch, targets_of, ControlState, EpochWork,
+    record_serialized_epoch, retire_diverged, run_tp_epoch, ControlState, EpochWork,
     RecordingBundle, Session, VerifyJobRef, VerifyVerdict, MAX_EPOCHS,
 };
 use crate::record::epoch_parallel::CancelToken;

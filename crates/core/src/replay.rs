@@ -6,10 +6,21 @@
 //! exactly the logged instruction count), re-execute deterministic syscalls
 //! against the epoch's kernel, satisfy logged-class syscalls from the
 //! syscall log, deliver logged wakes and signals at their recorded points,
-//! and finally verify the machine digest against the recording. Because
-//! epochs are independent given their checkpoints, offline replay
-//! parallelizes across real cores — the paper's replay-speed result, which
-//! this module reproduces with genuine OS threads.
+//! and finally check that the log was consumed and the machine digest
+//! matches the recording. Because epochs are independent given their
+//! checkpoints, offline replay parallelizes across real cores — the
+//! paper's replay-speed result, which this module reproduces with genuine
+//! OS threads.
+//!
+//! That walk is `follow`, the one definition of how a schedule event
+//! executes. The recorder's verify pass
+//! ([`crate::record::epoch_parallel::run_verify`]) follows the
+//! thread-parallel run's hint through it, and replay, observed replay and
+//! [`replay_to_point`] follow the recorded schedule through it, so every
+//! path makes the same checks and only the end checks differ: verify
+//! compares thread targets, the consumed log and the digest with the next
+//! checkpoint; replay compares the consumed log and the digest with the
+//! recording.
 //!
 //! Parallel replay is panic-isolated: a worker that dies mid-epoch —
 //! whether from an injected [`crate::FaultPlan`] fault or a real bug — is
@@ -18,21 +29,28 @@
 //! [`ReplayError::WorkerPanicked`] instead of aborting the process.
 
 use dp_os::abi;
-use dp_os::kernel::Kernel;
+use dp_os::kernel::{ExternalChunk, Kernel};
 use dp_vm::observer::NullObserver;
-use dp_vm::{Machine, Program, SliceLimits, StopReason, ThreadStatus, Tid};
+use dp_vm::{Fault, Machine, Program, SliceLimits, StopReason, SyscallRequest, ThreadStatus, Tid};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use crate::checkpoint::Checkpoint;
 use crate::error::ReplayError;
 use crate::faults::INJECTED_PANIC_TAG;
-use crate::logs::{apply_entry, request_hash, SchedEvent};
-use crate::observe::{ReplayEvent, ReplayObserver};
+use crate::logs::{apply_entry, request_hash, SchedEvent, ScheduleLog, SyscallCursor, SyscallLog};
+use crate::observe::{replay_observed, ReplayEvent, ReplayObserver};
+use crate::record::epoch_parallel::{CancelToken, Divergence};
 use crate::recording::{EpochRecord, Recording};
 
 /// Re-executions of a panicked replay epoch before giving up.
 const REPLAY_RETRY_BUDGET: u32 = 3;
+
+/// The most instructions [`follow`] runs in one `run_slice` call, so a
+/// cancel token is checked at least this often. A slice that spans
+/// several calls stops on `Budget` between them and just continues:
+/// chunking changes where the interpreter pauses, never what it computes.
+const CANCEL_CHECK_QUANTUM: u64 = 8_192;
 
 /// Result of a verified replay.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,6 +63,323 @@ pub struct ReplayReport {
     pub final_hash: u64,
     /// Exit code, if the guest halted via `exit`.
     pub exit_code: Option<u64>,
+}
+
+/// How [`follow`] walks a schedule: the verify pass, replay and
+/// replay-to-point differ only in these.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Follow<'a> {
+    /// `(token, stamp)`: give up as soon as the stamp goes stale, checking
+    /// at every event and every [`CANCEL_CHECK_QUANTUM`] instructions.
+    pub cancel: Option<(&'a CancelToken, u64)>,
+    /// `(tid, icount)`: stop as soon as `tid` reaches `icount`.
+    pub stop: Option<(Tid, u64)>,
+    /// Collect the external output of the consumed log entries. Verify
+    /// releases it on commit; replay discards it, so it does not collect.
+    pub external: bool,
+}
+
+impl Follow<'_> {
+    fn check_cancel(&self) -> Result<(), Exit> {
+        match self.cancel {
+            Some((token, stamp)) if token.is_stale(stamp) => Err(Exit::Cancelled),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// The first schedule event the world could not follow.
+pub(crate) enum Mismatch {
+    /// The event names a thread that cannot take it: missing, not ready,
+    /// blocked or exited mid-slice, or with no pending syscall to wake.
+    Schedule(Tid, String),
+    /// A logged syscall disagrees with the next log entry for its thread.
+    Log(Tid, String),
+    /// The guest faulted.
+    Fault(Fault),
+}
+
+impl Mismatch {
+    /// The recorder's name for this mismatch.
+    pub(crate) fn divergence(self) -> Divergence {
+        match self {
+            Mismatch::Schedule(tid, detail) => Divergence::SliceMismatch { tid, detail },
+            Mismatch::Log(tid, detail) => Divergence::SyscallMismatch { tid, detail },
+            Mismatch::Fault(fault) => Divergence::GuestFault {
+                detail: fault.to_string(),
+            },
+        }
+    }
+
+    /// Replay's name for this mismatch in epoch `epoch`.
+    fn replay_error(self, epoch: u32) -> ReplayError {
+        match self {
+            Mismatch::Schedule(tid, detail) => ReplayError::ScheduleMismatch { epoch, tid, detail },
+            Mismatch::Log(tid, detail) => ReplayError::LogMismatch { epoch, tid, detail },
+            Mismatch::Fault(fault) => ReplayError::Guest(fault),
+        }
+    }
+}
+
+/// Why [`follow`] left its loop before the schedule's end.
+enum Exit {
+    Mismatch(Mismatch),
+    Stopped,
+    Cancelled,
+}
+
+impl From<Mismatch> for Exit {
+    fn from(m: Mismatch) -> Self {
+        Exit::Mismatch(m)
+    }
+}
+
+/// The world [`follow`] reached, and the walk's state.
+pub(crate) struct Followed<'a> {
+    pub machine: Machine,
+    pub kernel: Kernel,
+    /// The syscall log, minus the entries the schedule consumed.
+    pub cursor: SyscallCursor<'a>,
+    /// Single-CPU cycles: instructions, context switches and syscall costs.
+    pub cycles: u64,
+    /// Guest instructions executed.
+    pub instructions: u64,
+    /// External output of the consumed entries, when collected.
+    pub external: Vec<ExternalChunk>,
+    /// The first event that could not be followed. The world is the one
+    /// that event met.
+    pub mismatch: Option<Mismatch>,
+    /// Whether the stop point was reached.
+    pub stopped: bool,
+    /// The options the walk runs under.
+    how: Follow<'a>,
+    /// The thread of the last slice (a slice of another one is charged a
+    /// context switch).
+    last_tid: Option<Tid>,
+}
+
+/// Follows `schedule` on one CPU from the world `(machine, kernel)`:
+/// each slice runs its thread for exactly its instruction count,
+/// logged-class syscalls are served from `log` (number and argument digest
+/// checked) and the rest re-executed against `kernel`, and logged wakes and
+/// signals are delivered at their recorded points, each checked against
+/// the thread it names. Every data access and kernel-level event goes to
+/// `obs`.
+///
+/// Returns the world reached, at the schedule's end, the first mismatch or
+/// the stop point, or `None` once `how.cancel` goes stale.
+pub(crate) fn follow<'a, O: ReplayObserver>(
+    machine: Machine,
+    kernel: Kernel,
+    schedule: &ScheduleLog,
+    log: &'a SyscallLog,
+    how: Follow<'a>,
+    obs: &mut O,
+) -> Option<Followed<'a>> {
+    let mut f = Followed {
+        machine,
+        kernel,
+        cursor: log.cursor(),
+        cycles: 0,
+        instructions: 0,
+        external: Vec::new(),
+        mismatch: None,
+        stopped: false,
+        how,
+        last_tid: None,
+    };
+    for &event in schedule.events() {
+        match f.event(event, obs) {
+            Ok(()) => {}
+            Err(Exit::Mismatch(m)) => {
+                f.mismatch = Some(m);
+                break;
+            }
+            Err(Exit::Stopped) => {
+                f.stopped = true;
+                break;
+            }
+            Err(Exit::Cancelled) => return None,
+        }
+    }
+    Some(f)
+}
+
+impl Followed<'_> {
+    fn event<O: ReplayObserver>(&mut self, event: SchedEvent, obs: &mut O) -> Result<(), Exit> {
+        self.how.check_cancel()?;
+        match event {
+            SchedEvent::LoggedWake { tid } => {
+                let thread = self.machine.threads().get(tid.index());
+                let Some(pending) = thread.and_then(|t| t.pending) else {
+                    let detail = "logged wake but no pending syscall".to_string();
+                    return Err(Mismatch::Schedule(tid, detail).into());
+                };
+                let my_hash = request_hash(&self.machine, &pending);
+                match self.cursor.peek(tid) {
+                    Some(e) if e.num == pending.num && e.arg_hash == my_hash => {}
+                    Some(e) => {
+                        let detail = format!(
+                            "wake entry {} (hash {:#x}) vs pending {} (hash {:#x})",
+                            abi::name(e.num),
+                            e.arg_hash,
+                            abi::name(pending.num),
+                            my_hash
+                        );
+                        return Err(Mismatch::Log(tid, detail).into());
+                    }
+                    None => {
+                        let detail = "logged wake with no log entry".to_string();
+                        return Err(Mismatch::Log(tid, detail).into());
+                    }
+                }
+                obs.on_replay_event(&ReplayEvent::Wake { tid, req: pending });
+                self.consume(tid);
+            }
+            SchedEvent::Signal { tid, sig } => {
+                let status = self.machine.threads().get(tid.index()).map(|t| t.status);
+                match self.kernel.take_pending_signal(tid) {
+                    Some((got, handler)) if got == sig && status == Some(ThreadStatus::Ready) => {
+                        obs.on_replay_event(&ReplayEvent::SignalDelivered { tid, sig });
+                        self.machine.push_signal_frame(tid, handler, &[sig]);
+                    }
+                    other => {
+                        let detail = format!(
+                            "signal {sig} to a thread that is {status:?} but kernel has {other:?}"
+                        );
+                        return Err(Mismatch::Schedule(tid, detail).into());
+                    }
+                }
+            }
+            SchedEvent::Slice { tid, instrs } => {
+                if self.last_tid != Some(tid) {
+                    self.cycles += self.kernel.cost_model().context_switch;
+                    self.last_tid = Some(tid);
+                }
+                if tid.index() >= self.machine.threads().len() {
+                    let detail = "slice for a thread that does not exist".to_string();
+                    return Err(Mismatch::Schedule(tid, detail).into());
+                }
+                self.slice(tid, instrs, obs)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Runs `tid` for exactly `instrs` instructions.
+    fn slice<O: ReplayObserver>(&mut self, tid: Tid, instrs: u64, obs: &mut O) -> Result<(), Exit> {
+        let target = self.how.stop.filter(|&(t, _)| t == tid).map(|(_, at)| at);
+        let mut remaining = instrs;
+        while remaining > 0 {
+            self.how.check_cancel()?;
+            let thread = self.machine.thread(tid);
+            if target.is_some_and(|at| thread.icount >= at) {
+                return Err(Exit::Stopped);
+            }
+            if !thread.is_ready() {
+                let detail = format!("{remaining} instrs left but thread is {:?}", thread.status);
+                return Err(Mismatch::Schedule(tid, detail).into());
+            }
+            let limits = SliceLimits {
+                icount_target: target,
+                ..SliceLimits::budget(remaining.min(CANCEL_CHECK_QUANTUM))
+            };
+            let run = self
+                .machine
+                .run_slice(tid, limits, &mut *obs)
+                .map_err(Mismatch::Fault)?;
+            self.instructions += run.executed;
+            self.cycles += run.executed;
+            remaining -= run.executed;
+            match run.stop {
+                StopReason::Budget | StopReason::Atomic { .. } => {}
+                StopReason::IcountTarget => return Err(Exit::Stopped),
+                StopReason::Exited => {
+                    self.kernel.on_thread_exited(&mut self.machine, tid);
+                    obs.on_replay_event(&ReplayEvent::ThreadExited { tid });
+                    if remaining > 0 {
+                        let detail = format!("exited with {remaining} instrs left");
+                        return Err(Mismatch::Schedule(tid, detail).into());
+                    }
+                }
+                StopReason::Syscall(req) => {
+                    self.syscall(tid, req, obs)?;
+                    if remaining > 0 && !self.machine.thread(tid).is_ready() {
+                        let detail = format!(
+                            "blocked at {} with {remaining} instrs left",
+                            abi::name(req.num)
+                        );
+                        return Err(Mismatch::Schedule(tid, detail).into());
+                    }
+                }
+            }
+            if self.machine.halted().is_some() {
+                if remaining > 0 {
+                    return Err(Mismatch::Schedule(tid, "halted mid-slice".into()).into());
+                }
+                break;
+            }
+        }
+        Ok(())
+    }
+
+    /// Services `tid`'s trap: a logged-class call from the log, any other
+    /// against the kernel.
+    fn syscall<O: ReplayObserver>(
+        &mut self,
+        tid: Tid,
+        req: SyscallRequest,
+        obs: &mut O,
+    ) -> Result<(), Mismatch> {
+        let icount = self.machine.thread(tid).icount;
+        obs.on_replay_event(&ReplayEvent::Trap { tid, icount, req });
+        if !abi::is_logged(req.num) {
+            let out = self.kernel.handle(&mut self.machine, req, self.cycles);
+            self.cycles += out.cost;
+            if req.num == abi::SYS_SPAWN {
+                let ret = self.machine.thread(tid).regs[0];
+                if !abi::is_err(ret) {
+                    let child = Tid(ret as u32);
+                    obs.on_replay_event(&ReplayEvent::Spawned { parent: tid, child });
+                }
+            }
+            return Ok(());
+        }
+        let my_hash = request_hash(&self.machine, &req);
+        match self.cursor.peek(tid) {
+            Some(e) if e.num == req.num && e.arg_hash == my_hash && !e.via_wake => {
+                self.consume(tid);
+            }
+            // The call blocks; its `LoggedWake` event completes it later.
+            Some(e) if e.num == req.num && e.via_wake => {}
+            Some(e) => {
+                let detail = format!(
+                    "issued {} (hash {:#x}) but log has {} (hash {:#x})",
+                    abi::name(req.num),
+                    my_hash,
+                    abi::name(e.num),
+                    e.arg_hash
+                );
+                return Err(Mismatch::Log(tid, detail));
+            }
+            // The completion lies beyond this epoch: the thread stays
+            // blocked, as it did when the log was made.
+            None => {}
+        }
+        Ok(())
+    }
+
+    /// Consumes `tid`'s next log entry, which the caller has checked
+    /// against the pending syscall: charges its cost, collects its output
+    /// if asked, and completes the syscall with it.
+    fn consume(&mut self, tid: Tid) {
+        let e = self.cursor.pop(tid).expect("the entry was peeked");
+        self.cycles += self.kernel.cost_model().syscall(e.effect.bytes());
+        if self.how.external {
+            self.external.extend(e.effect.external.iter().cloned());
+        }
+        apply_entry(&mut self.machine, e);
+    }
 }
 
 /// Replays one epoch from `start`, returning the end state.
@@ -73,150 +408,57 @@ pub fn replay_epoch_observed<O: ReplayObserver>(
     epoch: &EpochRecord,
     obs: &mut O,
 ) -> Result<(Machine, Kernel, u64), ReplayError> {
-    let mut machine = start.machine.clone();
-    let mut kernel = start.kernel.clone();
-    let mut cursor = epoch.syscalls.cursor();
-    let mut instructions = 0u64;
-    let err_sched = |tid, detail: String| ReplayError::ScheduleMismatch {
-        epoch: epoch.index,
-        tid,
-        detail,
+    replay_from(
+        start.machine.clone(),
+        start.kernel.clone(),
+        epoch,
+        None,
+        obs,
+    )
+}
+
+/// Replays `epoch` from a world taken by value and returns the end world
+/// and the instructions executed, once replay's end checks pass: the whole
+/// schedule followed, every log entry consumed, and the recorded end
+/// digest reached. With a `stop` point the epoch reaches, it returns the
+/// world there instead, unchecked past that point.
+pub(crate) fn replay_from<O: ReplayObserver>(
+    machine: Machine,
+    kernel: Kernel,
+    epoch: &EpochRecord,
+    stop: Option<(Tid, u64)>,
+    obs: &mut O,
+) -> Result<(Machine, Kernel, u64), ReplayError> {
+    let how = Follow {
+        stop,
+        ..Follow::default()
     };
-
-    for event in epoch.schedule.events() {
-        check_event_thread(&machine, event, epoch.index)?;
-        match *event {
-            SchedEvent::LoggedWake { tid } => {
-                let pending = machine.thread(tid).pending.ok_or_else(|| {
-                    err_sched(tid, "logged wake for thread with no pending syscall".into())
-                })?;
-                let entry = cursor.pop(tid).ok_or_else(|| ReplayError::LogMismatch {
-                    epoch: epoch.index,
-                    tid,
-                    detail: "logged wake with no log entry".into(),
-                })?;
-                if entry.num != pending.num {
-                    return Err(ReplayError::LogMismatch {
-                        epoch: epoch.index,
-                        tid,
-                        detail: format!(
-                            "wake entry {} vs pending {}",
-                            abi::name(entry.num),
-                            abi::name(pending.num)
-                        ),
-                    });
-                }
-                obs.on_replay_event(&ReplayEvent::Wake { tid, req: pending });
-                apply_entry(&mut machine, entry);
-            }
-            SchedEvent::Signal { tid, sig } => {
-                let (got, handler) = kernel.take_pending_signal(tid).ok_or_else(|| {
-                    ReplayError::ScheduleMismatch {
-                        epoch: epoch.index,
-                        tid,
-                        detail: "signal event but none pending".into(),
-                    }
-                })?;
-                if got != sig {
-                    return Err(err_sched(tid, format!("signal {got} logged as {sig}")));
-                }
-                obs.on_replay_event(&ReplayEvent::SignalDelivered { tid, sig });
-                machine.push_signal_frame(tid, handler, &[sig]);
-            }
-            SchedEvent::Slice { tid, instrs } => {
-                let mut remaining = instrs;
-                while remaining > 0 {
-                    if !machine.thread(tid).is_ready() {
-                        return Err(err_sched(
-                            tid,
-                            format!(
-                                "slice of {remaining} instrs but thread is {:?}",
-                                machine.thread(tid).status
-                            ),
-                        ));
-                    }
-                    let run = machine.run_slice(tid, SliceLimits::budget(remaining), &mut *obs)?;
-                    instructions += run.executed;
-                    remaining -= run.executed;
-                    match run.stop {
-                        StopReason::Budget | StopReason::IcountTarget => {}
-                        StopReason::Exited => {
-                            kernel.on_thread_exited(&mut machine, tid);
-                            obs.on_replay_event(&ReplayEvent::ThreadExited { tid });
-                            if remaining > 0 {
-                                return Err(err_sched(
-                                    tid,
-                                    format!("exited with {remaining} instrs left in slice"),
-                                ));
-                            }
-                        }
-                        StopReason::Syscall(req) => {
-                            obs.on_replay_event(&ReplayEvent::Trap {
-                                tid,
-                                icount: machine.thread(tid).icount,
-                                req,
-                            });
-                            if abi::is_logged(req.num) {
-                                let my_hash = request_hash(&machine, &req);
-                                match cursor.peek(tid) {
-                                    Some(e)
-                                        if e.num == req.num
-                                            && e.arg_hash == my_hash
-                                            && !e.via_wake =>
-                                    {
-                                        let e = cursor.pop(tid).unwrap();
-                                        apply_entry(&mut machine, e);
-                                    }
-                                    // Blocked completion: the LoggedWake
-                                    // event applies it later.
-                                    Some(e) if e.num == req.num && e.via_wake => {}
-                                    Some(e) => {
-                                        return Err(ReplayError::LogMismatch {
-                                            epoch: epoch.index,
-                                            tid,
-                                            detail: format!(
-                                                "issued {} but log head is {}",
-                                                abi::name(req.num),
-                                                abi::name(e.num)
-                                            ),
-                                        })
-                                    }
-                                    // Blocks past the epoch boundary.
-                                    None => {}
-                                }
-                            } else {
-                                kernel.handle(&mut machine, req, 0);
-                                if req.num == abi::SYS_SPAWN {
-                                    let ret = machine.thread(tid).regs[0];
-                                    if !abi::is_err(ret) {
-                                        obs.on_replay_event(&ReplayEvent::Spawned {
-                                            parent: tid,
-                                            child: Tid(ret as u32),
-                                        });
-                                    }
-                                }
-                            }
-                        }
-                        StopReason::Atomic { .. } => {}
-                    }
-                    if machine.thread(tid).status == ThreadStatus::Waiting && remaining > 0 {
-                        return Err(err_sched(
-                            tid,
-                            format!("blocked with {remaining} instrs left in slice"),
-                        ));
-                    }
-                    if machine.halted().is_some() {
-                        if remaining > 0 {
-                            return Err(err_sched(tid, "halted mid-slice".into()));
-                        }
-                        break;
-                    }
-                }
-            }
-        }
+    let f = follow(machine, kernel, &epoch.schedule, &epoch.syscalls, how, obs)
+        .expect("a follow without a cancel token always completes");
+    if let Some(mismatch) = f.mismatch {
+        return Err(mismatch.replay_error(epoch.index));
     }
-
-    let actual = machine.state_hash();
+    if f.stopped {
+        return Ok((f.machine, f.kernel, f.instructions));
+    }
+    if let Some(first) = f.cursor.unconsumed().next() {
+        let names: Vec<String> = f
+            .cursor
+            .unconsumed()
+            .take(4)
+            .map(|e| format!("{} {}", e.tid, abi::name(e.num)))
+            .collect();
+        return Err(ReplayError::LogMismatch {
+            epoch: epoch.index,
+            tid: first.tid,
+            detail: format!(
+                "{} log entries never consumed: {}",
+                f.cursor.remaining(),
+                names.join(", ")
+            ),
+        });
+    }
+    let actual = f.machine.state_hash();
     if actual != epoch.end_machine_hash {
         return Err(ReplayError::HashMismatch {
             epoch: epoch.index,
@@ -224,34 +466,7 @@ pub fn replay_epoch_observed<O: ReplayObserver>(
             actual,
         });
     }
-    Ok((machine, kernel, instructions))
-}
-
-/// Checks the thread a schedule event names against the machine: it must
-/// exist, and a signal's target must be ready to take the handler frame.
-/// A recording that fails this is corrupt or was made from another guest;
-/// replay reports it as [`ReplayError::ScheduleMismatch`] instead of
-/// panicking on the thread table.
-fn check_event_thread(
-    machine: &Machine,
-    event: &SchedEvent,
-    epoch: u32,
-) -> Result<(), ReplayError> {
-    let (tid, signal) = match *event {
-        SchedEvent::Slice { tid, .. } | SchedEvent::LoggedWake { tid } => (tid, false),
-        SchedEvent::Signal { tid, .. } => (tid, true),
-    };
-    let detail = match machine.threads().get(tid.index()) {
-        None => format!(
-            "{event:?} names a thread the machine does not have ({} threads)",
-            machine.threads().len()
-        ),
-        Some(t) if signal && !t.is_ready() => {
-            format!("signal delivery to a thread that is {:?}", t.status)
-        }
-        Some(_) => return Ok(()),
-    };
-    Err(ReplayError::ScheduleMismatch { epoch, tid, detail })
+    Ok((f.machine, f.kernel, f.instructions))
 }
 
 /// Replays one epoch with panic isolation: a panicking worker — injected
@@ -303,7 +518,7 @@ pub(crate) fn check_program(
 }
 
 /// Replays the whole recording sequentially, chaining state across epochs
-/// from the initial checkpoint.
+/// from the initial checkpoint: [`replay_observed`] with no observer.
 ///
 /// # Errors
 ///
@@ -312,30 +527,14 @@ pub fn replay_sequential(
     recording: &Recording,
     program: &Arc<Program>,
 ) -> Result<ReplayReport, ReplayError> {
-    check_program(recording, program)?;
-    let initial = Checkpoint::from_image(program.clone(), recording.initial.clone());
-    let mut state = (initial.machine, initial.kernel);
-    let mut instructions = 0u64;
-    let mut final_hash = recording.meta.initial_machine_hash;
-    for epoch in &recording.epochs {
-        let start = Checkpoint::capture(&state.0, &state.1);
-        let (m, k, n) = replay_epoch(&start, epoch)?;
-        instructions += n;
-        final_hash = epoch.end_machine_hash;
-        state = (m, k);
-    }
-    Ok(ReplayReport {
-        epochs: recording.epochs.len() as u32,
-        instructions,
-        final_hash,
-        exit_code: state.0.halted(),
-    })
+    replay_observed(recording, program, &mut NullObserver)
 }
 
 /// Replays all epochs in parallel on `threads` real OS threads, using the
 /// per-epoch checkpoints stored in the recording. Epochs are independent
 /// given their checkpoints, so this is an embarrassingly parallel verify —
-/// the mechanism behind the paper's parallel-replay speedups.
+/// the mechanism behind the paper's parallel-replay speedups. At most one
+/// thread starts per epoch, whatever `threads` asks for.
 ///
 /// # Errors
 ///
@@ -352,8 +551,8 @@ pub fn replay_parallel(
             detail: "recording has no per-epoch checkpoints".into(),
         });
     }
-    let threads = threads.max(1);
     let n = recording.epochs.len();
+    let threads = threads.clamp(1, n.max(1));
     // Interleaved round-robin partitioning balances long/short epochs.
     let mut chunks: Vec<Vec<&EpochRecord>> = vec![Vec::new(); threads];
     for (i, e) in recording.epochs.iter().enumerate() {
@@ -422,7 +621,9 @@ pub fn replay_parallel(
 /// Replays up to a point of interest and returns the machine state there:
 /// epoch `epoch`, just after thread `tid` reaches instruction count
 /// `icount`. The debugging workflow ("inspect state right before the race
-/// fired") the paper motivates deterministic replay with.
+/// fired") the paper motivates deterministic replay with. The walk up to
+/// the point makes every check replay makes; a point the epoch never
+/// reaches returns the epoch's end state once replay's end checks pass.
 ///
 /// # Errors
 ///
@@ -447,67 +648,9 @@ pub fn replay_to_point(
         detail: "recording has no per-epoch checkpoints".into(),
     })?;
     let start = Checkpoint::from_image(program.clone(), image);
-    let mut machine = start.machine.clone();
-    let mut kernel = start.kernel.clone();
-    let mut cursor = epoch.syscalls.cursor();
-
-    for event in epoch.schedule.events() {
-        check_event_thread(&machine, event, epoch.index)?;
-        match *event {
-            SchedEvent::LoggedWake { tid: t } => {
-                if let Some(entry) = cursor.pop(t) {
-                    apply_entry(&mut machine, entry);
-                }
-            }
-            SchedEvent::Signal { tid: t, sig } => {
-                if let Some((_, handler)) = kernel.take_pending_signal(t) {
-                    machine.push_signal_frame(t, handler, &[sig]);
-                }
-            }
-            SchedEvent::Slice { tid: t, instrs } => {
-                let mut remaining = instrs;
-                while remaining > 0 && machine.thread(t).is_ready() {
-                    let stop_at = if t == tid { Some(icount) } else { None };
-                    if let Some(target) = stop_at {
-                        if machine.thread(t).icount >= target {
-                            return Ok(machine);
-                        }
-                    }
-                    let run = machine.run_slice(
-                        t,
-                        SliceLimits {
-                            max_instrs: remaining,
-                            icount_target: stop_at,
-                            stop_at_atomics: false,
-                        },
-                        &mut NullObserver,
-                    )?;
-                    remaining -= run.executed;
-                    match run.stop {
-                        StopReason::IcountTarget => return Ok(machine),
-                        StopReason::Exited => {
-                            kernel.on_thread_exited(&mut machine, t);
-                            break;
-                        }
-                        StopReason::Syscall(req) => {
-                            if abi::is_logged(req.num) {
-                                if let Some(e) = cursor.pop(t) {
-                                    apply_entry(&mut machine, e);
-                                }
-                            } else {
-                                kernel.handle(&mut machine, req, 0);
-                            }
-                        }
-                        StopReason::Budget | StopReason::Atomic { .. } => {}
-                    }
-                    if machine.halted().is_some() {
-                        return Ok(machine);
-                    }
-                }
-            }
-        }
-    }
-    Ok(machine)
+    let stop = Some((tid, icount));
+    replay_from(start.machine, start.kernel, epoch, stop, &mut NullObserver)
+        .map(|(machine, _, _)| machine)
 }
 
 #[cfg(test)]
@@ -539,6 +682,10 @@ mod tests {
         assert_eq!(par.instructions, seq.instructions);
         assert_eq!(par.final_hash, seq.final_hash);
         assert_eq!(par.exit_code, seq.exit_code);
+        // A thread count no host could start: one worker per epoch starts.
+        assert!(seq.epochs < 64, "{} epochs", seq.epochs);
+        let all = replay_parallel(&bundle.recording, &spec.program, usize::MAX).unwrap();
+        assert_eq!(all, seq);
     }
 
     #[test]
@@ -603,7 +750,7 @@ mod tests {
     fn replay_to_point_stops_at_icount() {
         let spec = atomic_counter_spec(2000, 2);
         let config = DoublePlayConfig::new(2).epoch_cycles(5_000);
-        let bundle = record(&spec, &config).unwrap();
+        let mut bundle = record(&spec, &config).unwrap();
         // Pick a point inside epoch 1: thread 1 at 500 instructions.
         let m = replay_to_point(&bundle.recording, &spec.program, 0, Tid(1), 500).unwrap();
         assert!(m.thread(Tid(1)).icount <= 500);
@@ -611,6 +758,19 @@ mod tests {
         assert!(matches!(
             replay_to_point(&bundle.recording, &spec.program, 9999, Tid(0), 1),
             Err(ReplayError::BadRequest { .. })
+        ));
+        // A point the epoch never reaches: its end state, after replay's
+        // end checks.
+        let never = u64::MAX;
+        let end = replay_to_point(&bundle.recording, &spec.program, 1, Tid(1), never).unwrap();
+        assert_eq!(
+            end.state_hash(),
+            bundle.recording.epochs[1].end_machine_hash
+        );
+        bundle.recording.epochs[1].end_machine_hash ^= 1;
+        assert!(matches!(
+            replay_to_point(&bundle.recording, &spec.program, 1, Tid(1), never),
+            Err(ReplayError::HashMismatch { epoch: 1, .. })
         ));
     }
 

@@ -71,6 +71,7 @@
 //! message; a missing or truncated recording file is never a panic.
 
 use doubleplay::analyze;
+use doubleplay::core::MAX_SPARE_WORKERS;
 use doubleplay::prelude::*;
 use doubleplay::workloads::find;
 use std::process::exit;
@@ -888,6 +889,17 @@ fn main() {
         "replay" => {
             let Some(path) = argv.get(1) else { usage() };
             let o = parse_opts(&argv[2..]);
+            // Each replay thread is a real OS thread, so the cap on spare
+            // recording workers bounds them too.
+            if o.parallel > MAX_SPARE_WORKERS {
+                fail(
+                    "replay",
+                    format_args!(
+                        "--parallel {} exceeds the maximum of {MAX_SPARE_WORKERS} threads",
+                        o.parallel
+                    ),
+                );
+            }
             let case = required_case("replay", &o);
             let recording = load_recording("replay", path);
             let result = if o.parallel > 1 {

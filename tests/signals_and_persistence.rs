@@ -205,3 +205,108 @@ fn schedule_naming_a_missing_thread_is_a_typed_replay_error() {
         );
     }
 }
+
+/// Every replay path walks a schedule through one follower, so a saved
+/// recording whose syscall log or schedule was tampered with after the
+/// CRCs were recomputed fails the same typed way on all of them: a wake
+/// whose argument digest no longer matches the pending request, a log
+/// entry the schedule never consumes, and a logged wake for a thread with
+/// no pending syscall.
+#[test]
+fn tampered_logs_are_typed_replay_errors_on_every_path() {
+    use doubleplay::core::logs::SchedEvent;
+    use doubleplay::core::{replay_observed, EpochRecord};
+    use doubleplay::vm::observer::NullObserver;
+    use doubleplay::vm::Tid;
+
+    let case = doubleplay::workloads::pcomp::build(2, Size::Small);
+    let program = &case.spec.program;
+    let bundle = record(&case.spec, &DoublePlayConfig::new(2)).unwrap();
+    assert!(bundle.recording.epochs.len() > 1, "epoch 0 must not halt");
+    let epoch0 = &bundle.recording.epochs[0];
+    let entries = epoch0.syscalls.entries();
+    let wake = entries.iter().position(|e| e.via_wake);
+    let wake = wake.expect("epoch 0 has a logged wake");
+    let plain = entries.iter().position(|e| !e.via_wake);
+    let plain = plain.expect("epoch 0 has a completion at issue");
+    // Thread 0 is the only thread at epoch 0's start, and it is ready.
+    assert!(entries.iter().any(|e| e.tid == Tid(0)));
+
+    let tamper = |edit: &dyn Fn(&mut EpochRecord)| {
+        let mut tampered = bundle.recording.clone();
+        edit(&mut tampered.epochs[0]);
+        let mut bytes = Vec::new();
+        tampered.save(&mut bytes).unwrap();
+        Recording::load(bytes.as_slice()).unwrap()
+    };
+    // Each path's error; `None` where the path replayed the recording.
+    let every_path = |loaded: &Recording| {
+        [
+            (
+                "replay_sequential",
+                replay_sequential(loaded, program).err(),
+            ),
+            ("replay_parallel", replay_parallel(loaded, program, 2).err()),
+            // A point epoch 0 never reaches: the whole epoch is replayed.
+            (
+                "replay_to_point",
+                replay_to_point(loaded, program, 0, Tid(0), u64::MAX).err(),
+            ),
+            (
+                "replay_observed",
+                replay_observed(loaded, program, &mut NullObserver).err(),
+            ),
+        ]
+    };
+
+    // (a) The first wake's argument digest no longer matches the request
+    // its thread has pending.
+    let loaded = tamper(&|epoch| {
+        let mut log = epoch.syscalls.entries().to_vec();
+        log[wake].arg_hash ^= 1;
+        epoch.syscalls = log.into_iter().collect();
+    });
+    for (path, err) in every_path(&loaded) {
+        match err {
+            Some(ReplayError::LogMismatch { epoch: 0, tid, .. }) if tid == entries[wake].tid => {}
+            other => panic!("flipped wake digest via {path}: expected LogMismatch, got {other:?}"),
+        }
+    }
+
+    // (b) A copy of a completion nobody issues a second time: the schedule
+    // ends with it unconsumed.
+    let loaded = tamper(&|epoch| {
+        let mut log = epoch.syscalls.entries().to_vec();
+        log.push(entries[plain].clone());
+        epoch.syscalls = log.into_iter().collect();
+    });
+    for (path, err) in every_path(&loaded) {
+        match err {
+            Some(ReplayError::LogMismatch {
+                epoch: 0,
+                tid,
+                detail,
+            }) if tid == entries[plain].tid && detail.contains("never consumed") => {}
+            other => panic!("extra log entry via {path}: expected LogMismatch, got {other:?}"),
+        }
+    }
+
+    // (c) A wake for a thread that is running, not blocked in a syscall.
+    let loaded = tamper(&|epoch| {
+        let mut events = vec![SchedEvent::LoggedWake { tid: Tid(0) }];
+        events.extend_from_slice(epoch.schedule.events());
+        epoch.schedule = events.into_iter().collect();
+    });
+    for (path, err) in every_path(&loaded) {
+        match err {
+            Some(ReplayError::ScheduleMismatch {
+                epoch: 0,
+                tid: Tid(0),
+                ..
+            }) => {}
+            other => panic!(
+                "wake of a ready thread via {path}: expected ScheduleMismatch, got {other:?}"
+            ),
+        }
+    }
+}
