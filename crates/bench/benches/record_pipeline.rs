@@ -1,5 +1,6 @@
-//! Wall-clock cost of pipelined recording versus the sequential driver —
-//! the engineering-side counterpart of experiment E13. On a multicore
+//! Wall-clock cost of pipelined recording versus lockstep recording (the
+//! same loop with no worker threads) — the engineering-side counterpart
+//! of experiment E13. On a multicore
 //! host the pipelined medians should drop as workers grow; on a starved
 //! host they converge toward the sequential figure (the byte-identity
 //! contract is asserted by the E13 table and the property suite, not

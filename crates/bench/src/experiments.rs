@@ -833,9 +833,10 @@ pub fn wallclock_config(workers: usize) -> DoublePlayConfig {
 /// E13 / Table: real wall-clock uniparallelism — sequential recording vs
 /// the multithreaded pipeline at 1, 2 and 4 spare verify workers.
 ///
-/// For each worker count the same guest records twice: once with the
-/// lockstep sequential driver, once with `pipelined(true)` (TP front-end
-/// speculating ahead, verify workers on real OS threads, in-order commit).
+/// For each worker count the same guest records twice: once in lockstep
+/// (the recording loop with no worker threads), once with
+/// `pipelined(true)` (TP front-end speculating ahead, verify workers on
+/// real OS threads, in-order commit).
 /// The `identical` column asserts the contract that makes the pipeline
 /// safe to ship: byte-identical recordings and equal modeled stats. On a
 /// host with enough free cores, wall time strictly drops as workers are
@@ -847,7 +848,7 @@ pub fn table_wallclock(size: Size) -> Table {
         "E13 / Table: wall-clock uniparallelism (2 guest CPUs, verify-heavy)",
         "pipelined wall time should fall as spare workers grow (>=1.5x at 4 \
          workers on an idle multicore host); recordings must stay \
-         byte-identical to the sequential driver at every worker count",
+         byte-identical to lockstep recording at every worker count",
         &[
             "workers",
             "seq wall",

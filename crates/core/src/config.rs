@@ -3,8 +3,8 @@
 use crate::faults::FaultPlan;
 use std::fmt;
 
-/// Hard ceiling on spare verify workers: each one is a real OS thread in
-/// the pipelined driver, so an absurd count is a typo, not a request.
+/// Hard ceiling on spare verify workers: each one is a real OS thread when
+/// recording is pipelined, so an absurd count is a typo, not a request.
 pub const MAX_SPARE_WORKERS: usize = 512;
 
 /// A structurally invalid recorder configuration, caught before any guest
@@ -15,13 +15,13 @@ pub const MAX_SPARE_WORKERS: usize = 512;
 pub enum ConfigError {
     /// `cpus == 0`: there is no thread-parallel execution to record.
     NoCpus,
-    /// `pipelined` was requested with zero spare workers. The pipelined
-    /// driver *is* the spare-worker pool; without workers the request is
-    /// contradictory (the library would silently fall back to the
-    /// sequential driver, which is almost never what the caller meant).
+    /// `pipelined` was requested with zero spare workers. Pipelining *is*
+    /// the spare-worker pool; without workers the request is contradictory
+    /// (the library would silently record with the same loop with no
+    /// worker threads, which is almost never what the caller meant).
     PipelinedWithoutWorkers,
     /// More spare workers than [`MAX_SPARE_WORKERS`]: each is a real OS
-    /// thread under the pipelined driver.
+    /// thread when recording is pipelined.
     TooManyWorkers {
         /// The requested worker count.
         workers: usize,
@@ -127,11 +127,11 @@ pub struct DoublePlayConfig {
     /// Run the recorder as a real multithreaded pipeline: the
     /// thread-parallel front-end speculates up to `spare_workers` epochs
     /// ahead while OS-thread verify workers check epochs out of order and
-    /// a commit stage retires them strictly in order. Produces a recording
-    /// byte-identical to the sequential coordinator — this knob changes
-    /// wall-clock execution strategy only, so it is deliberately **not**
-    /// part of the wire encoding (see the hand-written [`Wire`] impl
-    /// below).
+    /// a commit stage retires them strictly in order. Without it the same
+    /// loop starts no worker threads and verifies each epoch inline. Both
+    /// produce byte-identical recordings — this knob changes wall-clock
+    /// execution strategy only, so it is deliberately **not** part of the
+    /// wire encoding (see the hand-written [`Wire`] impl below).
     ///
     /// [`Wire`]: dp_support::wire::Wire
     pub pipelined: bool,

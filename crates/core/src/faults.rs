@@ -214,7 +214,7 @@ impl FaultPlan {
     /// deterministic in the pipelined recorder, where concurrent verify
     /// workers evaluate it in whatever order the OS schedules them: a
     /// given `(epoch, attempt)` answers the same on every thread, every
-    /// run, so the pipelined and sequential drivers inject identically.
+    /// run, so every worker count, none included, injects identically.
     pub fn worker_panics(&self, epoch: u32, attempt: u32) -> bool {
         self.worker_panic_p > 0.0
             && roll(

@@ -59,8 +59,8 @@
 //! torn write can only hurt the youngest, uncommitted suffix of a stream;
 //! salvage drops it. Across streams, salvage takes epoch `i` only after
 //! epochs `0..i`, so the recovered prefix is the longest one whose every
-//! epoch is committed in its stream — exactly the recording the
-//! sequential driver would have produced over that prefix. A start delta
+//! epoch is committed in its stream — exactly the recording an
+//! uninterrupted run would have produced over that prefix. A start delta
 //! can only be checked against its base, so the merge decodes it; a
 //! malformed one ends the prefix before its epoch, and
 //! [`Salvaged::detail`] names the decode error.
@@ -643,7 +643,7 @@ impl<W: Write> RecordSink for JournalWriter<W> {
 pub struct Salvaged {
     /// The recovered recording: header plus the longest committed epoch
     /// prefix. Always valid and replayable (possibly zero epochs), and
-    /// byte-identical when saved to the sequential driver's output over
+    /// byte-identical when saved to an uninterrupted run's output over
     /// the same prefix.
     pub recording: Recording,
     /// True when every stream is present and finalized with the recovered
@@ -1670,7 +1670,7 @@ mod tests {
 
     /// The byte-identity acceptance sweep: for seeds × workers × stream
     /// counts × fault plans, the multi-stream journal merges to a
-    /// `Recording` whose saved bytes equal the sequential driver's — which
+    /// `Recording` whose saved bytes equal the lockstep recording's — which
     /// in turn equal its finalized one-stream journal.
     #[test]
     fn sharded_merge_is_byte_identical_to_sequential_across_sweep() {

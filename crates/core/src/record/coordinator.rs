@@ -13,29 +13,26 @@
 //!    is re-executed live on one CPU, its end state *becomes* the truth
 //!    (forward recovery), and the thread-parallel side restarts from it.
 //!
-//! Two drivers share this machinery:
+//! One loop drives these stages, `drive` in [`crate::record::pipelined`].
+//! With spare workers it verifies epochs on real OS threads while the
+//! thread-parallel front end speculates ahead; with none it is the same
+//! loop with no worker threads, verifying each epoch inline, in lockstep.
+//! The simulated-time [`crate::record::pipeline::WorkerPool`] models the
+//! spare cores either way.
 //!
-//! * the **sequential** driver below executes epochs in lockstep on one
-//!   OS thread and accounts for pipelining with the simulated-time
-//!   [`crate::record::pipeline::WorkerPool`] model only;
-//! * the **pipelined** driver ([`crate::record::pipelined`]) runs the same
-//!   stages on real OS threads: the thread-parallel front-end speculates
-//!   ahead while verify workers check epochs out of order and a commit
-//!   stage retires them strictly in order.
-//!
-//! Both produce byte-identical recordings: every piece of state that ends
-//! up in the recording or in the modeled statistics is mutated only by the
-//! shared stage functions in this module ([`charge_tp_side`],
-//! [`commit_clean`], [`retire_diverged`], [`record_serialized_epoch`]),
-//! applied in strict epoch order. The recorded end-to-end runtime is the
-//! later of the two modeled timelines.
+//! Every piece of state that ends up in the recording or in the modeled
+//! statistics is mutated only by the stage functions in this module
+//! ([`charge_tp_side`], [`commit_clean`], [`retire_diverged`],
+//! [`record_serialized_epoch`]), applied in strict epoch order, so the
+//! worker count never changes a recorded byte. The recorded end-to-end
+//! runtime is the later of the two modeled timelines.
 //!
 //! Recording executes the guest only as recording needs. The native
 //! baseline that overhead ratios divide by is a separate thread-parallel
 //! run with recording work disabled (same hidden seed), [`measure_native`];
 //! callers that report a ratio run it themselves.
 
-use crate::checkpoint::{targets_of, Checkpoint, EpochTargets};
+use crate::checkpoint::{Checkpoint, EpochTargets};
 use crate::config::DoublePlayConfig;
 use crate::error::RecordError;
 use crate::faults::{FaultPlan, INJECTED_PANIC_TAG};
@@ -45,6 +42,7 @@ use crate::record::epoch_parallel::{
     run_live, run_verify_cancellable, CancelToken, EpOutcome, VerifyInputs,
 };
 use crate::record::pipeline::WorkerPool;
+use crate::record::pipelined::drive;
 use crate::record::thread_parallel::TpRunner;
 use crate::recording::{EncodedLogs, EpochRecord, Recording, RecordingMeta};
 use crate::stats::{RecorderStats, WallClockStats};
@@ -103,9 +101,9 @@ pub(crate) fn sink_err(e: std::io::Error) -> RecordError {
 /// crash-consistent — a run that dies mid-way leaves a journal from which
 /// [`crate::JournalReader::salvage`] recovers every committed epoch.
 ///
-/// With [`DoublePlayConfig::pipelined`] set (and at least one spare
-/// worker), recording runs on real OS threads — same bytes, same modeled
-/// stats, less wall-clock time; see [`crate::record::pipelined`].
+/// With [`DoublePlayConfig::pipelined`] set, spare workers verify epochs on
+/// real OS threads — same bytes, same modeled stats, less wall-clock time;
+/// see [`crate::record::pipelined`].
 ///
 /// # Errors
 ///
@@ -118,16 +116,19 @@ pub fn record_to(
     config: &DoublePlayConfig,
     sink: &mut dyn RecordSink,
 ) -> Result<RecordingBundle, RecordError> {
-    if config.pipelined && config.spare_workers > 0 {
-        crate::record::pipelined::record_pipelined(spec, config, sink)
-    } else {
-        record_sequential(spec, config, sink)
-    }
+    let wall_start = Instant::now();
+    let (s, machine, kernel) = boot_session(spec, config);
+    sink.begin(&s.meta, &s.initial_image).map_err(sink_err)?;
+    let tp = TpRunner::new(config);
+    let control = ControlState::new(config);
+    drive(
+        s, config, sink, machine, kernel, tp, control, 0, 0, wall_start,
+    )
 }
 
 /// Committed state of a recording run: everything the strictly-in-order
-/// retire stage reads and writes. Mutated only by the shared stage
-/// functions, so the sequential and pipelined drivers cannot disagree.
+/// retire stage reads and writes. Mutated only by the stage functions, so
+/// inline and worker verification cannot disagree.
 pub(crate) struct CommitState {
     pub stats: RecorderStats,
     pub epochs: Vec<EpochRecord>,
@@ -142,9 +143,8 @@ pub(crate) struct CommitState {
 }
 
 /// Adaptive-epoch and degradation control: epoch sizing and the sliding
-/// divergence window. The sequential driver mutates it in lockstep; the
-/// pipelined front-end speculates it forward (assuming clean commits) and
-/// restores a snapshot on rollback.
+/// divergence window. The front end speculates it forward (assuming clean
+/// commits) and restores a snapshot on rollback.
 #[derive(Debug, Clone)]
 pub(crate) struct ControlState {
     pub epoch_len: u64,
@@ -187,8 +187,8 @@ impl ControlState {
     /// Slides the divergence window; a saturated window switches the
     /// coordinator to serialized recording for a while, making the
     /// DivergenceLoop abort a genuine last resort. Only a divergence can
-    /// trip the threshold, so the pipelined front-end — which speculates
-    /// clean outcomes — can never speculate *into* serialized mode.
+    /// trip the threshold, so the front end — which speculates clean
+    /// outcomes — can never speculate *into* serialized mode.
     pub fn note_outcome(&mut self, diverged: bool) {
         self.window.push_back(diverged);
         if self.window.len() > DEGRADE_WINDOW {
@@ -210,13 +210,13 @@ pub(crate) struct Session {
     pub initial_image: crate::checkpoint::CheckpointImage,
 }
 
-/// Boots the guest, captures the initial checkpoint, and writes the sink
-/// header. Returns the session plus the live (mutable) world.
-pub(crate) fn begin_session(
+/// Boots the guest and captures the initial checkpoint: the session a
+/// fresh run writes its sink header from and a resumed run re-enacts its
+/// salvaged prefix on. Returns the session plus the live (mutable) world.
+pub(crate) fn boot_session(
     spec: &GuestSpec,
     config: &DoublePlayConfig,
-    sink: &mut dyn RecordSink,
-) -> Result<(Session, Machine, Kernel), RecordError> {
+) -> (Session, Machine, Kernel) {
     let (mut machine, mut kernel) = spec.boot();
     if config.faults.is_active() {
         // Install before the initial checkpoint so the plan rides inside
@@ -224,34 +224,26 @@ pub(crate) fn begin_session(
         kernel.set_io_faults(config.faults.io_faults());
     }
     machine.mem_mut().take_dirty();
-    let cost = *kernel.cost_model();
     let initial = Checkpoint::capture(&machine, &kernel);
-    let meta = RecordingMeta {
-        guest_name: spec.name.clone(),
-        program_hash: spec.program_hash(),
-        initial_machine_hash: initial.machine_hash,
-        config: *config,
-    };
-    let initial_image = initial.to_image();
-    sink.begin(&meta, &initial_image).map_err(sink_err)?;
-    let commit = CommitState {
-        stats: RecorderStats::default(),
-        epochs: Vec::new(),
-        pool: WorkerPool::new(config.spare_workers.max(1)),
-        tp_time: 0,
-        commit_time: 0,
-        prev: initial,
-    };
-    Ok((
-        Session {
-            commit,
-            cost,
-            meta,
-            initial_image,
+    let s = Session {
+        cost: *kernel.cost_model(),
+        meta: RecordingMeta {
+            guest_name: spec.name.clone(),
+            program_hash: spec.program_hash(),
+            initial_machine_hash: initial.machine_hash,
+            config: *config,
         },
-        machine,
-        kernel,
-    ))
+        initial_image: initial.to_image(),
+        commit: CommitState {
+            stats: RecorderStats::default(),
+            epochs: Vec::new(),
+            pool: WorkerPool::new(config.spare_workers.max(1)),
+            tp_time: 0,
+            commit_time: 0,
+            prev: initial,
+        },
+    };
+    (s, machine, kernel)
 }
 
 /// Seals the run: completion marker, end-to-end timeline, fault count and
@@ -323,9 +315,9 @@ pub(crate) fn run_tp_epoch(
     })
 }
 
-/// Borrowed inputs of one verify job: the sequential driver points these at
-/// its live state; the pipelined worker points them into the owned job it
-/// received over the channel.
+/// Borrowed inputs of one verify job: inline verification points these at
+/// the commit state and the head epoch's work; a worker points them into
+/// the owned job it received over the channel.
 pub(crate) struct VerifyJobRef<'a> {
     pub index: u32,
     /// Start-of-epoch world. Only machine/kernel are read — the digest may
@@ -345,15 +337,15 @@ pub(crate) enum VerifyVerdict {
     Panicked,
     /// A host-level error surfaced from the verify run.
     Failed(RecordError),
-    /// A generation bump cancelled the job mid-run (pipelined only).
+    /// A generation bump cancelled the job mid-run (workers only).
     Cancelled,
 }
 
 /// Executes one verify job: computes the deferred end-state digest, then
-/// runs the panic-isolated verify. This is the single verify entry point
-/// for both drivers, so injected worker panics (keyed `(epoch, attempt 0)`
-/// — a pure hash, deterministic under any thread interleaving) and digest
-/// values can never differ between them.
+/// runs the panic-isolated verify. This is the single verify entry point,
+/// inline and on workers alike, so injected worker panics (keyed `(epoch,
+/// attempt 0)` — a pure hash, deterministic under any thread interleaving)
+/// and digest values never depend on which thread verified.
 pub(crate) fn execute_verify(
     job: VerifyJobRef<'_>,
     plan: &FaultPlan,
@@ -406,8 +398,8 @@ pub(crate) fn charge_tp_side(c: &mut CommitState, cost: &CostModel, work: &Epoch
 /// Hash-side accounting for one retiring epoch's end machine: charges the
 /// incremental digest (proportional to the pages the epoch dirtied, not the
 /// resident footprint) and records the modeled hashed/skipped page split.
-/// Both drivers retire through this, so the counts are deterministic and
-/// mode-independent — the real per-memory counters
+/// Every retire goes through this, so the counts are deterministic and
+/// independent of the worker count — the real per-memory counters
 /// ([`dp_vm::memory::HashStats`]) depend on which clone digests a shared
 /// page first and serve tests only.
 fn charge_state_hash(c: &mut CommitState, cost: &CostModel, machine: &Machine) -> u64 {
@@ -470,13 +462,16 @@ pub(crate) fn commit_clean(
     Ok(())
 }
 
-/// The state a divergence retire adopts: the live re-execution's end world.
+/// The world a live re-execution leaves behind: the epoch's new truth,
+/// which the front end restarts from.
 pub(crate) struct Adopted {
     pub machine: Machine,
     pub kernel: Kernel,
-    /// Single-CPU cycles the live run consumed (advances the guest clock
-    /// from the epoch's start).
-    pub cycles: u64,
+    /// The epoch it ends.
+    pub index: u32,
+    /// Guest clock at its end: the epoch's start plus the single-CPU cycles
+    /// the live run consumed.
+    pub clock: u64,
 }
 
 /// Retires a diverged (or worker-panicked) epoch: accounts for the wasted
@@ -506,31 +501,10 @@ pub(crate) fn retire_diverged(
         .max(c.commit_time);
     c.stats.wasted_tp_cycles += detect.saturating_sub(c.tp_time);
 
-    let live_duration = work.tp_cycles.saturating_mul(config.cpus as u64).max(1);
-    let live = run_live_guarded(
-        &config.faults,
-        &mut c.stats,
-        work.index,
-        &c.prev,
-        live_duration,
-        config.ep_quantum,
-        work.epoch_start,
-    )?;
-    let live_logs = EncodedLogs {
-        schedule: codec::encode_schedule(&live.schedule),
-        syscalls: codec::encode_syscalls(&live.generated),
-    };
-    let live_sched_bytes = live_logs.schedule.len() as u64;
-    let live_sys_bytes = live_logs.syscalls.len() as u64;
-    let live_hash_cost = charge_state_hash(c, cost, &live.machine);
-    let live_task =
-        live.cycles + live_hash_cost + cost.log_write(live_sched_bytes + live_sys_bytes);
-    c.stats.recovery_cycles += live_task;
-    c.stats.ep_cycles += live_task;
-    c.stats.schedule_bytes += live_sched_bytes;
-    c.stats.syscall_bytes += live_sys_bytes;
-
-    let mut resume = detect + live_task;
+    let duration = work.tp_cycles.saturating_mul(config.cpus as u64).max(1);
+    let live = run_live_charged(c, config, cost, work.index, work.epoch_start, duration)?;
+    c.stats.recovery_cycles += live.task;
+    let mut resume = detect + live.task;
     if !config.forward_recovery {
         // Full rollback also re-runs the thread-parallel epoch.
         resume += work.tp_cycles;
@@ -538,37 +512,7 @@ pub(crate) fn retire_diverged(
     }
     c.commit_time = resume;
     c.tp_time = resume;
-
-    // Adopt the live world by moving it out of the outcome — no full-world
-    // clones on the recovery path.
-    let EpOutcome {
-        schedule,
-        generated,
-        machine,
-        kernel,
-        end_hash,
-        external,
-        cycles,
-        ..
-    } = live;
-    c.epochs.push(EpochRecord {
-        index: work.index,
-        schedule,
-        syscalls: generated,
-        end_machine_hash: end_hash,
-        external,
-        start: config.keep_checkpoints.then(|| c.prev.to_image()),
-        tp_cycles: work.tp_cycles,
-    });
-    sink.epoch_encoded(c.epochs.last().expect("epoch just pushed"), &live_logs)
-        .map_err(sink_err)?;
-    c.prev = Checkpoint::capture(&machine, &kernel);
-    c.stats.epochs += 1;
-    Ok(Adopted {
-        machine,
-        kernel,
-        cycles,
-    })
+    adopt(c, config, sink, work.tp_cycles, live)
 }
 
 /// Records one serialized (degraded-mode) epoch: a single uniprocessor-style
@@ -585,7 +529,43 @@ pub(crate) fn record_serialized_epoch(
     epoch_len: u64,
 ) -> Result<Adopted, RecordError> {
     let duration = epoch_len.saturating_mul(config.cpus as u64).max(1);
-    let live = run_live_guarded(
+    let live = run_live_charged(c, config, cost, index, epoch_start, duration)?;
+    let log_bytes = live.logs.schedule.len() + live.logs.syscalls.len();
+    c.stats.log_write_cycles += cost.log_write(log_bytes as u64);
+    c.stats.tp_instructions += live.out.instructions;
+    c.tp_time += live.task;
+    c.commit_time = c.commit_time.max(c.tp_time);
+    c.stats.committed += 1;
+    c.stats.serialized_epochs += 1;
+    // There is no thread-parallel run: the record stores the live run's.
+    let tp_cycles = live.out.cycles;
+    adopt(c, config, sink, tp_cycles, live)
+}
+
+/// An epoch re-executed live, charged as epoch-parallel work but not yet
+/// recorded.
+struct Live {
+    index: u32,
+    /// Guest clock at the epoch's start.
+    epoch_start: u64,
+    out: EpOutcome,
+    logs: EncodedLogs,
+    /// Modeled worker time: the run, its state digest and its log writes.
+    task: u64,
+}
+
+/// Re-executes epoch `index` live on one CPU for `duration` cycles from the
+/// authoritative checkpoint and charges it as epoch-parallel work: the
+/// first half of the tail a divergence retire and a serialized epoch share.
+fn run_live_charged(
+    c: &mut CommitState,
+    config: &DoublePlayConfig,
+    cost: &CostModel,
+    index: u32,
+    epoch_start: u64,
+    duration: u64,
+) -> Result<Live, RecordError> {
+    let out = run_live_guarded(
         &config.faults,
         &mut c.stats,
         index,
@@ -595,21 +575,42 @@ pub(crate) fn record_serialized_epoch(
         epoch_start,
     )?;
     let logs = EncodedLogs {
-        schedule: codec::encode_schedule(&live.schedule),
-        syscalls: codec::encode_syscalls(&live.generated),
+        schedule: codec::encode_schedule(&out.schedule),
+        syscalls: codec::encode_syscalls(&out.generated),
     };
-    let sched_bytes = logs.schedule.len() as u64;
-    let sys_bytes = logs.syscalls.len() as u64;
-    let hash_cost = charge_state_hash(c, cost, &live.machine);
-    let task = live.cycles + hash_cost + cost.log_write(sched_bytes + sys_bytes);
+    let (sched_bytes, sys_bytes) = (logs.schedule.len() as u64, logs.syscalls.len() as u64);
+    let hash_cost = charge_state_hash(c, cost, &out.machine);
+    let task = out.cycles + hash_cost + cost.log_write(sched_bytes + sys_bytes);
     c.stats.ep_cycles += task;
-    c.stats.log_write_cycles += cost.log_write(sched_bytes + sys_bytes);
     c.stats.schedule_bytes += sched_bytes;
     c.stats.syscall_bytes += sys_bytes;
-    c.stats.tp_instructions += live.instructions;
-    c.tp_time += task;
-    c.commit_time = c.commit_time.max(c.tp_time);
+    Ok(Live {
+        index,
+        epoch_start,
+        out,
+        logs,
+        task,
+    })
+}
 
+/// Records a live run as its epoch (storing `tp_cycles`) and adopts its end
+/// world as the next authoritative checkpoint, moving it out of the outcome
+/// — no full-world clones on the recovery path. The second half of the
+/// shared tail.
+fn adopt(
+    c: &mut CommitState,
+    config: &DoublePlayConfig,
+    sink: &mut dyn RecordSink,
+    tp_cycles: u64,
+    live: Live,
+) -> Result<Adopted, RecordError> {
+    let Live {
+        index,
+        epoch_start,
+        out,
+        logs,
+        ..
+    } = live;
     let EpOutcome {
         schedule,
         generated,
@@ -619,7 +620,7 @@ pub(crate) fn record_serialized_epoch(
         external,
         cycles,
         ..
-    } = live;
+    } = out;
     c.epochs.push(EpochRecord {
         index,
         schedule,
@@ -627,150 +628,18 @@ pub(crate) fn record_serialized_epoch(
         end_machine_hash: end_hash,
         external,
         start: config.keep_checkpoints.then(|| c.prev.to_image()),
-        tp_cycles: cycles,
+        tp_cycles,
     });
     sink.epoch_encoded(c.epochs.last().expect("epoch just pushed"), &logs)
         .map_err(sink_err)?;
     c.prev = Checkpoint::capture(&machine, &kernel);
-    c.stats.committed += 1;
-    c.stats.serialized_epochs += 1;
     c.stats.epochs += 1;
     Ok(Adopted {
         machine,
         kernel,
-        cycles,
+        index,
+        clock: epoch_start + cycles,
     })
-}
-
-/// The lockstep driver: submit, verify (inline), retire — one epoch at a
-/// time on the calling thread.
-fn record_sequential(
-    spec: &GuestSpec,
-    config: &DoublePlayConfig,
-    sink: &mut dyn RecordSink,
-) -> Result<RecordingBundle, RecordError> {
-    let wall_start = Instant::now();
-    let (s, machine, kernel) = begin_session(spec, config, sink)?;
-    let tp = TpRunner::new(config);
-    let control = ControlState::new(config);
-    drive_sequential(
-        s, config, sink, machine, kernel, tp, control, 0, 0, wall_start,
-    )
-}
-
-/// The lockstep driver's epoch loop, entered either fresh (epoch 0, boot
-/// state) or mid-run by [`crate::record::resume::resume_from`] with the
-/// state a re-enacted salvaged prefix left behind. Everything a run
-/// carries across epochs arrives as a parameter, so resuming at epoch `k`
-/// continues exactly as an uninterrupted run would.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn drive_sequential<'a>(
-    mut s: Session,
-    config: &'a DoublePlayConfig,
-    sink: &mut dyn RecordSink,
-    mut machine: Machine,
-    mut kernel: Kernel,
-    mut tp: TpRunner<'a>,
-    mut control: ControlState,
-    mut guest_clock: u64,
-    mut index: u32,
-    wall_start: Instant,
-) -> Result<RecordingBundle, RecordError> {
-    loop {
-        if s.commit.stats.tp_instructions > config.max_instructions || index >= MAX_EPOCHS {
-            return Err(RecordError::BudgetExhausted);
-        }
-        let epoch_start = guest_clock;
-
-        if control.serialized_left > 0 {
-            control.serialized_left -= 1;
-            let adopted = record_serialized_epoch(
-                &mut s.commit,
-                config,
-                &s.cost,
-                sink,
-                index,
-                epoch_start,
-                control.epoch_len,
-            )?;
-            machine = adopted.machine;
-            kernel = adopted.kernel;
-            guest_clock = epoch_start + adopted.cycles;
-            index += 1;
-            if machine.halted().is_some() || machine.live_threads() == 0 {
-                break;
-            }
-            continue;
-        }
-
-        let work = run_tp_epoch(
-            &mut tp,
-            &mut machine,
-            &mut kernel,
-            index,
-            epoch_start,
-            control.epoch_len,
-        )?;
-        guest_clock += work.tp_cycles;
-        let sys_enc = charge_tp_side(&mut s.commit, &s.cost, &work);
-
-        let targets = targets_of(&work.next_machine);
-        let (expected_hash, verdict) = execute_verify(
-            VerifyJobRef {
-                index,
-                start: &s.commit.prev,
-                hint: &work.hint,
-                syscalls: &work.syscalls,
-                targets: &targets,
-                next_machine: &work.next_machine,
-            },
-            &config.faults,
-            None,
-        );
-
-        match verdict {
-            VerifyVerdict::Done(ep) if ep.divergence.is_none() => {
-                commit_clean(
-                    &mut s.commit,
-                    config,
-                    &s.cost,
-                    sink,
-                    work,
-                    *ep,
-                    expected_hash,
-                    sys_enc,
-                )?;
-                control.on_clean(config);
-                control.note_outcome(false);
-            }
-            VerifyVerdict::Failed(e) => return Err(e),
-            VerifyVerdict::Cancelled => unreachable!("inline verify has no cancel token"),
-            diverged => {
-                let verified = match diverged {
-                    VerifyVerdict::Done(ep) => Some(*ep),
-                    _ => None,
-                };
-                control.on_diverged(config);
-                let adopted =
-                    retire_diverged(&mut s.commit, config, &s.cost, sink, work, verified)?;
-                machine = adopted.machine;
-                kernel = adopted.kernel;
-                guest_clock = epoch_start + adopted.cycles;
-                control.note_outcome(true);
-            }
-        }
-
-        index += 1;
-        if machine.halted().is_some() || machine.live_threads() == 0 {
-            break;
-        }
-    }
-
-    let wall = WallClockStats {
-        wall_ns: wall_start.elapsed().as_nanos() as u64,
-        ..Default::default()
-    };
-    finish_session(s, sink, &kernel, wall)
 }
 
 /// Runs the live (single-CPU) re-execution with panic isolation: a worker
@@ -884,10 +753,9 @@ mod tests {
             "overhead {} too large",
             bundle.stats.overhead(native)
         );
-        // The sequential driver measures wall time but uses no workers.
+        // Lockstep recording measures wall time but starts no workers.
         assert!(bundle.stats.wall.wall_ns > 0);
         assert_eq!(bundle.stats.wall.workers, 0);
-        assert!(!bundle.stats.wall.pipelined);
     }
 
     #[test]

@@ -559,10 +559,11 @@ mod tests {
         assert_eq!(machine.halted(), Some(4000));
     }
 
-    #[test]
-    fn contended_mutex_program_verifies_cleanly() {
-        // Futex-based mutexes: acquisition order is captured via the atomic
-        // and syscall sync points in the hint, so no divergence.
+    /// Three threads take turns on a futex-based mutex: contended
+    /// acquisitions block in `FUTEX_WAIT` and complete through a logged
+    /// wake, so the thread-parallel log holds both wake-delivered
+    /// completions and completions at issue.
+    fn mutexed_spec() -> GuestSpec {
         use dp_os::guest::Rt;
         use dp_os::kernel::WorldConfig;
         use dp_vm::builder::ProgramBuilder;
@@ -609,12 +610,18 @@ mod tests {
         f.load(Reg(0), Reg(9), 0, dp_vm::Width::W8);
         f.syscall(abi::SYS_EXIT);
         f.finish();
-        let spec = GuestSpec::new(
+        GuestSpec::new(
             "mutexed",
             Arc::new(pb.finish("main")),
             WorldConfig::default(),
-        );
+        )
+    }
 
+    #[test]
+    fn contended_mutex_program_verifies_cleanly() {
+        // Futex-based mutexes: acquisition order is captured via the atomic
+        // and syscall sync points in the hint, so no divergence.
+        let spec = mutexed_spec();
         for seed in 0..4 {
             let config = DoublePlayConfig {
                 tp_quantum: 150,
@@ -652,6 +659,68 @@ mod tests {
                 }
             }
             assert_eq!(machine.halted(), Some(900));
+        }
+    }
+
+    #[test]
+    fn a_flipped_argument_digest_is_a_syscall_mismatch_on_its_thread() {
+        // Walk the thread-parallel run to the first epoch whose log holds
+        // both a wake-delivered completion and one made at issue.
+        let spec = mutexed_spec();
+        let config = DoublePlayConfig {
+            tp_quantum: 150,
+            tp_jitter: 250,
+            ..DoublePlayConfig::new(2).epoch_cycles(6_000)
+        };
+        let (mut machine, mut kernel) = spec.boot();
+        let mut tp = TpRunner::new(&config);
+        let mut prev = Checkpoint::capture(&machine, &kernel);
+        let mut t = 0;
+        loop {
+            let tp_out = tp
+                .run_epoch(&mut machine, &mut kernel, t, config.epoch_cycles)
+                .unwrap();
+            t += tp_out.cycles;
+            kernel.take_external();
+            let next = Checkpoint::capture(&machine, &kernel);
+            let entries = tp_out.syscalls.entries();
+            let wake = entries.iter().position(|e| e.via_wake);
+            let direct = entries.iter().position(|e| !e.via_wake);
+            let (Some(wake), Some(direct)) = (wake, direct) else {
+                assert!(!tp_out.finished, "no epoch logged both kinds of completion");
+                prev = next;
+                continue;
+            };
+            let targets = targets_of(&next.machine);
+            let verify = |log: &SyscallLog| {
+                let inputs = VerifyInputs {
+                    hint: &tp_out.hint,
+                    targets: &targets,
+                    log,
+                    expected_hash: next.machine_hash,
+                    expected_machine: Some(&next.machine),
+                };
+                run_verify(&prev, inputs).unwrap().divergence
+            };
+            assert_eq!(verify(&tp_out.syscalls), None, "untouched log");
+            for k in [wake, direct] {
+                let flipped: SyscallLog = entries
+                    .iter()
+                    .enumerate()
+                    .map(|(i, e)| SyscallLogEntry {
+                        arg_hash: e.arg_hash ^ u64::from(i == k),
+                        ..e.clone()
+                    })
+                    .collect();
+                match verify(&flipped) {
+                    Some(Divergence::SyscallMismatch { tid, .. }) if tid == entries[k].tid => {}
+                    other => panic!(
+                        "flipped digest of {:?}: expected a syscall mismatch, got {other:?}",
+                        entries[k]
+                    ),
+                }
+            }
+            return;
         }
     }
 

@@ -4,15 +4,17 @@
 //!   generates checkpoints and the syscall log;
 //! * [`epoch_parallel`] — the single-CPU-per-epoch execution of record,
 //!   with divergence detection;
-//! * [`coordinator`] — the shared stage machinery tying them together
-//!   (commit, divergence recovery, adaptive epoch sizing, the pipeline
-//!   timing model) plus the sequential lockstep driver;
-//! * [`pipelined`] — the real-thread driver: TP front-end speculating
-//!   ahead, verify workers on spare cores, strictly-in-order commit;
+//! * [`coordinator`] — the stage machinery tying them together (boot,
+//!   commit, divergence recovery, adaptive epoch sizing, the pipeline
+//!   timing model);
+//! * [`pipelined`] — the one recording loop: TP front-end speculating
+//!   ahead, verify workers on spare cores, strictly-in-order commit; with
+//!   no spare cores, the same loop with no worker threads verifies each
+//!   epoch inline;
 //! * [`pipeline`] — worker-core scheduling for the simulated-time account;
 //! * [`interleave`] — the hidden nondeterminism source;
 //! * [`resume`] — crash-resume: re-enact a salvaged committed prefix,
-//!   then re-enter the normal coordinator at the next epoch.
+//!   then hand off to the recording loop at the next epoch.
 
 pub mod coordinator;
 pub mod epoch_parallel;

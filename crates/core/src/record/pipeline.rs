@@ -11,9 +11,6 @@
 #[derive(Debug, Clone)]
 pub struct WorkerPool {
     free_at: Vec<u64>,
-    /// Largest observed gap between a task becoming ready and starting
-    /// (pipeline backlog diagnostic).
-    pub max_wait: u64,
 }
 
 impl WorkerPool {
@@ -21,7 +18,6 @@ impl WorkerPool {
     pub fn new(workers: usize) -> Self {
         WorkerPool {
             free_at: vec![0; workers.max(1)],
-            max_wait: 0,
         }
     }
 
@@ -35,15 +31,8 @@ impl WorkerPool {
             .min_by_key(|(i, &t)| (t, *i))
             .map(|(i, _)| i)
             .expect("pool is never empty");
-        let start = ready.max(self.free_at[idx]);
-        self.max_wait = self.max_wait.max(start - ready);
-        self.free_at[idx] = start + duration;
+        self.free_at[idx] = ready.max(self.free_at[idx]) + duration;
         self.free_at[idx]
-    }
-
-    /// Time at which every scheduled task has finished.
-    pub fn all_idle_at(&self) -> u64 {
-        self.free_at.iter().copied().max().unwrap_or(0)
     }
 }
 
@@ -57,8 +46,6 @@ mod tests {
         assert_eq!(p.schedule(0, 10), 10);
         assert_eq!(p.schedule(0, 10), 20);
         assert_eq!(p.schedule(100, 5), 105);
-        assert_eq!(p.all_idle_at(), 105);
-        assert_eq!(p.max_wait, 10);
     }
 
     #[test]
@@ -67,7 +54,6 @@ mod tests {
         assert_eq!(p.schedule(0, 10), 10);
         assert_eq!(p.schedule(0, 10), 10);
         assert_eq!(p.schedule(0, 10), 20); // third waits for a core
-        assert_eq!(p.max_wait, 10);
     }
 
     #[test]

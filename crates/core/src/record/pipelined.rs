@@ -1,40 +1,42 @@
-//! The multithreaded recording pipeline: uniparallelism on real spare
-//! cores.
+//! The recording loop: uniparallelism on real spare cores, or in lockstep
+//! when there are none.
 //!
-//! The sequential coordinator interleaves the thread-parallel (TP) run and
-//! the epoch-parallel verify on one OS thread, so recording wall-clock time
-//! is their *sum* even though the paper's whole point is that they overlap.
-//! This driver runs the same three stages on real threads:
+//! `drive` runs three stages. It starts one verify worker thread per
+//! spare core when [`DoublePlayConfig::pipelined`] is set, and none
+//! otherwise:
 //!
-//! * **submit** (this thread): the TP front-end races ahead, up to
-//!   [`DoublePlayConfig::spare_workers`] epochs beyond the last retired
-//!   one. Each epoch's `(start checkpoint, TP outcome, targets)` is handed
-//!   to the worker pool over a channel. Checkpoints taken here are
-//!   *deferred* ([`Checkpoint::capture_deferred`]): the state digest — the
-//!   dominant per-epoch cost — moves off the critical path.
+//! * **submit** (this thread): the thread-parallel (TP) front end races
+//!   ahead, up to one epoch per worker beyond the last retired one (one
+//!   epoch with no workers). Each epoch's `(start checkpoint, TP outcome,
+//!   targets)` is handed to the worker pool over a channel. Checkpoints
+//!   taken here are *deferred* ([`Checkpoint::capture_deferred`]): the
+//!   state digest — the dominant per-epoch cost — moves off the critical
+//!   path.
 //! * **verify** (worker threads): each worker dequeues a job, computes the
 //!   deferred digest, and runs the panic-isolated verify
-//!   ([`execute_verify`], the same entry point the sequential driver
-//!   calls inline). Workers finish out of order.
+//!   ([`execute_verify`]). Workers finish out of order. With no workers the
+//!   same loop builds no job and verifies the head epoch inline through
+//!   the same entry point, from the commit state's checkpoint — at depth 1
+//!   that is the epoch's start — so the TP run and its verify take turns.
 //! * **commit** (this thread): epochs retire strictly in index order
-//!   through the shared stage functions, so the `RecordSink` sees the
-//!   exact byte sequence the sequential driver would produce.
+//!   through the coordinator's stage functions, so the `RecordSink` sees
+//!   the same byte sequence at every worker count.
 //!
 //! A divergence at epoch `k` invalidates every speculative epoch beyond
 //! it: the [`CancelToken`] generation is bumped (workers poll it at event
 //! boundaries and every few thousand instructions), in-flight state is
 //! discarded, the TP runner and the adaptive-epoch control are rewound to
-//! their post-`k` snapshots, live recovery runs, and the front-end restarts
-//! from the adopted world — exactly the state the sequential driver would
-//! hold at that point.
+//! their post-`k` snapshots, live recovery runs, and the front end restarts
+//! from the adopted world — exactly the state it would hold had it never
+//! speculated past `k`.
 //!
 //! **Byte-identity invariant**: for any seed, workload, and fault plan,
-//! this driver produces a `Recording` (and journal byte stream) identical
-//! to the sequential path, and identical modeled statistics; only the
-//! [`WallClockStats`] measurements differ. Everything that feeds the
-//! recording is computed either deterministically on this thread or as a
-//! pure function of the job (`expected_hash`, the verify outcome), never
-//! as a function of worker scheduling.
+//! every worker count produces the same `Recording` (and journal byte
+//! stream) and the same modeled statistics; only the [`WallClockStats`]
+//! measurements differ. Everything that feeds the recording is computed
+//! either deterministically on this thread or as a pure function of the
+//! job (`expected_hash`, the verify outcome), never as a function of worker
+//! scheduling.
 
 use crate::checkpoint::{targets_of, Checkpoint, EpochTargets};
 use crate::config::DoublePlayConfig;
@@ -43,13 +45,14 @@ use crate::faults::FaultPlan;
 use crate::journal::RecordSink;
 use crate::logs::{ScheduleLog, SyscallLog};
 use crate::record::coordinator::{
-    begin_session, charge_tp_side, commit_clean, execute_verify, finish_session,
-    record_serialized_epoch, retire_diverged, run_tp_epoch, ControlState, EpochWork,
-    RecordingBundle, Session, VerifyJobRef, VerifyVerdict, MAX_EPOCHS,
+    charge_tp_side, commit_clean, execute_verify, finish_session, record_serialized_epoch,
+    retire_diverged, run_tp_epoch, ControlState, EpochWork, RecordingBundle, Session, VerifyJobRef,
+    VerifyVerdict, MAX_EPOCHS,
 };
 use crate::record::epoch_parallel::CancelToken;
 use crate::record::thread_parallel::{TpRunner, TpSnapshot};
 use crate::stats::{WallClockStats, DEPTH_BUCKETS, MAX_TRACKED_WORKERS};
+use dp_os::kernel::Kernel;
 use dp_vm::Machine;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::mpsc;
@@ -87,8 +90,8 @@ struct VerifyDone {
 /// rewind past it.
 struct Speculation {
     work: EpochWork,
-    /// TP-runner state right after this epoch's TP run (what the sequential
-    /// driver would hold entering the divergence branch).
+    /// TP-runner state right after this epoch's TP run (what the front end
+    /// would hold had it stopped there).
     tp_snap: TpSnapshot,
     /// Adaptive-epoch control right before this epoch's speculative
     /// clean-commit update.
@@ -142,46 +145,41 @@ fn worker_loop(
     }
 }
 
-/// Records `spec` with the TP front-end, verify workers, and commit stage
-/// on real OS threads. Called through [`crate::record_to`] when
-/// [`DoublePlayConfig::pipelined`] is set with spare workers available.
-pub(crate) fn record_pipelined(
-    spec: &crate::world::GuestSpec,
-    config: &DoublePlayConfig,
-    sink: &mut dyn RecordSink,
-) -> Result<RecordingBundle, RecordError> {
-    let wall_start = Instant::now();
-    let (s, machine, kernel) = begin_session(spec, config, sink)?;
-    let tp = TpRunner::new(config);
-    let control = ControlState::new(config);
-    drive_pipelined(
-        s, config, sink, machine, kernel, tp, control, 0, 0, wall_start,
-    )
+/// Whether the guest has nothing left to run.
+fn guest_done(machine: &Machine) -> bool {
+    machine.halted().is_some() || machine.live_threads() == 0
 }
 
-/// The pipelined driver's stage loop, entered either fresh (epoch 0, boot
-/// state) or mid-run by [`crate::record::resume::resume_from`] with the
-/// state a re-enacted salvaged prefix left behind — the pipelined
-/// counterpart of [`crate::record::coordinator::drive_sequential`].
+/// The recording loop, entered either fresh by [`crate::record_to`]
+/// (epoch 0, boot state) or mid-run by
+/// [`crate::record::resume::resume_from`] with the state a re-enacted
+/// salvaged prefix left behind, possibly a finished guest. Everything a run
+/// carries across epochs arrives as a parameter, so resuming at epoch
+/// `index` continues exactly as an uninterrupted run would.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn drive_pipelined<'a>(
+pub(crate) fn drive<'a>(
     mut s: Session,
     config: &'a DoublePlayConfig,
     sink: &mut dyn RecordSink,
     mut machine: Machine,
-    mut kernel: dp_os::kernel::Kernel,
+    mut kernel: Kernel,
     mut tp: TpRunner<'a>,
     mut control: ControlState,
     guest_clock: u64,
     index: u32,
     wall_start: Instant,
 ) -> Result<RecordingBundle, RecordError> {
-    let workers = config.spare_workers;
-    let depth = workers; // speculate at most one epoch per spare core
+    let workers = if config.pipelined {
+        config.spare_workers
+    } else {
+        0
+    };
+    // Epochs in flight at once, counting the one the front end has just
+    // run: one per worker, and one to verify inline when there are none.
+    let depth = workers.max(1);
     let cancel = CancelToken::new();
     let mut wall = WallClockStats {
         workers: workers as u64,
-        pipelined: true,
         ..Default::default()
     };
 
@@ -210,13 +208,13 @@ pub(crate) fn drive_pipelined<'a>(
         // resumed run both start where the re-enacted prefix left them.
         let mut spec_clock = guest_clock;
         let mut spec_instr = s.commit.stats.tp_instructions;
-        let mut front_halted = false;
+        let mut front_halted = guest_done(&machine);
         // A TP error is speculative until every earlier epoch retires
         // clean: a divergence below it rewinds past the error entirely.
         let mut front_err: Option<RecordError> = None;
 
         let outcome = loop {
-            // Submit: race the TP front-end ahead while there is depth.
+            // Submit: race the TP front end ahead while there is depth.
             while front_err.is_none()
                 && !front_halted
                 && control.serialized_left == 0
@@ -225,7 +223,9 @@ pub(crate) fn drive_pipelined<'a>(
                 && next_index < MAX_EPOCHS
             {
                 let epoch_start = spec_clock;
-                let start = Checkpoint::capture_deferred(&machine, &kernel);
+                // A worker verifies from the epoch's start as the front end
+                // leaves it; inline verification reads the commit state's.
+                let start = (workers > 0).then(|| Checkpoint::capture_deferred(&machine, &kernel));
                 let work = match run_tp_epoch(
                     &mut tp,
                     &mut machine,
@@ -241,19 +241,21 @@ pub(crate) fn drive_pipelined<'a>(
                     }
                 };
                 wall.depth_histogram[inflight.len().min(DEPTH_BUCKETS - 1)] += 1;
-                let job = VerifyJob {
-                    index: work.index,
-                    stamp: cancel.current(),
-                    start,
-                    hint: work.hint.clone(),
-                    syscalls: work.syscalls.clone(),
-                    targets: targets_of(&work.next_machine),
-                    next_machine: work.next_machine.clone(),
-                };
-                job_tx.send(job).expect("verify workers outlive the driver");
+                if let Some(start) = start {
+                    let job = VerifyJob {
+                        index: work.index,
+                        stamp: cancel.current(),
+                        start,
+                        hint: work.hint.clone(),
+                        syscalls: work.syscalls.clone(),
+                        targets: targets_of(&work.next_machine),
+                        next_machine: work.next_machine.clone(),
+                    };
+                    job_tx.send(job).expect("verify workers outlive the loop");
+                }
                 spec_clock += work.tp_cycles;
                 spec_instr += work.tp_instructions;
-                front_halted = machine.halted().is_some() || machine.live_threads() == 0;
+                front_halted = guest_done(&machine);
                 let tp_snap = tp.snapshot();
                 let control_before = control.clone();
                 // Speculate a clean commit (the only outcome that leaves
@@ -269,9 +271,83 @@ pub(crate) fn drive_pipelined<'a>(
                 next_index += 1;
             }
 
-            if inflight.is_empty() {
+            let adopted = if let Some(head) = inflight.front() {
+                // Commit stage: verify the head epoch inline, or wait for
+                // its worker's verdict, stashing later epochs' verdicts
+                // until their turn.
+                let head_index = head.work.index;
+                let (expected_hash, verdict) = if workers == 0 {
+                    execute_verify(
+                        VerifyJobRef {
+                            index: head_index,
+                            start: &s.commit.prev,
+                            hint: &head.work.hint,
+                            syscalls: &head.work.syscalls,
+                            targets: &targets_of(&head.work.next_machine),
+                            next_machine: &head.work.next_machine,
+                        },
+                        &config.faults,
+                        None,
+                    )
+                } else {
+                    loop {
+                        if let Some(v) = stash.remove(&head_index) {
+                            break v;
+                        }
+                        let done = res_rx
+                            .recv()
+                            .expect("workers hold the result channel while jobs are in flight");
+                        wall.worker_busy_ns[done.worker.min(MAX_TRACKED_WORKERS - 1)] +=
+                            done.busy_ns;
+                        if cancel.is_stale(done.stamp) {
+                            continue; // a cancelled generation's answer: time counted, result dropped
+                        }
+                        stash.insert(done.index, (done.expected_hash, done.verdict));
+                    }
+                };
+
+                let head = inflight.pop_front().expect("checked non-empty");
+                let sys_enc = charge_tp_side(&mut s.commit, &s.cost, &head.work);
+                let verified = match verdict {
+                    VerifyVerdict::Done(ep) if ep.divergence.is_none() => {
+                        // `control` already speculated this epoch's clean
+                        // update at submit time.
+                        if let Err(e) = commit_clean(
+                            &mut s.commit,
+                            config,
+                            &s.cost,
+                            sink,
+                            head.work,
+                            *ep,
+                            expected_hash,
+                            sys_enc,
+                        ) {
+                            break Err(e);
+                        }
+                        continue;
+                    }
+                    VerifyVerdict::Failed(e) => break Err(e),
+                    VerifyVerdict::Cancelled => {
+                        unreachable!("current-generation jobs are never cancelled")
+                    }
+                    VerifyVerdict::Done(ep) => Some(*ep),
+                    VerifyVerdict::Panicked => None,
+                };
+                // Divergence (or panicked worker): everything speculated
+                // beyond this epoch is invalid.
+                wall.cancelled_epochs += inflight.len() as u64;
+                cancel.bump();
+                inflight.clear();
+                stash.clear();
+                front_err = None;
+                tp.restore(head.tp_snap);
+                control = head.control_before;
+                control.on_diverged(config);
+                control.note_outcome(true);
+                retire_diverged(&mut s.commit, config, &s.cost, sink, head.work, verified)
+            } else {
                 // The pipeline is drained: speculative conditions are now
-                // authoritative, in the sequential driver's order.
+                // authoritative.
                 if let Some(e) = front_err.take() {
                     break Err(e);
                 }
@@ -283,111 +359,35 @@ pub(crate) fn drive_pipelined<'a>(
                 {
                     break Err(RecordError::BudgetExhausted);
                 }
-                if control.serialized_left > 0 {
-                    // Degraded mode runs inline: it only engages at a
-                    // divergence retire, which always empties the pipeline
-                    // first, so there is never speculation to race with.
-                    control.serialized_left -= 1;
-                    let epoch_start = spec_clock;
-                    let adopted = match record_serialized_epoch(
-                        &mut s.commit,
-                        config,
-                        &s.cost,
-                        sink,
-                        next_index,
-                        epoch_start,
-                        control.epoch_len,
-                    ) {
-                        Ok(a) => a,
-                        Err(e) => break Err(e),
-                    };
-                    machine = adopted.machine;
-                    kernel = adopted.kernel;
-                    spec_clock = epoch_start + adopted.cycles;
-                    spec_instr = s.commit.stats.tp_instructions;
-                    next_index += 1;
-                    front_halted = machine.halted().is_some() || machine.live_threads() == 0;
-                    continue;
+                if control.serialized_left == 0 {
+                    unreachable!("drained pipeline with nothing to do and no reason to stop");
                 }
-                unreachable!("drained pipeline with nothing to do and no reason to stop");
-            }
-
-            // Commit stage: wait for the head epoch's verdict. Later
-            // epochs' verdicts are stashed until their turn.
-            let head_index = inflight.front().expect("checked non-empty").work.index;
-            let (expected_hash, verdict) = loop {
-                if let Some(v) = stash.remove(&head_index) {
-                    break v;
-                }
-                let done = res_rx
-                    .recv()
-                    .expect("workers hold the result channel while jobs are in flight");
-                wall.worker_busy_ns[done.worker.min(MAX_TRACKED_WORKERS - 1)] += done.busy_ns;
-                if cancel.is_stale(done.stamp) {
-                    continue; // a cancelled generation's answer: time counted, result dropped
-                }
-                stash.insert(done.index, (done.expected_hash, done.verdict));
+                // Degraded mode runs inline: it only engages at a
+                // divergence retire, which always empties the pipeline
+                // first, so there is never speculation to race with.
+                control.serialized_left -= 1;
+                record_serialized_epoch(
+                    &mut s.commit,
+                    config,
+                    &s.cost,
+                    sink,
+                    next_index,
+                    spec_clock,
+                    control.epoch_len,
+                )
             };
-
-            let head = inflight.pop_front().expect("checked non-empty");
-            let sys_enc = charge_tp_side(&mut s.commit, &s.cost, &head.work);
-            match verdict {
-                VerifyVerdict::Done(ep) if ep.divergence.is_none() => {
-                    if let Err(e) = commit_clean(
-                        &mut s.commit,
-                        config,
-                        &s.cost,
-                        sink,
-                        head.work,
-                        *ep,
-                        expected_hash,
-                        sys_enc,
-                    ) {
-                        break Err(e);
-                    }
-                    // `control` already speculated this epoch's clean
-                    // update at submit time.
-                }
-                VerifyVerdict::Failed(e) => break Err(e),
-                VerifyVerdict::Cancelled => {
-                    unreachable!("current-generation jobs are never cancelled")
-                }
-                diverged => {
-                    // Divergence (or panicked worker): everything
-                    // speculated beyond this epoch is invalid.
-                    let verified = match diverged {
-                        VerifyVerdict::Done(ep) => Some(*ep),
-                        _ => None,
-                    };
-                    wall.cancelled_epochs += inflight.len() as u64;
-                    cancel.bump();
-                    inflight.clear();
-                    stash.clear();
-                    front_err = None;
-                    tp.restore(head.tp_snap);
-                    control = head.control_before;
-                    control.on_diverged(config);
-                    let epoch_start = head.work.epoch_start;
-                    let adopted = match retire_diverged(
-                        &mut s.commit,
-                        config,
-                        &s.cost,
-                        sink,
-                        head.work,
-                        verified,
-                    ) {
-                        Ok(a) => a,
-                        Err(e) => break Err(e),
-                    };
-                    control.note_outcome(true);
-                    machine = adopted.machine;
-                    kernel = adopted.kernel;
-                    next_index = head_index + 1;
-                    spec_clock = epoch_start + adopted.cycles;
-                    spec_instr = s.commit.stats.tp_instructions;
-                    front_halted = machine.halted().is_some() || machine.live_threads() == 0;
-                }
-            }
+            // Both ways end in a live run, and the front end restarts
+            // from the world it left.
+            let adopted = match adopted {
+                Ok(a) => a,
+                Err(e) => break Err(e),
+            };
+            next_index = adopted.index + 1;
+            spec_clock = adopted.clock;
+            spec_instr = s.commit.stats.tp_instructions;
+            front_halted = guest_done(&adopted.machine);
+            machine = adopted.machine;
+            kernel = adopted.kernel;
         };
         // Closing the job channel releases the workers; the scope joins
         // them before returning.
@@ -435,9 +435,8 @@ mod tests {
             pip_journal.into_inner(),
             "journals must be byte-identical"
         );
-        assert!(pip.stats.wall.pipelined);
         assert_eq!(pip.stats.wall.workers as usize, config.spare_workers);
-        assert!(!seq.stats.wall.pipelined);
+        assert_eq!(seq.stats.wall.workers, 0);
     }
 
     #[test]
@@ -450,7 +449,7 @@ mod tests {
     /// The pipelined commit stage feeding a *threaded* sharded sink —
     /// the intended production pairing: verify on spare cores, shard lane
     /// threads absorbing the journal flushes — still merges byte-identical
-    /// to the sequential driver's recording.
+    /// to the lockstep recording.
     #[test]
     fn pipelined_into_threaded_sharded_journal_merges_identically() {
         let spec = atomic_counter_spec(4_000, 2);
@@ -523,7 +522,6 @@ mod tests {
             .pipelined(true);
         let bundle = crate::record::coordinator::record(&spec, &config).unwrap();
         let w = &bundle.stats.wall;
-        assert!(w.pipelined);
         assert!(w.wall_ns > 0);
         assert_eq!(w.workers as usize, config.spare_workers);
         assert!(w.busy_ns() > 0, "workers never ran a verify job");

@@ -9,8 +9,9 @@
 //! cannot be deserialized — but because the whole stack is deterministic
 //! it can be **re-enacted**: [`resume_from`] re-runs the thread-parallel
 //! side over the salvaged prefix epoch by epoch, reconstructing every
-//! piece of carried state, and then re-enters the normal
-//! sequential/pipelined coordinator at the next epoch.
+//! piece of carried state, and then hands off to the recording loop
+//! (`drive` in [`crate::record::pipelined`]) at the next epoch, with the
+//! session booted by the same code a fresh run boots with.
 //!
 //! The re-enactment is cheaper than the original run: each prefix epoch
 //! is classified against the journal, and the epoch-parallel *verify*
@@ -36,21 +37,19 @@ use crate::config::DoublePlayConfig;
 use crate::error::{RecordError, ResumeError};
 use crate::journal::RecordSink;
 use crate::record::coordinator::{
-    charge_tp_side, drive_sequential, finish_session, run_live_guarded, run_tp_epoch, CommitState,
-    ControlState, RecordingBundle, Session, MAX_EPOCHS,
+    boot_session, charge_tp_side, run_live_guarded, run_tp_epoch, ControlState, RecordingBundle,
+    MAX_EPOCHS,
 };
-use crate::record::pipeline::WorkerPool;
-use crate::record::pipelined::drive_pipelined;
+use crate::record::pipelined::drive;
 use crate::record::thread_parallel::TpRunner;
-use crate::recording::{Recording, RecordingMeta};
-use crate::stats::{RecorderStats, WallClockStats};
+use crate::recording::Recording;
 use crate::world::GuestSpec;
 use std::time::Instant;
 
 /// Resumes a crashed recording run: re-enacts `salvaged`'s committed
 /// prefix through the deterministic VM (hash-checked epoch by epoch),
 /// then continues recording epoch `salvaged.epochs.len()` onward into
-/// `sink` under the normal pipelined/sequential coordinator.
+/// `sink` through the same recording loop [`crate::record_to`] runs.
 ///
 /// `sink` must already hold the salvaged prefix — a
 /// [`crate::JournalWriter::resume`] writer positioned at every stream's
@@ -97,34 +96,14 @@ pub fn resume_from(
         ));
     }
 
-    let (mut machine, mut kernel) = spec.boot();
-    if config.faults.is_active() {
-        kernel.set_io_faults(config.faults.io_faults());
-    }
-    machine.mem_mut().take_dirty();
-    let cost = *kernel.cost_model();
-    let initial = Checkpoint::capture(&machine, &kernel);
-    if initial.machine_hash != salvaged.meta.initial_machine_hash {
+    let (mut s, mut machine, mut kernel) = boot_session(spec, config);
+    if s.meta.initial_machine_hash != salvaged.meta.initial_machine_hash {
         return Err(bad(format!(
             "boot state {:#x} does not match the journal's initial hash {:#x}",
-            initial.machine_hash, salvaged.meta.initial_machine_hash
+            s.meta.initial_machine_hash, salvaged.meta.initial_machine_hash
         )));
     }
-    let meta = RecordingMeta {
-        guest_name: spec.name.clone(),
-        program_hash,
-        initial_machine_hash: initial.machine_hash,
-        config: *config,
-    };
-    let initial_image = initial.to_image();
-    let mut commit = CommitState {
-        stats: RecorderStats::default(),
-        epochs: Vec::new(),
-        pool: WorkerPool::new(config.spare_workers.max(1)),
-        tp_time: 0,
-        commit_time: 0,
-        prev: initial,
-    };
+    let commit = &mut s.commit;
     let mut tp = TpRunner::new(config);
     let mut control = ControlState::new(config);
     let mut guest_clock = 0u64;
@@ -132,8 +111,8 @@ pub fn resume_from(
     // Prefix re-enactment. Each salvaged epoch is replayed through the
     // thread-parallel side (and, where the original run fell back to a
     // live or serialized execution, through that same execution), with
-    // the coordinator's carried state mutated exactly as the original
-    // drivers would have mutated it.
+    // the coordinator's carried state mutated exactly as the recording
+    // loop mutated it.
     for (i, e) in salvaged.epochs.iter().enumerate() {
         let index = i as u32;
         if e.index != index {
@@ -190,7 +169,7 @@ pub fn resume_from(
             control.epoch_len,
         )?;
         guest_clock += work.tp_cycles;
-        charge_tp_side(&mut commit, &cost, &work);
+        charge_tp_side(commit, &s.cost, &work);
         let tp_hash = work.next_machine.state_hash();
         // Clean iff the original epoch committed its thread-parallel
         // state: no injected verify panic (keyed (epoch, attempt 0) —
@@ -250,50 +229,70 @@ pub fn resume_from(
         }
     }
 
+    // A guest that completed inside the salvaged prefix (the crash hit
+    // between the last epoch's commit and the FINAL marker becoming
+    // durable) leaves the loop nothing to record: it seals the journal.
     let index = salvaged.epochs.len() as u32;
-    let s = Session {
-        commit,
-        cost,
-        meta,
-        initial_image,
-    };
-    if machine.halted().is_some() || machine.live_threads() == 0 {
-        // The guest completed inside the salvaged prefix: the crash hit
-        // between the last epoch's commit and the FINAL marker becoming
-        // durable. Nothing to record — seal the journal.
-        let wall = WallClockStats {
-            wall_ns: wall_start.elapsed().as_nanos() as u64,
-            ..Default::default()
+    drive(
+        s,
+        config,
+        sink,
+        machine,
+        kernel,
+        tp,
+        control,
+        guest_clock,
+        index,
+        wall_start,
+    )
+    .map_err(ResumeError::Record)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::journal::{JournalReader, JournalWriter};
+    use crate::record::coordinator::record_to;
+    use crate::record::testutil::racy_counter_spec;
+
+    /// A pipelined run resumed from a torn journal — mid-run, or with every
+    /// epoch committed but the completion marker torn — hands off to the
+    /// recording loop with its workers and ends byte-identical to the
+    /// uninterrupted run.
+    #[test]
+    fn pipelined_resume_hands_off_byte_identical() {
+        let spec = racy_counter_spec(3_000);
+        let config = DoublePlayConfig {
+            tp_quantum: 200,
+            tp_jitter: 300,
+            ..DoublePlayConfig::new(2)
+                .epoch_cycles(8_000)
+                .hidden_seed(1)
+                .pipelined(true)
         };
-        return finish_session(s, sink, &kernel, wall).map_err(ResumeError::Record);
-    }
-    if config.pipelined && config.spare_workers > 0 {
-        drive_pipelined(
-            s,
-            config,
-            sink,
-            machine,
-            kernel,
-            tp,
-            control,
-            guest_clock,
-            index,
-            wall_start,
-        )
-        .map_err(ResumeError::Record)
-    } else {
-        drive_sequential(
-            s,
-            config,
-            sink,
-            machine,
-            kernel,
-            tp,
-            control,
-            guest_clock,
-            index,
-            wall_start,
-        )
-        .map_err(ResumeError::Record)
+        let mut w = JournalWriter::new(Vec::new()).unwrap();
+        let solo = record_to(&spec, &config, &mut w).unwrap();
+        let full = w.into_inner();
+        for cut in [full.len() / 2, full.len() - 1] {
+            let s = JournalReader::salvage(&full[..cut]).unwrap();
+            let salvaged = s.committed();
+            let prefix = full[..s.keep[0].unwrap()].to_vec();
+            let mut w = JournalWriter::resume(vec![prefix], 1, &s).unwrap();
+            let bundle = resume_from(&spec, &config, s.recording, &mut w).unwrap();
+            assert_eq!(w.into_inner(), full, "cut {cut}: resumed journal differs");
+            assert_eq!(bundle.stats.wall.workers as usize, config.spare_workers);
+            if cut == full.len() - 1 {
+                assert_eq!(
+                    salvaged,
+                    solo.recording.epochs.len(),
+                    "only the marker torn"
+                );
+            } else {
+                assert!(
+                    salvaged < solo.recording.epochs.len(),
+                    "cut {cut} lost no epoch"
+                );
+            }
+        }
     }
 }

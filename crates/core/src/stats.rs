@@ -21,22 +21,22 @@ pub const DEPTH_BUCKETS: usize = 9;
 pub struct WallClockStats {
     /// Wall-clock nanoseconds of the recording loop (boot to final commit).
     pub wall_ns: u64,
-    /// Verify workers the run used (0 = sequential in-line verification).
+    /// Verify worker threads the run started (0: each epoch was verified
+    /// inline, in lockstep with the thread-parallel run).
     pub workers: u64,
     /// Nanoseconds each worker spent executing verify jobs (including jobs
     /// later cancelled); workers beyond [`MAX_TRACKED_WORKERS`] accumulate
     /// into the last slot.
     pub worker_busy_ns: [u64; MAX_TRACKED_WORKERS],
     /// Histogram of speculation depth at submit time: bucket `d` counts
-    /// epochs handed to the verify pool while `d` earlier epochs were still
-    /// in flight.
+    /// epochs the front end submitted for verification while `d` earlier
+    /// epochs were still in flight. Without workers every epoch lands in
+    /// bucket 0.
     pub depth_histogram: [u64; DEPTH_BUCKETS],
     /// Speculative epochs cancelled by divergences (work discarded beyond
     /// the diverging epoch: both queued jobs and the not-yet-verified
     /// speculation the front-end had already run).
     pub cancelled_epochs: u64,
-    /// Whether the run used the real multithreaded pipeline.
-    pub pipelined: bool,
 }
 
 impl WallClockStats {
@@ -45,7 +45,7 @@ impl WallClockStats {
         self.worker_busy_ns.iter().sum()
     }
 
-    /// Fraction of worker·wall capacity spent busy (0.0 when sequential).
+    /// Fraction of worker·wall capacity spent busy (0.0 without workers).
     pub fn utilization(&self) -> f64 {
         if self.workers == 0 || self.wall_ns == 0 {
             return 0.0;

@@ -137,7 +137,10 @@ fn base_config(seed: u64, workers: usize) -> DoublePlayConfig {
 
 #[test]
 fn clean_runs_are_byte_identical_across_worker_counts() {
-    for workers in [1, 2, 4] {
+    // `workers = 0` with `pipelined(true)` is a configuration `validate`
+    // rejects, but a library caller can still ask for it: it must record
+    // the lockstep bytes.
+    for workers in [0, 1, 2, 4] {
         for seed in 0..3 {
             let spec = counter_spec(1_200, true);
             let config = base_config(seed, workers);
@@ -151,7 +154,7 @@ fn clean_runs_are_byte_identical_across_worker_counts() {
 #[test]
 fn divergent_runs_are_byte_identical_across_worker_counts() {
     let mut total_div = 0;
-    for workers in [1, 2, 4] {
+    for workers in [0, 1, 2, 4] {
         for seed in 0..3 {
             let spec = counter_spec(1_500, false);
             let config = base_config(seed, workers);
@@ -166,7 +169,7 @@ fn divergent_runs_are_byte_identical_across_worker_counts() {
 #[test]
 fn worker_panic_storms_are_byte_identical() {
     dp_core::faults::silence_injected_panics();
-    for workers in [1, 2, 4] {
+    for workers in [0, 1, 2, 4] {
         for seed in 0..3 {
             let spec = counter_spec(1_200, true);
             let plan = FaultPlan::none().seed(seed).worker_panics_with(0.3);

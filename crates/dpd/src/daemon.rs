@@ -5,11 +5,12 @@
 //! attempts outside the lock. The shared verify-core pool is a counting
 //! lease: a pipelined session needs `spare_workers` permits to run
 //! pipelined; when permits are short, low-priority sessions (and sessions
-//! whose demand exceeds the whole pool) *degrade* to the serialized
-//! driver instead of waiting — recording the same bytes (the pipelined
-//! flag is not wire-encoded) at lower throughput, which is the graceful
-//! form of backpressure. Every attempt runs under `catch_unwind`, so a
-//! panicking session is a row update, never a dead daemon.
+//! whose demand exceeds the whole pool) *degrade* to the same loop with no
+//! worker threads instead of waiting — recording the same bytes (the
+//! pipelined flag is not wire-encoded) at lower throughput, which is the
+//! graceful form of backpressure. Every attempt runs under
+//! `catch_unwind`, so a panicking session is a row update, never a dead
+//! daemon.
 
 use crate::admission::AdmitError;
 use crate::session::{Priority, SessionError, SessionId, SessionReport, SessionSpec, SessionState};
@@ -801,7 +802,7 @@ fn claim(reg: &mut Registry, cfg: &DaemonConfig) -> Option<Claim> {
             } else if lane == 2 || want > cfg.verify_cores {
                 // Low priority never waits for cores, and a demand larger
                 // than the whole pool can never be satisfied: both degrade
-                // to the serialized driver (same bytes, no lease).
+                // to the loop with no worker threads (same bytes, no lease).
                 (0, true)
             } else {
                 // Bypassed: cores are short (or earmarked for a starved

@@ -814,7 +814,7 @@ fn main() {
                 "hashing: {} page(s) hashed, {} skipped by the incremental digest cache",
                 s.hashed_pages, s.hash_skipped_pages
             );
-            if s.wall.pipelined {
+            if s.wall.workers > 0 {
                 println!(
                     "wall {:.1} ms, {} verify workers at {:.0}% utilization, {} speculative epoch(s) cancelled",
                     s.wall.wall_ns as f64 / 1e6,
@@ -824,7 +824,7 @@ fn main() {
                 );
             } else {
                 println!(
-                    "wall {:.1} ms (sequential driver)",
+                    "wall {:.1} ms (no verify workers)",
                     s.wall.wall_ns as f64 / 1e6
                 );
             }
