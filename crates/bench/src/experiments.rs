@@ -626,12 +626,13 @@ pub fn table_analyze(size: Size) -> Table {
 /// healthy one-stream journal (the `none` row — also the journal versus
 /// saved-recording byte overhead, zero since a finalized journal is the
 /// saved recording). Then the run is repeated against sinks that die
-/// deterministically: torn writes at byte offsets swept across the whole
-/// journal (including mid-frame cuts), `ENOSPC`, and a failed flush. Each
-/// crash leaves a journal prefix; `JournalReader::salvage` must recover
-/// every committed epoch as a replayable recording whose verified final
-/// hash equals the reference run's hash at the same epoch — sink faults
-/// never perturb the guest, so the prefixes are bit-identical.
+/// deterministically: a torn write inside the header frame, torn writes
+/// swept across the epochs after it (including mid-frame cuts), `ENOSPC`,
+/// and a failed flush. Each crash leaves a journal prefix;
+/// `JournalReader::salvage` must recover every committed epoch as a
+/// replayable recording whose verified final hash equals the reference
+/// run's hash at the same epoch — sink faults never perturb the guest, so
+/// the prefixes are bit-identical.
 pub fn table_journal(size: Size) -> Table {
     let mut t = Table::new(
         "E12 / Table: crash-consistent journal & salvage (2 threads)",
@@ -675,21 +676,26 @@ pub fn table_journal(size: Size) -> Table {
             ),
         ]);
 
-        // Crash sweep: torn writes across the journal (the early cuts land
-        // inside the header frame, the rest mid-epoch or mid-commit), plus
-        // one ENOSPC and one failed flush.
-        let sweep: Vec<(&str, dp_core::FaultPlan)> = [2, 10, 30, 50, 70, 85, 99]
+        // Crash sweep: one torn write halfway into the header frame (the
+        // one total loss), torn writes at fractions of the bytes after it
+        // (mid-epoch or mid-commit; the header holds the initial image,
+        // input files included, so fractions of the whole journal would
+        // land most cuts in it), one ENOSPC and one failed flush. The
+        // header frame ends 17 bytes past its payload length, the u32 at
+        // byte 9: the preamble, tag, length and CRC trailer.
+        let len = journal[9..13]
+            .try_into()
+            .expect("a journal holds its header");
+        let header = u64::from(u32::from_le_bytes(len)) + 17;
+        let past_header = |pct: u64| header + (journal_len - header) * pct / 100;
+        let sweep: Vec<(&str, dp_core::FaultPlan)> = [header / 2]
             .into_iter()
-            .map(|pct| {
-                (
-                    "torn",
-                    dp_core::FaultPlan::none().sink_torn_at(journal_len * pct / 100),
-                )
-            })
+            .chain([2, 10, 30, 50, 70, 85, 99].map(past_header))
+            .map(|at| ("torn", dp_core::FaultPlan::none().sink_torn_at(at)))
             .chain([
                 (
                     "enospc",
-                    dp_core::FaultPlan::none().sink_enospc_at(journal_len * 60 / 100),
+                    dp_core::FaultPlan::none().sink_enospc_at(past_header(60)),
                 ),
                 ("flush", dp_core::FaultPlan::none().sink_fail_flush_at(3)),
             ])
@@ -2156,11 +2162,11 @@ fn dirtying_spec(footprint: u64, dirty: u64, rounds: u64, spin: u64) -> dp_core:
     use dp_vm::builder::ProgramBuilder;
     use dp_vm::{BinOp, Reg, Width};
     let mut pb = ProgramBuilder::new();
-    // One non-zero byte per page keeps every page resident.
-    let mut image = vec![0u8; (footprint * 4096) as usize];
-    for p in 0..footprint {
-        image[(p * 4096) as usize] = (p % 251 + 1) as u8;
-    }
+    // Pages of distinct, nonzero bytes: every page is resident, and a
+    // whole image costs the footprint in any page form.
+    let image: Vec<u8> = (0..footprint * 4096)
+        .map(|i| (i * 131 + i / 4093 + 1) as u8 | 1)
+        .collect();
     let base = pb.global_data("footprint", &image);
     let mut f = pb.function("main");
     let (round, write, wrapped, work, spin_top) =
@@ -2249,16 +2255,19 @@ fn journaled(spec: &dp_core::GuestSpec, config: &DoublePlayConfig) -> Journaled 
 }
 
 /// The bytes `journal` would have taken with every start image written
-/// whole under the header's full codec (format v3): the stored deltas
-/// swapped for full images. The two forms differ in nothing else.
+/// whole, as the header writes its image (a delta against an empty
+/// image): the stored deltas swapped for whole images. The two forms
+/// differ in nothing else.
 fn full_image_bytes(journal: &[u8], recording: &dp_core::Recording) -> u64 {
+    let empty = dp_core::CheckpointImage::empty();
     let (mut deltas, mut fulls) = (0u64, 0u64);
     let mut base = &recording.initial;
     for start in recording.epochs.iter().filter_map(|e| e.start.as_ref()) {
-        let mut delta = Vec::new();
+        let (mut delta, mut full) = (Vec::new(), Vec::new());
         start.put_delta(base, &mut delta);
+        start.put_delta(&empty, &mut full);
         deltas += delta.len() as u64;
-        fulls += dp_support::wire::to_bytes(start).len() as u64;
+        fulls += full.len() as u64;
         base = start;
     }
     journal.len() as u64 - deltas + fulls
@@ -2315,13 +2324,13 @@ fn delta_workload_row(case: &WorkloadCase, config: &DoublePlayConfig) -> DeltaWo
     }
 }
 
-/// E19 — delta start checkpoints: journal bytes track the pages an epoch
-/// dirties, not the guest's footprint. Part one sweeps a 4 MB-footprint
+/// E19 — delta start checkpoints: journal bytes track what an epoch
+/// changes, not the guest's footprint. Part one sweeps a 4 MB-footprint
 /// guest across 0, 1, 16 and 256 dirtied pages per epoch. Part two
 /// records pfscan, pcomp, radix and aget with checkpoints kept and puts
-/// the stored journal next to the bytes full start images (format v3)
-/// would have taken, with salvage time and, for pfscan, the sequential
-/// and pipelined recording loops.
+/// the stored journal next to the bytes whole start images would have
+/// taken, with salvage time and, for pfscan, the sequential and pipelined
+/// recording loops.
 pub fn delta_run(size: Size) -> DeltaRun {
     let config = DoublePlayConfig::new(2);
     let rounds = (8 * size.factor()).clamp(8, 32);
@@ -2346,9 +2355,10 @@ pub fn table_delta_sweep(run: &DeltaRun) -> Table {
     let mut t = Table::new(
         "E19 / Table A: journal bytes per epoch vs pages dirtied (4 MB footprint)",
         "each epoch stores its start image as the pages whose bytes changed \
-         since the previous start, so bytes per epoch must grow with the \
-         dirty count (about 4 KiB per page) and stay near zero when nothing \
-         changes, while full start images cost the whole footprint every epoch",
+         since the previous start, each as the runs that changed, so bytes \
+         per epoch must grow with the bytes the dirtied pages change (here \
+         one word each) and stay near zero when nothing changes, while full \
+         start images cost the whole footprint every epoch",
         &[
             "dirtied per round",
             "epochs",
@@ -2379,9 +2389,10 @@ pub fn table_delta_workloads(run: &DeltaRun) -> Table {
     let mut t = Table::new(
         "E19 / Table B: suite journals with checkpoints kept, delta vs full start images",
         "pfscan and pcomp journals must shrink at least 10x against full \
-         start images; salvage decodes only what was stored; with the \
-         commit stage no longer serializing megabytes per epoch, pfscan's \
-         pipelined recording loop must beat the sequential one by at least 1.5x",
+         start images (each written whole, as the header writes its image); \
+         salvage decodes only what was stored; with the commit stage no \
+         longer serializing megabytes per epoch, pfscan's pipelined \
+         recording loop must beat the sequential one by at least 1.5x",
         &[
             "workload",
             "epochs",

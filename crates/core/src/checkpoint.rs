@@ -7,8 +7,9 @@
 //! what the cost model charges per dirty page, mirroring the paper's
 //! `fork()`-based checkpoints.
 
-use dp_os::kernel::Kernel;
+use dp_os::kernel::{Kernel, WorldConfig};
 use dp_support::wire::{Reader, Wire, WireError};
+use dp_vm::memory::Memory;
 use dp_vm::{Machine, MachineImage, Program, Tid};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -116,13 +117,31 @@ pub struct CheckpointImage {
 }
 
 impl CheckpointImage {
+    /// The image with no pages, threads or files: the base the journal
+    /// header's initial image is a delta against, so the boot image's
+    /// pages take the same forms as every start delta's.
+    pub fn empty() -> Self {
+        CheckpointImage {
+            machine: MachineImage {
+                mem: Memory::new(),
+                threads: Vec::new(),
+                halted: None,
+                fault: None,
+            },
+            kernel: Kernel::new(WorldConfig::default()),
+            machine_hash: 0,
+        }
+    }
+
     /// Appends the delta that turns `base` into `self`: the machine as a
-    /// page delta ([`MachineImage::put_delta`]), the kernel with unchanged
-    /// file contents and peer scripts back-referenced
+    /// page delta ([`MachineImage::put_delta`]) whose pages may copy
+    /// blocks of `base`'s files, the kernel with
+    /// unchanged file contents and peer scripts back-referenced
     /// ([`Kernel::put_delta`]), then the machine hash. The bytes are a pure
     /// function of the two images' contents.
     pub fn put_delta(&self, base: &CheckpointImage, out: &mut Vec<u8>) {
-        self.machine.put_delta(&base.machine, out);
+        let files = base.kernel.fs().file_contents();
+        self.machine.put_delta(&base.machine, &files, out);
         self.kernel.put_delta(&base.kernel, out);
         self.machine_hash.put(out);
     }
@@ -136,8 +155,9 @@ impl CheckpointImage {
     /// A [`WireError`] for malformed or truncated input, or a
     /// back-reference `base` cannot satisfy; never a panic.
     pub fn get_delta(base: &CheckpointImage, r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let files = base.kernel.fs().file_contents();
         Ok(CheckpointImage {
-            machine: MachineImage::get_delta(&base.machine, r)?,
+            machine: MachineImage::get_delta(&base.machine, &files, r)?,
             kernel: Kernel::get_delta(&base.kernel, r)?,
             machine_hash: Wire::get(r)?,
         })
@@ -145,11 +165,6 @@ impl CheckpointImage {
 }
 
 dp_support::impl_wire_struct!(ThreadTarget { icount, exited });
-dp_support::impl_wire_struct!(CheckpointImage {
-    machine,
-    kernel,
-    machine_hash
-});
 
 #[cfg(test)]
 mod tests {

@@ -15,19 +15,30 @@
 //! just the case `N = 1`, and a saved recording ([`Recording::save`]) is a
 //! finalized one-stream journal, byte for byte.
 //!
-//! ## Format (version 4)
+//! ## Format (version 5)
 //!
 //! ```text
 //! stream := magic "DPRS" | version u32 le | frame*
 //! frame  := tag u8 | len u32 le | payload[len] | crc32(tag|len|payload) u32 le
 //!
 //! tag 1 HEADER  stream k u32 | stream count N u32 | program hash u64
-//!               | initial hash u64 | (k == 0 only) wire(meta) ++ wire(initial)
+//!               | initial hash u64 | (k == 0 only) wire(meta) ++ delta(empty, initial)
 //! tag 2 EPOCH   index | schedule | syscalls | end hash | external | tp_cycles
 //!               | start := 0 | 1 ++ delta(base, start)
 //!                                               epoch i goes to stream i mod N
-//! tag 3 COMMIT  epoch index u32 | crc32(EPOCH payload) u32
+//! tag 3 COMMIT  epoch index u32 | the EPOCH frame's crc32 trailer u32
 //! tag 4 FINAL   total epoch count u32           written to every stream
+//!
+//! delta(base, image) := pages | threads | halt | fault | kernel | machine hash
+//! pages := count | (pno | form)* | dirty set   changed pages, ascending pno
+//! form  := 0                                   now zero (or absent)
+//!        | 1 ++ 4096 bytes                     raw
+//!        | 2 ++ file ++ block                  = 4 KiB block of base file `file`
+//!        | 3 ++ count ++ run*                  runs that differ from base page pno
+//! run   := varint(gap << 4 | min(len, 15)) ++ (varint(len - 15) if len >= 15)
+//!          ++ bytes[len]                       `gap` bytes after the last run
+//! kernel := files (each: path ++ 0 "= base's" | 1 ++ len ++ bytes)
+//!         | peers (0 "= base's" | 1 ++ wire(peers)) | every other field whole
 //! ```
 //!
 //! Every stream carries the identity hashes, so a stray stream can be
@@ -36,30 +47,40 @@
 //!
 //! ## Delta start checkpoints
 //!
-//! The header's initial image is the only full checkpoint on disk. Each
-//! epoch's start image is stored as a content delta
+//! Each epoch's start image is stored as a content delta
 //! ([`CheckpointImage::put_delta`]) against its **base**: the last stored
-//! start of an earlier epoch, else the header's initial image. Memory is
-//! written as the pages whose bytes changed; the kernel is written whole
-//! except that unchanged file contents and peer scripts become one-byte
-//! back-references. The bytes are a pure function of the start-image
-//! sequence, so every driver, stream count and resume point writes the
-//! same ones. The writer keeps the base as a copy-on-write clone; salvage
-//! applies the deltas in epoch order during the merge, so every recovered
-//! [`EpochRecord::start`] is a full image sharing unchanged pages with its
-//! predecessor. There are no keyframes: salvage always scans every stream
-//! from its header, so no reader ever seeks to one.
+//! start of an earlier epoch, else the header's initial image. The header
+//! writes the initial image itself as a delta against
+//! [`CheckpointImage::empty`], so every stored page takes the same forms.
+//! A changed page is written in the shortest of three forms
+//! ([`dp_vm::memory::Memory::put_delta`]): a reference to a 4 KiB-aligned
+//! block of one of the base's files holding the same bytes (zero-padded
+//! past the file's end), the runs of bytes that differ from the base's
+//! page with the same number (an absent page reads as zeros), or the raw
+//! 4096 bytes. File blocks are found through an index of sampled
+//! fingerprints but confirmed byte for byte. The kernel is written
+//! whole except that unchanged file contents and peer scripts become
+//! one-byte back-references. The bytes are a pure function of the
+//! start-image sequence, so every driver, stream count and resume point
+//! writes the same ones. The writer keeps the base as a copy-on-write
+//! clone; salvage applies the deltas in epoch order during the merge, so
+//! every recovered [`EpochRecord::start`] is a full image sharing
+//! unchanged pages, and their cached digests, with its predecessor. There
+//! are no keyframes: salvage always scans every stream from its header,
+//! so no reader ever seeks to one.
 //!
 //! ## Commit rule
 //!
 //! An epoch is **committed** iff its EPOCH frame is intact (CRC valid,
 //! payload decodable, index the next one its stream owns) *and* the
 //! immediately following COMMIT frame is intact and names that epoch's
-//! index and payload CRC. A stream's flush is its durability point, so a
-//! torn write can only hurt the youngest, uncommitted suffix of a stream;
-//! salvage drops it. Across streams, salvage takes epoch `i` only after
-//! epochs `0..i`, so the recovered prefix is the longest one whose every
-//! epoch is committed in its stream — exactly the recording an
+//! index and the EPOCH frame's CRC trailer. The trailer already covers the
+//! frame's tag, length and payload, so the writer and salvage each
+//! checksum every byte once. A stream's flush is its durability point, so
+//! a torn write can only hurt the youngest, uncommitted suffix of a
+//! stream; salvage drops it. Across streams, salvage takes epoch `i` only
+//! after epochs `0..i`, so the recovered prefix is the longest one whose
+//! every epoch is committed in its stream — exactly the recording an
 //! uninterrupted run would have produced over that prefix. A start delta
 //! can only be checked against its base, so the merge decodes it; a
 //! malformed one ends the prefix before its epoch, and
@@ -81,8 +102,11 @@ pub const MAGIC: [u8; 4] = *b"DPRS";
 /// Format version; bumped on any layout change. Version 3 made this stream
 /// the only on-disk form (one stream is a journal or a saved recording)
 /// and the lead-byte schedule codec the only schedule encoding; version 4
-/// stores each epoch's start image as a delta against the previous one.
-pub const VERSION: u32 = 4;
+/// stores each epoch's start image as a delta against the previous one;
+/// version 5 writes each changed page as a file block, the runs that
+/// changed or raw, writes the header's image as a delta against an empty
+/// one, and binds each COMMIT marker to its EPOCH frame's CRC trailer.
+pub const VERSION: u32 = 5;
 
 const TAG_HEADER: u8 = 1;
 const TAG_EPOCH: u8 = 2;
@@ -160,10 +184,11 @@ impl RecordSink for NullSink {
     }
 }
 
-/// Appends one frame to `out`: `put` serializes the payload straight
-/// after a reserved head, then the head's length and the CRC trailer are
-/// filled in around it — the payload is never copied.
-fn push_frame(out: &mut Vec<u8>, tag: u8, put: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
+/// Appends one frame to `out` and returns its CRC trailer: `put`
+/// serializes the payload straight after a reserved head, then the head's
+/// length and the CRC trailer are filled in around it — the payload is
+/// never copied.
+fn push_frame(out: &mut Vec<u8>, tag: u8, put: impl FnOnce(&mut Vec<u8>)) -> io::Result<u32> {
     let start = out.len();
     out.push(tag);
     out.extend_from_slice(&[0; 4]);
@@ -178,14 +203,15 @@ fn push_frame(out: &mut Vec<u8>, tag: u8, put: impl FnOnce(&mut Vec<u8>)) -> io:
     out[start + 1..start + FRAME_HEAD].copy_from_slice(&len.to_le_bytes());
     let crc = crc32(&out[start..]);
     out.extend_from_slice(&crc.to_le_bytes());
-    Ok(())
+    Ok(crc)
 }
 
-/// The COMMIT payload binding epoch `index` to its EPOCH payload's CRC.
-fn commit_marker(index: u32, payload_crc: u32) -> [u8; 8] {
+/// The COMMIT payload binding epoch `index` to its EPOCH frame's CRC
+/// trailer, which covers the frame's tag, length and payload.
+fn commit_marker(index: u32, frame_crc: u32) -> [u8; 8] {
     let mut marker = [0u8; 8];
     marker[..4].copy_from_slice(&index.to_le_bytes());
-    marker[4..].copy_from_slice(&payload_crc.to_le_bytes());
+    marker[4..].copy_from_slice(&frame_crc.to_le_bytes());
     marker
 }
 
@@ -566,7 +592,7 @@ impl<W: Write> RecordSink for JournalWriter<W> {
                 p.extend_from_slice(&meta.initial_machine_hash.to_le_bytes());
                 if k == 0 {
                     meta.put(p);
-                    initial.put(p);
+                    initial.put_delta(&CheckpointImage::empty(), p);
                 }
             })?;
             // The header is a durability point: a stream whose header
@@ -604,10 +630,9 @@ impl<W: Write> RecordSink for JournalWriter<W> {
             io::Error::new(io::ErrorKind::InvalidInput, "epoch before journal begin")
         })?;
         let mut bytes = Vec::new();
-        push_frame(&mut bytes, TAG_EPOCH, |p| epoch.put_with(logs, base, p))?;
-        let payload_crc = crc32(&bytes[FRAME_HEAD..bytes.len() - FRAME_TAIL]);
+        let frame_crc = push_frame(&mut bytes, TAG_EPOCH, |p| epoch.put_with(logs, base, p))?;
         push_frame(&mut bytes, TAG_COMMIT, |p| {
-            p.extend_from_slice(&commit_marker(index, payload_crc));
+            p.extend_from_slice(&commit_marker(index, frame_crc));
         })?;
         // The frame and its commit marker travel together; the stream
         // flushes at its group-commit boundary, and an epoch whose commit
@@ -696,10 +721,12 @@ fn corrupt(detail: String) -> ReplayError {
     ReplayError::Corrupt { detail }
 }
 
-/// One intact frame: tag, payload slice, and the offset just past it.
+/// One intact frame: tag, payload slice, CRC trailer, and the offset just
+/// past it.
 struct Frame<'a> {
     tag: u8,
     payload: &'a [u8],
+    crc: u32,
     end: usize,
 }
 
@@ -711,10 +738,11 @@ fn read_frame(buf: &[u8], pos: usize) -> Option<Frame<'_>> {
     let len = u32::from_le_bytes(head[1..].try_into().ok()?) as usize;
     let payload_end = pos.checked_add(FRAME_HEAD)?.checked_add(len)?;
     let end = payload_end.checked_add(FRAME_TAIL)?;
-    let stored = buf.get(payload_end..end)?;
-    (stored == crc32(&buf[pos..payload_end]).to_le_bytes()).then(|| Frame {
+    let crc = u32::from_le_bytes(buf.get(payload_end..end)?.try_into().ok()?);
+    (crc == crc32(&buf[pos..payload_end])).then(|| Frame {
         tag: head[0],
         payload: &buf[pos + FRAME_HEAD..payload_end],
+        crc,
         end,
     })
 }
@@ -817,7 +845,7 @@ fn scan_stream(buf: &[u8]) -> Result<Scan<'_>, ReplayError> {
     let header = if h.stream == 0 {
         let meta = RecordingMeta::get(&mut r)
             .map_err(|e| corrupt(format!("header meta undecodable: {e}")))?;
-        let initial = CheckpointImage::get(&mut r)
+        let initial = CheckpointImage::get_delta(&CheckpointImage::empty(), &mut r)
             .map_err(|e| corrupt(format!("header checkpoint undecodable: {e}")))?;
         Some((meta, initial))
     } else {
@@ -866,8 +894,8 @@ fn scan_stream(buf: &[u8]) -> Result<Scan<'_>, ReplayError> {
                     );
                 }
                 // The commit rule: the very next frame must be this
-                // epoch's commit marker.
-                let marker = commit_marker(epoch.index, crc32(frame.payload));
+                // epoch's commit marker, naming the frame's checked CRC.
+                let marker = commit_marker(epoch.index, frame.crc);
                 let Some(commit) = read_frame(buf, frame.end)
                     .filter(|c| c.tag == TAG_COMMIT && c.payload == marker.as_slice())
                 else {
@@ -1295,6 +1323,7 @@ mod tests {
             (b"DPRZ", 1),
             (b"DPRS", 2),
             (b"DPRS", 3),
+            (b"DPRS", 4),
             (b"DPRS", 9),
         ] {
             let mut old = body.clone();
@@ -1321,7 +1350,7 @@ mod tests {
                 }
             }
         }
-        // One bit flip turns "DPRS" into "DPRC"; at version 4 that is a bad
+        // One bit flip turns "DPRS" into "DPRC"; at version 5 that is a bad
         // magic, not a retired file.
         let mut flipped = body.clone();
         flipped[3] ^= 0x10;
@@ -1349,8 +1378,9 @@ mod tests {
     }
 
     /// Parts whose epochs store start images: epoch 0 at the initial
-    /// image, epoch 1 with page 2 rewritten, epoch 2 unchanged. The initial
-    /// kernel holds a file, so every delta back-references it.
+    /// image, epoch 1 with a word of page 2 and all of page 3 written,
+    /// epoch 2 unchanged. The initial kernel holds a file, so every delta
+    /// back-references it.
     fn delta_parts() -> (RecordingMeta, CheckpointImage, Vec<EpochRecord>) {
         let (meta, mut initial, mut epochs) = tiny_parts();
         initial.kernel = dp_os::kernel::Kernel::new(dp_os::kernel::WorldConfig {
@@ -1358,10 +1388,10 @@ mod tests {
             ..Default::default()
         });
         let mut changed = initial.clone();
-        changed
-            .machine
-            .mem
-            .write(2 * 4096, 0xabcd, dp_vm::Width::W8);
+        let mem = &mut changed.machine.mem;
+        mem.write(2 * 4096, 0xabcd, dp_vm::Width::W8);
+        let page: Vec<u8> = (0..4096).map(|i| (i % 255 + 1) as u8).collect();
+        mem.write_bytes(3 * 4096, &page);
         epochs[0].start = Some(initial.clone());
         epochs[1].start = Some(changed.clone());
         epochs[2].start = Some(changed);
@@ -1401,9 +1431,10 @@ mod tests {
                         &mut payload,
                         frame.payload.len() - delta.len(),
                     );
-                    push_frame(&mut out, TAG_EPOCH, |p| p.extend_from_slice(&payload)).unwrap();
+                    let crc =
+                        push_frame(&mut out, TAG_EPOCH, |p| p.extend_from_slice(&payload)).unwrap();
                     push_frame(&mut out, TAG_COMMIT, |p| {
-                        p.extend_from_slice(&commit_marker(target, crc32(&payload)));
+                        p.extend_from_slice(&commit_marker(target, crc));
                     })
                     .unwrap();
                     next = read_frame(buf, frame.end).expect("commit frame").end;
@@ -1445,9 +1476,10 @@ mod tests {
                 .first_difference(&starts[2].machine.mem),
             None
         );
-        // Only the header carries a full image; the deltas hold one page.
+        // Only the header carries a full image; the deltas hold one raw
+        // page and the run of page 2.
         let mut full = Vec::new();
-        parts.1.put(&mut full);
+        parts.1.put_delta(&CheckpointImage::empty(), &mut full);
         assert!(
             buf.len() < full.len() + 4096 + 1024,
             "journal of {} bytes",
@@ -1462,11 +1494,13 @@ mod tests {
     #[test]
     fn malformed_start_deltas_end_the_prefix_before_their_epoch() {
         let buf = journal_of(&delta_parts());
-        // Epoch 1's delta: page count 1, page number 2, entry tag, body.
+        // Epoch 1's delta: page count 2, then page 2 as one run (tag, run
+        // count, `gap << 4 | length`, 2 bytes), then page 3 raw (tag, 4096
+        // bytes).
         type Edit = fn(&mut Vec<u8>, usize);
-        let cases: [(&str, Edit); 3] = [
+        let cases: [(&str, Edit); 5] = [
             ("unknown page delta tag", |p, at| {
-                assert_eq!(&p[at..at + 3], &[1, 2, 1]);
+                assert_eq!(&p[at..at + 7], &[2, 2, 3, 1, 2, 0xcd, 0xab]);
                 p[at + 2] = 7;
             }),
             ("file back-reference the base lacks", |p, at| {
@@ -1476,7 +1510,13 @@ mod tests {
                     .expect("the file's path is in the delta");
                 p[at + name..at + name + 3].copy_from_slice(b"/xx");
             }),
-            ("memory page", |p, at| p.truncate(at + 3 + 100)),
+            ("memory page", |p, at| {
+                assert_eq!(&p[at + 7..at + 9], &[3, 1]);
+                p.truncate(at + 9 + 100);
+            }),
+            ("zero-length page delta run", |p, at| p[at + 4] = 0),
+            // Page 2 as block 2 of file 1: the initial image has one file.
+            ("file block of a file the base lacks", |p, at| p[at + 2] = 2),
         ];
         for (reason, edit) in cases {
             let bad = with_edited_delta(&buf, 1, edit);
@@ -1604,7 +1644,7 @@ mod tests {
         for e in &recording.epochs {
             let mem = &e.start.as_ref().unwrap().machine.mem;
             let mut delta = Vec::new();
-            mem.put_delta(base, &mut delta);
+            mem.put_delta(base, &[], &mut delta);
             bound += usize::get(&mut Reader::new(&delta)).unwrap() as u64;
             hashed += digest(mem);
             base = mem;

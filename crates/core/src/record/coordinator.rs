@@ -530,8 +530,6 @@ pub(crate) fn record_serialized_epoch(
 ) -> Result<Adopted, RecordError> {
     let duration = epoch_len.saturating_mul(config.cpus as u64).max(1);
     let live = run_live_charged(c, config, cost, index, epoch_start, duration)?;
-    let log_bytes = live.logs.schedule.len() + live.logs.syscalls.len();
-    c.stats.log_write_cycles += cost.log_write(log_bytes as u64);
     c.stats.tp_instructions += live.out.instructions;
     c.tp_time += live.task;
     c.commit_time = c.commit_time.max(c.tp_time);
@@ -555,8 +553,9 @@ struct Live {
 }
 
 /// Re-executes epoch `index` live on one CPU for `duration` cycles from the
-/// authoritative checkpoint and charges it as epoch-parallel work: the
-/// first half of the tail a divergence retire and a serialized epoch share.
+/// authoritative checkpoint and charges it as epoch-parallel work, its log
+/// writes included: the first half of the tail a divergence retire and a
+/// serialized epoch share.
 fn run_live_charged(
     c: &mut CommitState,
     config: &DoublePlayConfig,
@@ -580,8 +579,10 @@ fn run_live_charged(
     };
     let (sched_bytes, sys_bytes) = (logs.schedule.len() as u64, logs.syscalls.len() as u64);
     let hash_cost = charge_state_hash(c, cost, &out.machine);
-    let task = out.cycles + hash_cost + cost.log_write(sched_bytes + sys_bytes);
+    let log_cost = cost.log_write(sched_bytes + sys_bytes);
+    let task = out.cycles + hash_cost + log_cost;
     c.stats.ep_cycles += task;
+    c.stats.log_write_cycles += log_cost;
     c.stats.schedule_bytes += sched_bytes;
     c.stats.syscall_bytes += sys_bytes;
     Ok(Live {
@@ -1000,6 +1001,42 @@ mod tests {
             assert_eq!(report.epochs as u64, bundle.stats.epochs);
         }
         assert!(engaged > 0, "no seed engaged serialized fallback");
+    }
+
+    /// Every recorded log byte is charged as a log write, whichever path
+    /// recorded it: a clean commit, a diverged epoch's live re-execution or
+    /// a serialized epoch. With one cycle per byte, the charge is at least
+    /// the recorded bytes; only diverged epochs' discarded thread-parallel
+    /// syscall logs come on top.
+    #[test]
+    fn live_runs_charge_their_log_writes() {
+        let mut spec = racy_counter_spec(3_000);
+        spec.world.cost.log_byte = 8;
+        let (mut diverged, mut serialized) = (false, false);
+        for seed in 0..6 {
+            let racy = DoublePlayConfig {
+                tp_quantum: 200,
+                tp_jitter: 300,
+                ..DoublePlayConfig::new(2)
+                    .epoch_cycles(20_000)
+                    .hidden_seed(seed)
+            };
+            for config in [racy, storm_config(seed)] {
+                let stats = record(&spec, &config).unwrap().stats;
+                diverged |= stats.divergences > 0 && stats.serialized_epochs == 0;
+                serialized |= stats.serialized_epochs > 0;
+                let logged = stats.schedule_bytes + stats.syscall_bytes;
+                assert!(
+                    stats.log_write_cycles >= logged,
+                    "seed {seed}: {} log-write cycles for {logged} recorded log bytes \
+                     ({} divergences, {} serialized)",
+                    stats.log_write_cycles,
+                    stats.divergences,
+                    stats.serialized_epochs
+                );
+            }
+        }
+        assert!(diverged && serialized, "both live paths must run");
     }
 
     #[test]

@@ -188,13 +188,15 @@ pub(crate) fn drive<'a>(
     let job_rx = Arc::new(Mutex::new(job_rx));
 
     let drive = thread::scope(|scope| {
-        for w in 0..workers {
-            let job_rx = Arc::clone(&job_rx);
-            let res_tx = res_tx.clone();
-            let cancel = &cancel;
-            let plan = &config.faults;
-            scope.spawn(move || worker_loop(w, &job_rx, &res_tx, cancel, plan));
-        }
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                let job_rx = Arc::clone(&job_rx);
+                let res_tx = res_tx.clone();
+                let cancel = &cancel;
+                let plan = &config.faults;
+                scope.spawn(move || worker_loop(w, &job_rx, &res_tx, cancel, plan))
+            })
+            .collect();
         // Workers hold clones; results end when the last worker exits.
         drop(res_tx);
 
@@ -389,9 +391,18 @@ pub(crate) fn drive<'a>(
             machine = adopted.machine;
             kernel = adopted.kernel;
         };
-        // Closing the job channel releases the workers; the scope joins
-        // them before returning.
+        // Closing the job channel releases the workers. Each is joined
+        // here rather than left to the scope, which returns once their
+        // closures end while their threads may still be exiting: a thread
+        // started meanwhile (a replay, the next recording) finds their
+        // malloc arenas still taken and makes new ones, each keeping a few
+        // MB resident.
         drop(job_tx);
+        for h in handles {
+            if let Err(panic) = h.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
         outcome
     });
 

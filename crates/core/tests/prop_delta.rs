@@ -3,14 +3,18 @@
 //! journaled epoch stores its start image.
 //!
 //! Over arbitrary sequences of memory writes, zero-writes, snapshots (each
-//! one a new delta base), dirty-set drains and file rewrites:
+//! one a new delta base), dirty-set drains, file rewrites, `SYS_READ`s of
+//! file blocks into page-aligned buffers, page copies and few-byte
+//! changes:
 //!
 //! * decoding a delta against its base gives back the image: same memory
 //!   digest, same thread table, same kernel;
 //! * the decoded image re-encodes to the same bytes;
 //! * the bytes depend only on contents: encoding against a base that was
 //!   itself decoded from a delta chain (so shares no `Arc` with the live
-//!   image) gives the same bytes as encoding against the live snapshot.
+//!   image) gives the same bytes as encoding against the live snapshot;
+//! * a page equal to a file block of its base costs at most 16 bytes, and
+//!   a page with one word or a few bytes changed at most 32.
 
 use dp_core::CheckpointImage;
 use dp_os::abi;
@@ -28,6 +32,13 @@ const PAGES: u64 = 12;
 /// Where file paths and payloads are staged for the file syscalls.
 const STAGING: u64 = 0x40_0000;
 const PATHS: [&str; 3] = ["/a", "/b", "/seed"];
+/// A file no mutation rewrites, of three whole blocks and a partial one.
+const BIG: &str = "/big";
+const BIG_LEN: u64 = 3 * 4096 + 500;
+/// Most bytes a page delta entry may take when the page equals a block of
+/// a base file, or differs from its own in one word or a few bytes.
+const BLOCK_COST: usize = 16;
+const EDIT_COST: usize = 32;
 
 /// Runs the only thread up to its next syscall trap. The guest traps
 /// forever, so the test can hand the kernel any request it likes.
@@ -48,8 +59,12 @@ fn trapped_world() -> (Machine, Kernel) {
     f.finish();
     let mut m = Machine::new(Arc::new(pb.finish("main")), &[]);
     trap(&mut m);
+    let big = (0..BIG_LEN).map(|i| (i * 131 + i / 4096) as u8).collect();
     let world = WorldConfig {
-        files: vec![("/seed".into(), b"preloaded contents".to_vec())],
+        files: vec![
+            ("/seed".into(), b"preloaded contents".to_vec()),
+            (BIG.into(), big),
+        ],
         ..WorldConfig::default()
     };
     (m, Kernel::new(world))
@@ -84,6 +99,21 @@ fn write_file(m: &mut Machine, k: &mut Kernel, path: &str, data: &[u8], append: 
     sys(m, k, abi::SYS_CLOSE, [fd, 0, 0]);
 }
 
+/// Reads block `block` of `/big` into page `page` through the kernel's
+/// open/lseek/read/close path.
+fn read_block(m: &mut Machine, k: &mut Kernel, block: u64, page: u64) {
+    m.mem_mut().write_bytes(STAGING, BIG.as_bytes());
+    let fd = sys(
+        m,
+        k,
+        abi::SYS_OPEN,
+        [STAGING, BIG.len() as u64, abi::O_RDONLY],
+    );
+    sys(m, k, abi::SYS_LSEEK, [fd, block * 4096, abi::SEEK_SET]);
+    sys(m, k, abi::SYS_READ, [fd, page * 4096, 4096]);
+    sys(m, k, abi::SYS_CLOSE, [fd, 0, 0]);
+}
+
 fn unlink(m: &mut Machine, k: &mut Kernel, path: &str) {
     m.mem_mut().write_bytes(STAGING, path.as_bytes());
     sys(m, k, abi::SYS_UNLINK, [STAGING, path.len() as u64, 0]);
@@ -114,14 +144,17 @@ fn apply(base: &CheckpointImage, bytes: &[u8]) -> CheckpointImage {
     back
 }
 
-/// One random mutation of the live world.
-fn mutate(g: &mut Gen, m: &mut Machine, k: &mut Kernel) {
+/// One random mutation of the live world. Returns a page the mutation
+/// wrote and the most bytes its delta entry against the world before the
+/// mutation may take, for the mutations that bound it.
+fn mutate(g: &mut Gen, m: &mut Machine, k: &mut Kernel) -> Option<(u64, usize)> {
     let page = FIRST_PAGE + g.below(PAGES);
-    match g.below(8) {
+    match g.below(11) {
         0..=2 => {
             let addr = page * 4096 + g.below(4096 - 8);
             let width = *g.pick(&[Width::W1, Width::W2, Width::W4, Width::W8]);
             m.mem_mut().write(addr, g.u64(), width);
+            return Some((page, EDIT_COST));
         }
         // Zero-writes: a whole page, or one word (often the page's only
         // nonzero bytes, so the page reads as zero again).
@@ -136,10 +169,47 @@ fn mutate(g: &mut Gen, m: &mut Machine, k: &mut Kernel) {
             let path = *g.pick(&PATHS);
             unlink(m, k, path);
         }
+        // A block of `/big` read into a page: a whole block makes the page
+        // a copy of it; the partial last block leaves the page's tail.
+        7 => {
+            let block = g.below(BIG_LEN.div_ceil(4096));
+            read_block(m, k, block, page);
+            if (block + 1) * 4096 <= BIG_LEN {
+                return Some((page, BLOCK_COST));
+            }
+        }
+        // One guest page copied onto another.
+        8 => {
+            let from = FIRST_PAGE + g.below(PAGES);
+            let bytes = m.mem().read_bytes(from * 4096, 4096);
+            m.mem_mut().write_bytes(page * 4096, &bytes);
+        }
+        // A few scattered bytes of one page.
+        9 => {
+            for _ in 0..1 + g.below(3) {
+                let addr = page * 4096 + g.below(4096);
+                m.mem_mut().write_u8(addr, g.u8());
+            }
+            return Some((page, EDIT_COST));
+        }
         _ => {
             m.mem_mut().take_dirty();
         }
     }
+    None
+}
+
+/// The bytes page `page`'s delta entry takes: `cur`'s page against
+/// `prev`'s memory, with nothing else changed and no dirty set.
+fn entry_cost(prev: &CheckpointImage, cur: &CheckpointImage, page: u64) -> usize {
+    let base = &prev.machine.mem;
+    let mut only = base.clone();
+    only.write_bytes(page * 4096, &cur.machine.mem.read_bytes(page * 4096, 4096));
+    only.take_dirty();
+    let mut out = Vec::new();
+    only.put_delta(base, &prev.kernel.fs().file_contents(), &mut out);
+    // The entry count and the empty dirty set take a byte each.
+    out.len() - 2
 }
 
 #[test]
@@ -155,9 +225,14 @@ fn deltas_decode_to_the_image_and_reencode_identically() {
             let mut base = image(&m, &k);
             let mut chain = base.clone();
             let steps = 1 + g.index(40);
+            let mut prev = base.clone();
             for _ in 0..steps {
-                mutate(g, &mut m, &mut k);
+                let bounded = mutate(g, &mut m, &mut k);
                 let cur = image(&m, &k);
+                if let Some((page, most)) = bounded {
+                    let cost = entry_cost(&prev, &cur, page);
+                    assert!(cost <= most, "page {page}'s entry took {cost} bytes");
+                }
                 let bytes = delta(&cur, &base);
                 let back = apply(&base, &bytes);
                 assert_eq!(
@@ -181,8 +256,9 @@ fn deltas_decode_to_the_image_and_reencode_identically() {
                 );
                 if g.prob(0.3) {
                     chain = apply(&chain, &bytes);
-                    base = cur;
+                    base = cur.clone();
                 }
+                prev = cur;
             }
             // The chain's final image is the live one, down to every byte.
             let end = image(&m, &k);
@@ -210,13 +286,14 @@ fn an_unchanged_image_costs_no_pages_and_no_file_bytes() {
         bytes.len()
     );
     // A rewrite with identical bytes (a fresh allocation) is still a
-    // back-reference, and a one-page write costs one page.
+    // back-reference, and a one-word write costs a few bytes.
+    let empty = bytes.len();
     write_file(&mut m, &mut k, "/a", &[7; 3000], false);
     m.mem_mut().write(FIRST_PAGE * 4096, 99, Width::W8);
     let bytes = delta(&image(&m, &k), &base);
     assert!(
-        (4096..4096 + 300).contains(&bytes.len()),
-        "one changed page took {} bytes",
+        bytes.len() <= empty + EDIT_COST,
+        "one changed word took {} bytes over the empty delta's {empty}",
         bytes.len()
     );
 }

@@ -73,6 +73,12 @@ impl SimFs {
         self.files.get(path).map(|a| a.as_slice())
     }
 
+    /// Every file's contents, in path order: the blocks a checkpoint's
+    /// page delta may copy pages from.
+    pub fn file_contents(&self) -> Vec<&[u8]> {
+        self.files.values().map(|c| c.as_slice()).collect()
+    }
+
     /// Lists all paths (host-side verification helper).
     pub fn paths(&self) -> Vec<&str> {
         self.files.keys().map(|s| s.as_str()).collect()
@@ -226,18 +232,6 @@ impl Default for SimFs {
 
 dp_support::impl_wire_enum!(Mode { 0 => Read, 1 => Write, 2 => ReadWrite, 3 => Append });
 dp_support::impl_wire_struct!(FileDesc { path, offset, mode });
-impl Wire for SimFs {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.files.put(out);
-        self.put_rest(out);
-    }
-
-    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let files = Wire::get(r)?;
-        Self::get_rest(files, r)
-    }
-}
-
 impl SimFs {
     /// Appends the delta that turns `base` into `self`: every path, each
     /// file's contents as a one-byte back-reference when `base` holds the
@@ -256,7 +250,9 @@ impl SimFs {
                 }
             }
         }
-        self.put_rest(out);
+        self.fds.put(out);
+        self.next_fd.put(out);
+        self.io_bytes.put(out);
     }
 
     /// Applies a [`put_delta`](SimFs::put_delta) encoding to `base`;
@@ -287,21 +283,6 @@ impl SimFs {
             };
             files.insert(path, contents);
         }
-        Self::get_rest(files, r)
-    }
-
-    /// Every field after `files`, in wire order (shared by both
-    /// encodings).
-    fn put_rest(&self, out: &mut Vec<u8>) {
-        self.fds.put(out);
-        self.next_fd.put(out);
-        self.io_bytes.put(out);
-    }
-
-    fn get_rest(
-        files: BTreeMap<String, Arc<Vec<u8>>>,
-        r: &mut Reader<'_>,
-    ) -> Result<Self, WireError> {
         Ok(SimFs {
             files,
             fds: Wire::get(r)?,

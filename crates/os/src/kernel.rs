@@ -810,20 +810,6 @@ mod wire_impls {
         cost,
         faults
     });
-    impl Wire for Kernel {
-        fn put(&self, out: &mut Vec<u8>) {
-            self.fs.put(out);
-            self.net.put(out);
-            self.put_rest(out);
-        }
-
-        fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-            let fs = SimFs::get(r)?;
-            let net = SimNet::get(r)?;
-            Self::get_rest(fs, net, r)
-        }
-    }
-
     impl Kernel {
         /// Appends the delta that turns `base` into `self`: every field
         /// whole, in wire order, except that file contents and the
@@ -832,24 +818,6 @@ mod wire_impls {
         pub fn put_delta(&self, base: &Kernel, out: &mut Vec<u8>) {
             self.fs.put_delta(&base.fs, out);
             self.net.put_delta(&base.net, out);
-            self.put_rest(out);
-        }
-
-        /// Applies a [`put_delta`](Kernel::put_delta) encoding to `base`.
-        ///
-        /// # Errors
-        ///
-        /// A [`WireError`] for malformed or truncated input, or a file
-        /// back-reference `base` cannot satisfy; never a panic.
-        pub fn get_delta(base: &Kernel, r: &mut Reader<'_>) -> Result<Self, WireError> {
-            let fs = SimFs::get_delta(&base.fs, r)?;
-            let net = SimNet::get_delta(&base.net, r)?;
-            Self::get_rest(fs, net, r)
-        }
-
-        /// Every field after `fs` and `net`, in wire order (shared by both
-        /// encodings).
-        fn put_rest(&self, out: &mut Vec<u8>) {
             self.rng_state.put(out);
             self.brk.put(out);
             self.cost.put(out);
@@ -865,10 +833,16 @@ mod wire_impls {
             self.stats.put(out);
         }
 
-        fn get_rest(fs: SimFs, net: SimNet, r: &mut Reader<'_>) -> Result<Self, WireError> {
+        /// Applies a [`put_delta`](Kernel::put_delta) encoding to `base`.
+        ///
+        /// # Errors
+        ///
+        /// A [`WireError`] for malformed or truncated input, or a file
+        /// back-reference `base` cannot satisfy; never a panic.
+        pub fn get_delta(base: &Kernel, r: &mut Reader<'_>) -> Result<Self, WireError> {
             Ok(Kernel {
-                fs,
-                net,
+                fs: SimFs::get_delta(&base.fs, r)?,
+                net: SimNet::get_delta(&base.net, r)?,
                 rng_state: Wire::get(r)?,
                 brk: Wire::get(r)?,
                 cost: Wire::get(r)?,

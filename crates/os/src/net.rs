@@ -418,18 +418,6 @@ dp_support::impl_wire_struct!(ClientState {
     next_req,
     responses_seen
 });
-impl Wire for SimNet {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.peers.put(out);
-        self.put_rest(out);
-    }
-
-    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let peers = Wire::get(r)?;
-        Self::get_rest(peers, r)
-    }
-}
-
 impl SimNet {
     /// Appends the delta that turns `base` into `self`: the scripted peer
     /// set as a one-byte back-reference when it equals `base`'s (compared
@@ -441,7 +429,12 @@ impl SimNet {
             out.push(DELTA_NEW);
             self.peers.put(out);
         }
-        self.put_rest(out);
+        self.clients.put(out);
+        self.listeners.put(out);
+        self.socks.put(out);
+        self.next_fd.put(out);
+        self.bytes_in.put(out);
+        self.bytes_out.put(out);
     }
 
     /// Applies a [`put_delta`](SimNet::put_delta) encoding to `base`.
@@ -462,21 +455,6 @@ impl SimNet {
                 })
             }
         };
-        Self::get_rest(peers, r)
-    }
-
-    /// Every field after `peers`, in wire order (shared by both
-    /// encodings).
-    fn put_rest(&self, out: &mut Vec<u8>) {
-        self.clients.put(out);
-        self.listeners.put(out);
-        self.socks.put(out);
-        self.next_fd.put(out);
-        self.bytes_in.put(out);
-        self.bytes_out.put(out);
-    }
-
-    fn get_rest(peers: BTreeMap<u32, PeerBehavior>, r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(SimNet {
             peers,
             clients: Wire::get(r)?,

@@ -149,25 +149,16 @@ pub struct MachineImage {
     pub fault: Option<Fault>,
 }
 
-impl Wire for MachineImage {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.mem.put(out);
-        self.put_rest(out);
-    }
-
-    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let mem = Memory::get(r)?;
-        Self::get_rest(mem, r)
-    }
-}
-
 impl MachineImage {
     /// Appends the delta that turns `base` into `self`: memory as a page
-    /// delta ([`Memory::put_delta`]), the thread table and halt/fault
+    /// delta ([`Memory::put_delta`]) that may copy blocks of `files`, the
+    /// base world's file contents, then the thread table and halt/fault
     /// state whole.
-    pub fn put_delta(&self, base: &MachineImage, out: &mut Vec<u8>) {
-        self.mem.put_delta(&base.mem, out);
-        self.put_rest(out);
+    pub fn put_delta(&self, base: &MachineImage, files: &[&[u8]], out: &mut Vec<u8>) {
+        self.mem.put_delta(&base.mem, files, out);
+        self.threads.put(out);
+        self.halted.put(out);
+        self.fault.put(out);
     }
 
     /// Applies a [`put_delta`](MachineImage::put_delta) encoding to
@@ -176,21 +167,13 @@ impl MachineImage {
     /// # Errors
     ///
     /// A [`WireError`] for malformed or truncated input; never a panic.
-    pub fn get_delta(base: &MachineImage, r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let mem = Memory::get_delta(&base.mem, r)?;
-        Self::get_rest(mem, r)
-    }
-
-    /// Every field after `mem`, in wire order (shared by both encodings).
-    fn put_rest(&self, out: &mut Vec<u8>) {
-        self.threads.put(out);
-        self.halted.put(out);
-        self.fault.put(out);
-    }
-
-    fn get_rest(mem: Memory, r: &mut Reader<'_>) -> Result<Self, WireError> {
+    pub fn get_delta(
+        base: &MachineImage,
+        files: &[&[u8]],
+        r: &mut Reader<'_>,
+    ) -> Result<Self, WireError> {
         Ok(MachineImage {
-            mem,
+            mem: Memory::get_delta(&base.mem, files, r)?,
             threads: Wire::get(r)?,
             halted: Wire::get(r)?,
             fault: Wire::get(r)?,

@@ -10,17 +10,22 @@
 //! Each page version carries its own digest, computed once, so clones,
 //! checkpoints and decoded start images never re-hash a page they share.
 //!
+//! A memory is stored only as a delta against another ([`Memory::put_delta`]):
+//! the journal header's boot image against an empty memory, each later
+//! start image against the one before.
+//!
 //! Dirty-page tracking serves two masters: the checkpoint cost model (cost is
 //! proportional to pages dirtied per epoch) and fast divergence diagnostics
 //! (only dirty pages need diffing).
 
 use crate::hash::Fnv1a;
 use crate::value::{Width, Word};
-use dp_support::wire::{put_varint, Reader, Wire, WireError};
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
+
+mod delta;
 
 /// A fast, deterministic hasher for page numbers (FxHash-style multiply).
 /// Page tables are in the interpreter's hottest path; SipHash would cost
@@ -165,24 +170,18 @@ fn same_bytes(a: Option<&Arc<Page>>, b: Option<&Arc<Page>>) -> bool {
     }
 }
 
-/// A decoded page body, all-zero bodies interned to the shared zero `Arc`;
-/// other pages arrive with an empty digest slot: decoding hashes nothing.
-fn page_from(raw: &[u8]) -> Arc<Page> {
-    if raw.iter().all(|&b| b == 0) {
+/// A page version holding `bytes`, all-zero bodies interned to the
+/// shared zero `Arc`; other pages start with an empty digest slot, so
+/// decoding one hashes nothing.
+fn page_with(bytes: PageBytes) -> Arc<Page> {
+    if bytes.iter().all(|&b| b == 0) {
         return zero_page();
     }
-    let mut bytes = [0u8; PAGE_SIZE as usize];
-    bytes.copy_from_slice(raw);
     Arc::new(Page {
         bytes,
         digest: DigestSlot::default(),
     })
 }
-
-/// Page-delta entry tags: the page is now zero (or absent), or its new
-/// 4096 bytes follow.
-const PAGE_ZERO: u8 = 0;
-const PAGE_BYTES: u8 = 1;
 
 /// Forces [`Memory::state_digest`] to recompute from scratch on every call,
 /// bypassing the per-page digest slots. The digest *value* is identical
@@ -508,130 +507,11 @@ impl Default for Memory {
     }
 }
 
-/// Wire encoding: pages as sorted `(page_no, raw 4096 bytes)` pairs (so the
-/// `Arc` sharing is transparent to the format), then the dirty set. The
-/// `last_dirty` fast path and the counters reset on decode, and the
-/// decoded pages hash on their first digest.
-impl Wire for Memory {
-    fn put(&self, out: &mut Vec<u8>) {
-        let mut pnos: Vec<u64> = self.pages.keys().copied().collect();
-        pnos.sort_unstable();
-        put_varint(out, pnos.len() as u64);
-        for pno in pnos {
-            pno.put(out);
-            out.extend_from_slice(&self.pages[&pno].bytes);
-        }
-        self.dirty.put(out);
-    }
-
-    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let count = usize::get(r)?;
-        let mut pages = PageMap::default();
-        for _ in 0..count {
-            let pno = u64::get(r)?;
-            // Resident zero pages are interned: re-encoding is
-            // byte-identical either way.
-            pages.insert(pno, page_from(r.take(PAGE_SIZE as usize, "memory page")?));
-        }
-        let dirty = <BTreeSet<u64> as Wire>::get(r)?;
-        Ok(Memory {
-            pages,
-            dirty,
-            ..Memory::new()
-        })
-    }
-}
-
-/// Delta encoding against a base memory: the pages whose *bytes* differ,
-/// in ascending page order, then the dirty set whole.
-///
-/// ```text
-/// pages := count | (pno | 0 "now zero/absent" | 1 ++ 4096 raw bytes)*
-/// ```
-///
-/// An all-zero page equals an absent one, and `Arc` identity is only a
-/// fast path before the byte compare, so the bytes are a pure function of
-/// the two memories' contents — never of clone topology or digest state.
-impl Memory {
-    /// Appends the delta that turns `base` into `self`.
-    pub fn put_delta(&self, base: &Memory, out: &mut Vec<u8>) {
-        let mut pnos: Vec<u64> = self
-            .pages
-            .keys()
-            .chain(base.pages.keys())
-            .copied()
-            .collect();
-        pnos.sort_unstable();
-        pnos.dedup();
-        let changed: Vec<(u64, Option<&Arc<Page>>)> = pnos
-            .into_iter()
-            .filter_map(|pno| {
-                let cur = self.pages.get(&pno);
-                (!same_bytes(cur, base.pages.get(&pno))).then(|| (pno, cur.filter(|p| !is_zero(p))))
-            })
-            .collect();
-        put_varint(out, changed.len() as u64);
-        for (pno, page) in changed {
-            pno.put(out);
-            match page {
-                None => out.push(PAGE_ZERO),
-                Some(p) => {
-                    out.push(PAGE_BYTES);
-                    out.extend_from_slice(&p.bytes);
-                }
-            }
-        }
-        self.dirty.put(out);
-    }
-
-    /// Applies a [`put_delta`](Memory::put_delta) encoding to `base`. The
-    /// result shares every unchanged page, and so its digest, with `base`;
-    /// only the pages the delta carries hash on its first digest.
-    ///
-    /// # Errors
-    ///
-    /// A [`WireError`] for an unknown entry tag, page numbers out of
-    /// ascending order, or truncated input; never a panic.
-    pub fn get_delta(base: &Memory, r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let mut mem = base.clone();
-        let count = usize::get(r)?;
-        let mut prev = None;
-        for _ in 0..count {
-            let off = r.pos();
-            let pno = u64::get(r)?;
-            if prev.is_some_and(|p| pno <= p) {
-                return Err(WireError {
-                    offset: off,
-                    context: "page delta out of ascending order",
-                });
-            }
-            prev = Some(pno);
-            let off = r.pos();
-            match r.u8("page delta tag")? {
-                PAGE_ZERO => {
-                    mem.pages.remove(&pno);
-                }
-                PAGE_BYTES => {
-                    let page = page_from(r.take(PAGE_SIZE as usize, "memory page")?);
-                    mem.pages.insert(pno, page);
-                }
-                _ => {
-                    return Err(WireError {
-                        offset: off,
-                        context: "unknown page delta tag",
-                    })
-                }
-            }
-        }
-        mem.dirty = <BTreeSet<u64> as Wire>::get(r)?;
-        mem.last_dirty = u64::MAX;
-        Ok(mem)
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use super::delta::{PAGE_BYTES, PAGE_FILE, PAGE_RUNS, PAGE_ZERO};
     use super::*;
+    use dp_support::wire::Reader;
     use std::sync::Mutex;
 
     /// Serializes the tests that either flip the process-wide
@@ -822,6 +702,12 @@ mod tests {
         assert_eq!(incremental, forced);
     }
 
+    fn delta_of(cur: &Memory, base: &Memory, files: &[&[u8]]) -> Vec<u8> {
+        let mut out = Vec::new();
+        cur.put_delta(base, files, &mut out);
+        out
+    }
+
     #[test]
     fn decoded_memory_digests_identically() {
         let mut m = Memory::new();
@@ -829,17 +715,13 @@ mod tests {
         m.write(0x6000, 1, Width::W8);
         m.write(0x6000, 0, Width::W8); // resident all-zero page
         let warm = m.state_digest();
-        let bytes = dp_support::wire::to_bytes(&m);
-        let back: Memory = dp_support::wire::from_bytes(&bytes).unwrap();
+        let empty = Memory::new();
+        let bytes = delta_of(&m, &empty, &[]);
+        let back = Memory::get_delta(&empty, &[], &mut Reader::new(&bytes)).unwrap();
         assert_eq!(back.state_digest(), warm);
-        // Re-encoding after the zero-page interning is byte-identical.
-        assert_eq!(dp_support::wire::to_bytes(&back), bytes);
-    }
-
-    fn delta_of(cur: &Memory, base: &Memory) -> Vec<u8> {
-        let mut out = Vec::new();
-        cur.put_delta(base, &mut out);
-        out
+        // Re-encoding is byte-identical: the all-zero page reads as absent
+        // either way.
+        assert_eq!(delta_of(&back, &empty, &[]), bytes);
     }
 
     #[test]
@@ -848,38 +730,116 @@ mod tests {
         base.write(0x3000, 5, Width::W8);
         base.write(0x6000, 1, Width::W8);
         base.write(0x6000, 0, Width::W8); // resident, all zero
+        base.write_bytes(0x7000, &[0xab; 4096]);
         base.take_dirty();
         // A fresh memory with equal bytes shares no page with `base`, and
         // lacks the zero page: still an empty page list.
         let mut same = Memory::new();
         same.write(0x3000, 5, Width::W8);
+        same.write_bytes(0x7000, &[0xab; 4096]);
         same.take_dirty();
-        assert_eq!(delta_of(&same, &base), vec![0, 0]);
-        // One changed page, one page zeroed: two entries, ascending.
+        assert_eq!(delta_of(&same, &base, &[]), vec![0, 0]);
+        // One page zeroed, one word of a resident page and one byte of an
+        // absent page changed, a base page's bytes at another number
+        // (written raw), and a whole and a partial block of a base file:
+        // six entries, ascending.
+        let file: Vec<u8> = (0..2 * 4096 + 100).map(|i| (i % 251) as u8).collect();
+        let files: [&[u8]; 1] = [&file];
         let mut cur = base.clone();
         cur.write(0x3000, 0, Width::W8);
+        cur.write(0x7010, 0x1122, Width::W8);
         cur.write(0x9000, 7, Width::W1);
-        let bytes = delta_of(&cur, &base);
-        assert_eq!(&bytes[..4], &[2, 3, PAGE_ZERO, 9]);
-        let back = Memory::get_delta(&base, &mut Reader::new(&bytes)).unwrap();
+        cur.write_bytes(0xa000, &[0xab; 4096]);
+        cur.write_bytes(0xb000, &file[4096..8192]);
+        cur.write_bytes(0xc000, &file[8192..]);
+        let bytes = delta_of(&cur, &base, &files);
+        #[rustfmt::skip]
+        let expect = [
+            &[
+                6,
+                3, PAGE_ZERO,
+                // One run: gap 16, length 8, as the varint 16 << 4 | 8.
+                7, PAGE_RUNS, 1, 0x88, 0x02, 0x22, 0x11, 0, 0, 0, 0, 0, 0,
+                9, PAGE_RUNS, 1, 0x01, 7,
+                10, PAGE_BYTES,
+            ][..],
+            &[0xab; 4096],
+            &[
+                11, PAGE_FILE, 0, 1,
+                12, PAGE_FILE, 0, 2,
+                6, 3, 7, 9, 10, 11, 12, // the dirty set
+            ],
+        ]
+        .concat();
+        assert_eq!(bytes, expect);
+        let back = Memory::get_delta(&base, &files, &mut Reader::new(&bytes)).unwrap();
         assert_eq!(back.state_digest(), cur.state_digest_scratch());
         assert_eq!(back.first_difference(&cur), None);
         assert_eq!(back.dirty(), cur.dirty());
-        assert_eq!(delta_of(&back, &base), bytes);
+        assert_eq!(delta_of(&back, &base, &files), bytes);
+        // Against an equal base that shares no page with `cur`, the same
+        // bytes.
+        let fresh = Memory::get_delta(
+            &Memory::new(),
+            &[],
+            &mut Reader::new(&delta_of(&base, &Memory::new(), &[])),
+        )
+        .unwrap();
+        assert_eq!(delta_of(&cur, &fresh, &files), bytes);
     }
 
     #[test]
     fn malformed_page_deltas_are_typed_errors() {
         let base = Memory::new();
-        let decode = |bytes: &[u8]| Memory::get_delta(&base, &mut Reader::new(bytes)).unwrap_err();
-        assert_eq!(decode(&[1, 4, 9]).context, "unknown page delta tag");
+        let file = vec![9u8; 5000];
+        let files: [&[u8]; 1] = [&file];
+        let decode = |bytes: &[u8]| Memory::get_delta(&base, &files, &mut Reader::new(bytes));
+        let error = |bytes: &[u8]| decode(bytes).unwrap_err().context;
+        assert_eq!(error(&[1, 4, 9]), "unknown page delta tag");
         assert_eq!(
-            decode(&[2, 4, PAGE_ZERO, 4, PAGE_ZERO, 0]).context,
+            error(&[2, 4, PAGE_ZERO, 4, PAGE_ZERO, 0]),
             "page delta out of ascending order"
         );
-        assert_eq!(decode(&[1, 4, PAGE_BYTES, 1, 2]).context, "memory page");
+        assert_eq!(error(&[1, 4, PAGE_BYTES, 1, 2]), "memory page");
+        // Runs (`gap << 4 | length` headers): one past the page end (gap
+        // 4095, length 2), one whose gap overflows, a zero-length one, a
+        // long length that overflows, a count beyond the input, and a run
+        // cut short.
+        let runs = |heads: &[u64], tail: &[u8]| {
+            let mut p = vec![1, 4, PAGE_RUNS, heads.len() as u8];
+            heads
+                .iter()
+                .for_each(|&h| dp_support::wire::put_varint(&mut p, h));
+            p.extend_from_slice(tail);
+            p
+        };
+        let past = "page delta run past the page end";
+        assert_eq!(error(&runs(&[4095 << 4 | 2], &[1, 2, 0])), past);
+        assert_eq!(error(&runs(&[u64::MAX], &[0])), past);
+        assert_eq!(error(&runs(&[15, u64::MAX], &[0])), past);
+        assert_eq!(error(&runs(&[0], &[0])), "zero-length page delta run");
+        assert_eq!(
+            error(&[1, 4, PAGE_RUNS, 9, 1, 5, 0]),
+            "page delta run count exceeds the input"
+        );
+        assert_eq!(error(&runs(&[4], &[5])), "page delta run");
+        assert!(decode(&runs(&[4095 << 4 | 1], &[1, 0])).is_ok());
+        let max = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01];
+        // File blocks: of a missing file, and past the file's end (block 1
+        // is the partial last one).
+        assert_eq!(
+            error(&[1, 4, PAGE_FILE, 1, 0, 0]),
+            "file block of a file the base lacks"
+        );
+        let end = "file block past a file's end";
+        assert_eq!(error(&[1, 4, PAGE_FILE, 0, 2, 0]), end);
+        assert_eq!(
+            error(&[&[1, 4, PAGE_FILE, 0][..], &max, &[0]].concat()),
+            end
+        );
+        assert!(decode(&[1, 4, PAGE_FILE, 0, 1, 0]).is_ok());
         // A count far past the input never allocates: it runs out of bytes.
-        assert!(Memory::get_delta(&base, &mut Reader::new(&[0xff, 0xff, 0xff, 0x7f])).is_err());
+        assert!(decode(&[0xff, 0xff, 0xff, 0x7f]).is_err());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! DoublePlay stack relies on.
 
 use dp_support::check::{check, Gen};
-use dp_support::wire::{from_bytes, to_bytes, Reader, Wire};
+use dp_support::wire::{Reader, Wire};
 use dp_vm::builder::ProgramBuilder;
 use dp_vm::memory::{Memory, PAGE_SIZE};
 use dp_vm::observer::{Access, CollectingObserver, MemObserver, NullObserver};
@@ -124,8 +124,9 @@ fn memory_matches_byte_model() {
         assert_eq!(mem.dirty(), bytewise.dirty());
         assert_eq!(mem.state_digest(), bytewise.state_digest());
         assert_eq!(mem.hash_stats(), bytewise.hash_stats());
-        // The encoding holds every resident page, zero ones included.
-        assert_eq!(to_bytes(&mem), to_bytes(&bytewise));
+        // The same resident pages, zero ones included, with the same bytes.
+        assert_eq!(mem.resident_pages(), bytewise.resident_pages());
+        assert_eq!(whole(&mem), whole(&bytewise));
     });
 }
 
@@ -501,17 +502,51 @@ fn run_slice_matches_single_steps_into_stack_overflow() {
     });
 }
 
-/// Pages whose bytes a [`Memory::put_delta`] encoding carries: entries
-/// `pno | tag`, where tag 1 is followed by the page's bytes and tag 0
-/// zeroes the page.
-fn delta_byte_pages(delta: &[u8]) -> u64 {
+/// `mem` written whole: its delta against an empty memory.
+fn whole(mem: &Memory) -> Vec<u8> {
+    let mut out = Vec::new();
+    mem.put_delta(&Memory::new(), &[], &mut out);
+    out
+}
+
+/// `mem` decoded back from [`whole`]: every nonzero page a new version.
+fn rebuilt(mem: &Memory) -> Memory {
+    Memory::get_delta(&Memory::new(), &[], &mut Reader::new(&whole(mem))).unwrap()
+}
+
+/// Pages a [`Memory::put_delta`] encoding spells out as new page
+/// versions: entries `pno | form`, where form 1 carries the page's bytes,
+/// 2 a file block and 3 the runs that changed; form 0 zeroes the page.
+/// Checking the whole entry list also checks the forms' layout.
+fn delta_new_pages(delta: &[u8]) -> u64 {
     let mut r = Reader::new(delta);
     let mut pages = 0;
     for _ in 0..usize::get(&mut r).unwrap() {
         u64::get(&mut r).unwrap();
-        if r.u8("page delta tag").unwrap() == 1 {
-            r.take(PAGE_SIZE as usize, "memory page").unwrap();
-            pages += 1;
+        match r.u8("page delta tag").unwrap() {
+            0 => {}
+            1 => {
+                r.take(PAGE_SIZE as usize, "memory page").unwrap();
+                pages += 1;
+            }
+            2 => {
+                usize::get(&mut r).unwrap();
+                u64::get(&mut r).unwrap();
+                pages += 1;
+            }
+            3 => {
+                for _ in 0..usize::get(&mut r).unwrap() {
+                    // `gap << 4 | length`, a length of 15 or more
+                    // continuing in a second varint.
+                    let mut len = (u64::get(&mut r).unwrap() & 15) as usize;
+                    if len == 15 {
+                        len += usize::get(&mut r).unwrap();
+                    }
+                    r.take(len, "page delta run").unwrap();
+                }
+                pages += 1;
+            }
+            form => panic!("unknown page form {form}"),
         }
     }
     pages
@@ -567,28 +602,29 @@ fn incremental_digest_equals_scratch_under_any_interleaving() {
                     assert_eq!(mem.take_dirty(), twin.take_dirty());
                 }
                 8 => {
-                    mem = from_bytes(&to_bytes(&mem)).unwrap();
-                    twin = from_bytes(&to_bytes(&twin)).unwrap();
+                    mem = rebuilt(&mem);
+                    twin = rebuilt(&twin);
                     assert_digest_matches(&mem, &twin);
                 }
                 9 => {
                     // Rebuild both as a delta against a live snapshot whose
-                    // pages are digested: only the pages the delta carries
-                    // are new versions, so only they hash.
+                    // pages are digested: only the pages the delta spells
+                    // out are new versions, so only they hash.
                     if let Some((snap, snap_twin)) = snapshots.last() {
                         assert_digest_matches(snap, snap_twin);
                         let mut delta = Vec::new();
-                        mem.put_delta(snap, &mut delta);
+                        mem.put_delta(snap, &[], &mut delta);
                         let mut twin_delta = Vec::new();
-                        twin.put_delta(snap_twin, &mut twin_delta);
+                        twin.put_delta(snap_twin, &[], &mut twin_delta);
                         assert_eq!(delta, twin_delta);
-                        mem = Memory::get_delta(snap, &mut Reader::new(&delta)).unwrap();
-                        twin = Memory::get_delta(snap_twin, &mut Reader::new(&twin_delta)).unwrap();
+                        mem = Memory::get_delta(snap, &[], &mut Reader::new(&delta)).unwrap();
+                        twin = Memory::get_delta(snap_twin, &[], &mut Reader::new(&twin_delta))
+                            .unwrap();
                         let before = mem.hash_stats().hashed_pages;
                         assert_digest_matches(&mem, &twin);
                         assert_eq!(
                             mem.hash_stats().hashed_pages - before,
-                            delta_byte_pages(&delta)
+                            delta_new_pages(&delta)
                         );
                     }
                 }
