@@ -1589,8 +1589,8 @@ pub fn table_dpnet(run: &DpnetRun) -> Table {
 pub struct ResumeRow {
     /// Fraction of the run's epochs committed before the tear.
     pub crash_frac: f64,
-    /// Committed epochs at the crash point (= the re-enacted prefix,
-    /// whose verify passes the resume skips).
+    /// Committed epochs at the crash point (= the salvaged prefix, whose
+    /// clean epochs skip their verify pass on resume).
     pub from_epoch: u32,
     /// Durable journal bytes the resume preserves instead of rewriting
     /// — the flushed work a restart-from-zero would throw away.
@@ -1619,10 +1619,11 @@ pub struct ResumeRun {
 /// E17 — end-to-end crash-resume. One session's sink tears mid-epoch at
 /// 25%, 50%, and 75% of its epochs (the daemon-crash model: the
 /// unflushed bytes are gone, the device is fine); the daemon salvages
-/// the committed prefix, `resume()` re-enacts it deterministically and
-/// continues recording live. Each resume is timed against re-recording
-/// the whole run from zero, and every resumed journal is checked
-/// byte-for-byte against the uninterrupted oracle.
+/// the committed prefix, and `resume()` records the session again through
+/// the recording loop, the prefix's clean epochs skipping their verify,
+/// and continues live past it. Each resume is timed against re-recording
+/// the whole run from zero, and every resumed journal must be
+/// byte-identical to the uninterrupted oracle (a difference panics).
 pub fn resume_run(size: Size) -> ResumeRun {
     use dp_core::{record_to, CheckpointImage, EpochRecord, JournalWriter, RecordSink};
     use dp_dpd::{guests, Daemon, DaemonConfig, MemStore, SessionSpec, SessionState, SessionStore};
@@ -1737,6 +1738,10 @@ pub fn resume_run(size: Size) -> ResumeRun {
             .durable(id, 0)
             .map(|durable| durable == solo)
             .unwrap_or(false);
+        assert!(
+            identical,
+            "resumed journal differs from the uninterrupted run (crash at {crash_frac})"
+        );
         daemon.shutdown();
         ResumeRow {
             crash_frac,

@@ -232,23 +232,23 @@ impl From<Fault> for ReplayError {
 }
 
 /// Errors raised while resuming a crashed recording run from its salvaged
-/// committed prefix. Resume re-enacts the prefix through the deterministic
-/// VM and hash-checks every epoch against the journal, so a journal that
-/// does not belong to the offered guest/config — tampered, trimmed, or
-/// simply someone else's — surfaces as a typed error here, never as a
-/// silently wrong continuation.
+/// committed prefix. Resume records the run again through the
+/// deterministic VM and checks every salvaged epoch against the journal,
+/// so a journal that does not belong to the offered guest/config —
+/// tampered, trimmed, or simply someone else's — surfaces as a typed error
+/// here, never as a silently wrong continuation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ResumeError {
-    /// Re-enacting the salvaged prefix produced an end-of-epoch state that
+    /// Re-executing a salvaged epoch produced an end-of-epoch state that
     /// disagrees with the journal's identity hash for that epoch: the
     /// journal was recorded by a different execution (tampered hashes,
     /// wrong seed, wrong program build).
     PrefixDiverged {
-        /// Epoch whose re-enacted state differed.
+        /// Epoch whose re-executed state differed.
         epoch: u32,
         /// Hash the journal stores for the epoch.
         expected: u64,
-        /// Hash the re-enactment produced.
+        /// Hash the re-execution produced.
         actual: u64,
     },
     /// The salvaged prefix cannot belong to the offered guest/config
@@ -259,8 +259,8 @@ pub enum ResumeError {
         /// What failed to line up.
         detail: String,
     },
-    /// The recorder failed while re-enacting the prefix or continuing the
-    /// run past it.
+    /// The recorder failed while recording the prefix again or continuing
+    /// the run past it.
     Record(RecordError),
 }
 
@@ -274,7 +274,7 @@ impl fmt::Display for ResumeError {
             } => write!(
                 f,
                 "salvaged prefix diverged at epoch {epoch}: journal says {expected:#x}, \
-                 re-enactment produced {actual:#x}"
+                 re-execution produced {actual:#x}"
             ),
             ResumeError::BadPrefix { detail } => {
                 write!(f, "salvaged prefix unusable for resume: {detail}")

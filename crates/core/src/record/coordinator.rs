@@ -22,10 +22,10 @@
 //!
 //! Every piece of state that ends up in the recording or in the modeled
 //! statistics is mutated only by the stage functions in this module
-//! ([`charge_tp_side`], [`commit_clean`], [`retire_diverged`],
-//! [`record_serialized_epoch`]), applied in strict epoch order, so the
-//! worker count never changes a recorded byte. The recorded end-to-end
-//! runtime is the later of the two modeled timelines.
+//! ([`charge_tp_side`], [`commit_clean`], `commit_record`,
+//! [`retire_diverged`], [`record_serialized_epoch`]), applied in strict
+//! epoch order, so the worker count never changes a recorded byte. The
+//! recorded end-to-end runtime is the later of the two modeled timelines.
 //!
 //! Recording executes the guest only as recording needs. The native
 //! baseline that overhead ratios divide by is a separate thread-parallel
@@ -119,11 +119,7 @@ pub fn record_to(
     let wall_start = Instant::now();
     let (s, machine, kernel) = boot_session(spec, config);
     sink.begin(&s.meta, &s.initial_image).map_err(sink_err)?;
-    let tp = TpRunner::new(config);
-    let control = ControlState::new(config);
-    drive(
-        s, config, sink, machine, kernel, tp, control, 0, 0, wall_start,
-    )
+    drive(s, config, sink, machine, kernel, &[], wall_start)
 }
 
 /// Committed state of a recording run: everything the strictly-in-order
@@ -211,8 +207,8 @@ pub(crate) struct Session {
 }
 
 /// Boots the guest and captures the initial checkpoint: the session a
-/// fresh run writes its sink header from and a resumed run re-enacts its
-/// salvaged prefix on. Returns the session plus the live (mutable) world.
+/// fresh run writes its sink header from and a resumed run checks against
+/// its journal's. Returns the session plus the live (mutable) world.
 pub(crate) fn boot_session(
     spec: &GuestSpec,
     config: &DoublePlayConfig,
@@ -339,6 +335,11 @@ pub(crate) enum VerifyVerdict {
     Failed(RecordError),
     /// A generation bump cancelled the job mid-run (workers only).
     Cancelled,
+    /// A salvaged epoch the journal shows committed clean
+    /// ([`journal_verdict`]).
+    Journaled,
+    /// A salvaged epoch the journal shows recovered live.
+    JournaledDivergence,
 }
 
 /// Executes one verify job: computes the deferred end-state digest, then
@@ -376,6 +377,28 @@ pub(crate) fn execute_verify(
         Err(_) => VerifyVerdict::Panicked,
     };
     (expected_hash, verdict)
+}
+
+/// The verdict a salvaged epoch's `record` gives its re-run
+/// thread-parallel epoch, in place of a verify. It is clean iff the
+/// original verify did not panic (injected ones are keyed `(epoch, attempt
+/// 0)`) and both the end hash and the syscall log match the record; the log
+/// closes the corner where a live recovery landed on the thread-parallel
+/// hash.
+pub(crate) fn journal_verdict(
+    record: &EpochRecord,
+    work: &EpochWork,
+    plan: &FaultPlan,
+) -> (u64, VerifyVerdict) {
+    let tp_hash = work.next_machine.state_hash();
+    let verdict = if plan.worker_panics(work.index, 0) {
+        VerifyVerdict::Panicked
+    } else if tp_hash == record.end_machine_hash && record.syscalls == work.syscalls {
+        VerifyVerdict::Journaled
+    } else {
+        VerifyVerdict::JournaledDivergence
+    };
+    (tp_hash, verdict)
 }
 
 /// Thread-parallel-side accounting for one epoch, applied at the in-order
@@ -421,7 +444,7 @@ pub(crate) fn commit_clean(
     config: &DoublePlayConfig,
     cost: &CostModel,
     sink: &mut dyn RecordSink,
-    work: EpochWork,
+    mut work: EpochWork,
     ep: EpOutcome,
     expected_hash: u64,
     sys_enc: Vec<u8>,
@@ -437,29 +460,37 @@ pub(crate) fn commit_clean(
     let ready = c.tp_time;
     c.commit_time =
         finish_epoch_task(config, &mut c.tp_time, &mut c.pool, ep_task, ready).max(c.commit_time);
-    c.epochs.push(EpochRecord {
+    let record = EpochRecord {
         index: work.index,
         schedule: ep.schedule,
-        syscalls: work.syscalls,
+        syscalls: std::mem::take(&mut work.syscalls),
         end_machine_hash: expected_hash,
         external: ep.external,
         start: config.keep_checkpoints.then(|| c.prev.to_image()),
         tp_cycles: work.tp_cycles,
-    });
+    };
     let logs = EncodedLogs {
         schedule: sched_enc,
         syscalls: sys_enc,
     };
-    sink.epoch_encoded(c.epochs.last().expect("epoch just pushed"), &logs)
-        .map_err(sink_err)?;
+    sink.epoch_encoded(&record, &logs).map_err(sink_err)?;
+    commit_record(c, record, work, expected_hash);
+    Ok(())
+}
+
+/// Commits `record` as the epoch `work` ran and makes `work`'s end state,
+/// whose digest is `hash`, the authoritative checkpoint. A salvaged epoch
+/// the journal shows committed clean commits its journaled record this way,
+/// with no verify and no sink write: the journal holds it already.
+pub(crate) fn commit_record(c: &mut CommitState, record: EpochRecord, work: EpochWork, hash: u64) {
+    c.epochs.push(record);
     c.prev = Checkpoint {
         machine: work.next_machine,
         kernel: work.next_kernel,
-        machine_hash: expected_hash,
+        machine_hash: hash,
     };
     c.stats.committed += 1;
     c.stats.epochs += 1;
-    Ok(())
 }
 
 /// The world a live re-execution leaves behind: the epoch's new truth,
@@ -477,24 +508,27 @@ pub(crate) struct Adopted {
 /// Retires a diverged (or worker-panicked) epoch: accounts for the wasted
 /// verify, re-executes the epoch live from the authoritative checkpoint,
 /// records the live outcome, and returns the adopted world (forward
-/// recovery). `verified` is the diverged outcome, `None` for a panic.
+/// recovery). `verdict` says how the epoch failed: a diverged outcome, a
+/// panicked worker, or a journaled divergence.
 pub(crate) fn retire_diverged(
     c: &mut CommitState,
     config: &DoublePlayConfig,
     cost: &CostModel,
     sink: &mut dyn RecordSink,
     work: EpochWork,
-    verified: Option<EpOutcome>,
+    verdict: VerifyVerdict,
 ) -> Result<Adopted, RecordError> {
     c.stats.divergences += 1;
-    let verify_task = match &verified {
-        Some(ep) => ep.cycles + charge_state_hash(c, cost, &ep.machine),
-        // A panicked worker's progress is unknowable; charge one epoch's
-        // worth of wasted work.
-        None => {
+    // A panicked worker's progress is unknowable, and a journaled
+    // divergence ran no verify: either is charged one epoch's worth of
+    // wasted work. Only the panic is a worker retry.
+    let verify_task = match verdict {
+        VerifyVerdict::Done(ep) => ep.cycles + charge_state_hash(c, cost, &ep.machine),
+        VerifyVerdict::Panicked => {
             c.stats.worker_retries += 1;
             work.tp_cycles
         }
+        _ => work.tp_cycles,
     };
     let ready = c.tp_time;
     let detect = finish_epoch_task(config, &mut c.tp_time, &mut c.pool, verify_task, ready)
@@ -564,15 +598,7 @@ fn run_live_charged(
     epoch_start: u64,
     duration: u64,
 ) -> Result<Live, RecordError> {
-    let out = run_live_guarded(
-        &config.faults,
-        &mut c.stats,
-        index,
-        &c.prev,
-        duration,
-        config.ep_quantum,
-        epoch_start,
-    )?;
+    let out = run_live_guarded(c, config, index, duration, epoch_start)?;
     let logs = EncodedLogs {
         schedule: codec::encode_schedule(&out.schedule),
         syscalls: codec::encode_syscalls(&out.generated),
@@ -643,17 +669,16 @@ fn adopt(
     })
 }
 
-/// Runs the live (single-CPU) re-execution with panic isolation: a worker
-/// that panics — injected by a [`FaultPlan`] or real — is retried with a
-/// fresh attempt number up to [`WORKER_RETRY_BUDGET`] times before the
-/// epoch is declared unconvergeable.
-pub(crate) fn run_live_guarded(
-    plan: &FaultPlan,
-    stats: &mut RecorderStats,
+/// Runs the live (single-CPU) re-execution of epoch `index` from the
+/// authoritative checkpoint with panic isolation: a worker that panics —
+/// injected by a [`FaultPlan`] or real — is retried with a fresh attempt
+/// number up to [`WORKER_RETRY_BUDGET`] times before the epoch is declared
+/// unconvergeable.
+fn run_live_guarded(
+    c: &mut CommitState,
+    config: &DoublePlayConfig,
     index: u32,
-    start: &Checkpoint,
     duration: u64,
-    quantum: u64,
     base_now: u64,
 ) -> Result<EpOutcome, RecordError> {
     // Attempt 0 belongs to the verify pass of the same epoch, so injected
@@ -661,15 +686,15 @@ pub(crate) fn run_live_guarded(
     let mut attempt = 1u32;
     loop {
         let run = catch_unwind(AssertUnwindSafe(|| {
-            if plan.worker_panics(index, attempt) {
+            if config.faults.worker_panics(index, attempt) {
                 panic!("{INJECTED_PANIC_TAG} (epoch {index}, attempt {attempt})");
             }
-            run_live(start, duration, quantum, base_now)
+            run_live(&c.prev, duration, config.ep_quantum, base_now)
         }));
         match run {
             Ok(result) => return result,
             Err(_) => {
-                stats.worker_retries += 1;
+                c.stats.worker_retries += 1;
                 attempt += 1;
                 if attempt > WORKER_RETRY_BUDGET {
                     return Err(RecordError::DivergenceLoop { epoch: index });

@@ -13,8 +13,8 @@
 //!   epoch inline;
 //! * [`pipeline`] — worker-core scheduling for the simulated-time account;
 //! * [`interleave`] — the hidden nondeterminism source;
-//! * [`resume`] — crash-resume: re-enact a salvaged committed prefix,
-//!   then hand off to the recording loop at the next epoch.
+//! * [`resume`] — crash-resume: record a salvaged run again through the
+//!   recording loop, the journal answering for the epochs it holds.
 
 pub mod coordinator;
 pub mod epoch_parallel;

@@ -22,6 +22,11 @@
 //!   through the coordinator's stage functions, so the `RecordSink` sees
 //!   the same byte sequence at every worker count.
 //!
+//! Every run starts at epoch 0 from the boot state. A resumed run also
+//! hands the loop the epochs its salvaged journal committed: none of them
+//! is submitted to a worker, and the commit stage reads each one's verdict
+//! from the journal instead of verifying it.
+//!
 //! A divergence at epoch `k` invalidates every speculative epoch beyond
 //! it: the [`CancelToken`] generation is bumped (workers poll it at event
 //! boundaries and every few thousand instructions), in-flight state is
@@ -45,12 +50,13 @@ use crate::faults::FaultPlan;
 use crate::journal::RecordSink;
 use crate::logs::{ScheduleLog, SyscallLog};
 use crate::record::coordinator::{
-    charge_tp_side, commit_clean, execute_verify, finish_session, record_serialized_epoch,
-    retire_diverged, run_tp_epoch, ControlState, EpochWork, RecordingBundle, Session, VerifyJobRef,
-    VerifyVerdict, MAX_EPOCHS,
+    charge_tp_side, commit_clean, commit_record, execute_verify, finish_session, journal_verdict,
+    record_serialized_epoch, retire_diverged, run_tp_epoch, ControlState, EpochWork,
+    RecordingBundle, Session, VerifyJobRef, VerifyVerdict, MAX_EPOCHS,
 };
 use crate::record::epoch_parallel::CancelToken;
 use crate::record::thread_parallel::{TpRunner, TpSnapshot};
+use crate::recording::EpochRecord;
 use crate::stats::{WallClockStats, DEPTH_BUCKETS, MAX_TRACKED_WORKERS};
 use dp_os::kernel::Kernel;
 use dp_vm::Machine;
@@ -150,23 +156,21 @@ fn guest_done(machine: &Machine) -> bool {
     machine.halted().is_some() || machine.live_threads() == 0
 }
 
-/// The recording loop, entered either fresh by [`crate::record_to`]
-/// (epoch 0, boot state) or mid-run by
-/// [`crate::record::resume::resume_from`] with the state a re-enacted
-/// salvaged prefix left behind, possibly a finished guest. Everything a run
-/// carries across epochs arrives as a parameter, so resuming at epoch
-/// `index` continues exactly as an uninterrupted run would.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn drive<'a>(
+/// The recording loop: records a run from epoch 0 and the boot state `s`,
+/// `machine` and `kernel`. `prefix` holds the epochs a salvaged journal
+/// already committed, empty for a fresh run. Each of them runs again as it
+/// ran, submits no verify job, and takes its verdict from its record
+/// ([`journal_verdict`]): a clean one commits the record with no sink
+/// write, and a diverged or serialized one retires through the live tail
+/// exactly as in a fresh run. So a resumed run rebuilds every piece of
+/// carried state as the uninterrupted run built it.
+pub(crate) fn drive(
     mut s: Session,
-    config: &'a DoublePlayConfig,
+    config: &DoublePlayConfig,
     sink: &mut dyn RecordSink,
     mut machine: Machine,
     mut kernel: Kernel,
-    mut tp: TpRunner<'a>,
-    mut control: ControlState,
-    guest_clock: u64,
-    index: u32,
+    prefix: &[EpochRecord],
     wall_start: Instant,
 ) -> Result<RecordingBundle, RecordError> {
     let workers = if config.pipelined {
@@ -178,6 +182,8 @@ pub(crate) fn drive<'a>(
     // run: one per worker, and one to verify inline when there are none.
     let depth = workers.max(1);
     let cancel = CancelToken::new();
+    let mut tp = TpRunner::new(config);
+    let mut control = ControlState::new(config);
     let mut wall = WallClockStats {
         workers: workers as u64,
         ..Default::default()
@@ -204,12 +210,11 @@ pub(crate) fn drive<'a>(
         let mut inflight: VecDeque<Speculation> = VecDeque::new();
         // Verdicts that arrived ahead of their retirement turn.
         let mut stash: BTreeMap<u32, (u64, VerifyVerdict)> = BTreeMap::new();
-        let mut next_index = index;
+        let mut next_index = 0u32;
         // Speculative guest clock / instruction count: what the committed
-        // counters will read if everything in flight retires clean. On a
-        // resumed run both start where the re-enacted prefix left them.
-        let mut spec_clock = guest_clock;
-        let mut spec_instr = s.commit.stats.tp_instructions;
+        // counters will read if everything in flight retires clean.
+        let mut spec_clock = 0u64;
+        let mut spec_instr = 0u64;
         let mut front_halted = guest_done(&machine);
         // A TP error is speculative until every earlier epoch retires
         // clean: a divergence below it rewinds past the error entirely.
@@ -226,8 +231,10 @@ pub(crate) fn drive<'a>(
             {
                 let epoch_start = spec_clock;
                 // A worker verifies from the epoch's start as the front end
-                // leaves it; inline verification reads the commit state's.
-                let start = (workers > 0).then(|| Checkpoint::capture_deferred(&machine, &kernel));
+                // leaves it; inline verification reads the commit state's,
+                // and a salvaged epoch needs none.
+                let start = (workers > 0 && next_index as usize >= prefix.len())
+                    .then(|| Checkpoint::capture_deferred(&machine, &kernel));
                 let work = match run_tp_epoch(
                     &mut tp,
                     &mut machine,
@@ -274,11 +281,15 @@ pub(crate) fn drive<'a>(
             }
 
             let adopted = if let Some(head) = inflight.front() {
-                // Commit stage: verify the head epoch inline, or wait for
-                // its worker's verdict, stashing later epochs' verdicts
-                // until their turn.
+                // Commit stage: read a salvaged head epoch's verdict from
+                // the journal, verify the head epoch inline, or wait for its
+                // worker's verdict, stashing later epochs' verdicts until
+                // their turn.
                 let head_index = head.work.index;
-                let (expected_hash, verdict) = if workers == 0 {
+                let journaled = prefix.get(head_index as usize);
+                let (expected_hash, verdict) = if let Some(record) = journaled {
+                    journal_verdict(record, &head.work, &config.faults)
+                } else if workers == 0 {
                     execute_verify(
                         VerifyJobRef {
                             index: head_index,
@@ -310,7 +321,7 @@ pub(crate) fn drive<'a>(
 
                 let head = inflight.pop_front().expect("checked non-empty");
                 let sys_enc = charge_tp_side(&mut s.commit, &s.cost, &head.work);
-                let verified = match verdict {
+                let verdict = match verdict {
                     VerifyVerdict::Done(ep) if ep.divergence.is_none() => {
                         // `control` already speculated this epoch's clean
                         // update at submit time.
@@ -328,15 +339,20 @@ pub(crate) fn drive<'a>(
                         }
                         continue;
                     }
+                    VerifyVerdict::Journaled => {
+                        let record = prefix[head_index as usize].clone();
+                        commit_record(&mut s.commit, record, head.work, expected_hash);
+                        continue;
+                    }
                     VerifyVerdict::Failed(e) => break Err(e),
                     VerifyVerdict::Cancelled => {
                         unreachable!("current-generation jobs are never cancelled")
                     }
-                    VerifyVerdict::Done(ep) => Some(*ep),
-                    VerifyVerdict::Panicked => None,
+                    diverged => diverged,
                 };
-                // Divergence (or panicked worker): everything speculated
-                // beyond this epoch is invalid.
+                // Divergence (a panicked worker and a journaled divergence
+                // included): everything speculated beyond this epoch is
+                // invalid.
                 wall.cancelled_epochs += inflight.len() as u64;
                 cancel.bump();
                 inflight.clear();
@@ -346,7 +362,7 @@ pub(crate) fn drive<'a>(
                 control = head.control_before;
                 control.on_diverged(config);
                 control.note_outcome(true);
-                retire_diverged(&mut s.commit, config, &s.cost, sink, head.work, verified)
+                retire_diverged(&mut s.commit, config, &s.cost, sink, head.work, verdict)
             } else {
                 // The pipeline is drained: speculative conditions are now
                 // authoritative.

@@ -3,7 +3,7 @@
 //! The pipelined recorder's contract is absolute: for any seed, worker
 //! count, and fault plan, it must produce a `Recording` whose serialized
 //! bytes — and whose streamed journal bytes — are identical to the
-//! sequential driver's, along with identical modeled statistics. This
+//! lockstep loop's, along with identical modeled statistics. This
 //! suite sweeps seeds × worker counts × fault plans over racy and
 //! synchronized guests, covering clean runs, divergences, worker panics,
 //! divergence storms (serialized fallback), and injected I/O faults.

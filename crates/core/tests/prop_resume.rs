@@ -1,11 +1,14 @@
 //! Crash-resume identity oracle.
 //!
 //! The contract under test: kill a recording run at **any byte** of its
-//! journal, salvage, truncate the torn tail, re-enact the committed
-//! prefix, and continue — the final journal (and its recording) must be
-//! **byte-identical** to the run that never crashed. Swept across hidden
-//! seeds, shard counts, and crash instants, over guests that exercise
-//! all three epoch fates (clean commits, divergences with forward
+//! journal, salvage, truncate the torn tail, and resume: record the run
+//! again through the recording loop, with the salvaged prefix answering
+//! for the epochs it holds, and continue. The final journal (and its
+//! recording) must be **byte-identical** to the run that never crashed,
+//! with the same epoch, commit, divergence, serialized-epoch, worker-retry
+//! and instruction counts. Swept across hidden seeds, shard counts, crash
+//! instants and stored or omitted start checkpoints, over guests that
+//! exercise all three epoch fates (clean commits, divergences with forward
 //! recovery, degraded serialized mode).
 //!
 //! Tampering and misuse must surface as typed [`ResumeError`]s — never a
@@ -14,7 +17,7 @@
 use dp_core::journal::RecordSink;
 use dp_core::{
     record_to, resume_from, DoublePlayConfig, FaultPlan, GuestSpec, JournalReader, JournalWriter,
-    Recording, ResumeError,
+    RecorderStats, RecordingBundle, ResumeError,
 };
 use dp_os::abi;
 use dp_os::kernel::WorldConfig;
@@ -67,10 +70,40 @@ fn counter_spec(name: &str, iters: i64, racy: bool) -> GuestSpec {
     GuestSpec::new(name, Arc::new(pb.finish("main")), WorldConfig::default())
 }
 
+/// A divergence storm: the base micro-slice covers a whole per-CPU epoch,
+/// so the racy counter never diverges on its own, and a storm in every
+/// epoch shrinks the slices 64x until the recorder degrades to serialized
+/// epochs. The small `ep_quantum` keeps live recovery round-robin fair.
+fn storm_config() -> DoublePlayConfig {
+    DoublePlayConfig {
+        tp_quantum: 6_000,
+        tp_jitter: 2_000,
+        ..DoublePlayConfig::new(2)
+            .epoch_cycles(6_000)
+            .ep_quantum(512)
+            .faults(FaultPlan::none().storms(1.0, 4, 64))
+    }
+}
+
+/// The counters a resumed run must reproduce exactly.
+fn counters(s: &RecorderStats) -> [u64; 6] {
+    [
+        s.epochs,
+        s.committed,
+        s.divergences,
+        s.serialized_epochs,
+        s.worker_retries,
+        s.tp_instructions,
+    ]
+}
+
 /// Records the uninterrupted solo run into a one-stream journal,
-/// returning the journal bytes, the recording, and each epoch's commit
-/// offset (the durability point a crash can land on either side of).
-fn solo_journal(spec: &GuestSpec, config: &DoublePlayConfig) -> (Vec<u8>, Recording, Vec<usize>) {
+/// returning the journal bytes, the run, and each epoch's commit offset
+/// (the durability point a crash can land on either side of).
+fn solo_journal(
+    spec: &GuestSpec,
+    config: &DoublePlayConfig,
+) -> (Vec<u8>, RecordingBundle, Vec<usize>) {
     let mut w = JournalWriter::new(Vec::new()).unwrap();
     let bundle = record_to(spec, config, &mut w).unwrap();
     let full = w.into_inner();
@@ -86,7 +119,7 @@ fn solo_journal(spec: &GuestSpec, config: &DoublePlayConfig) -> (Vec<u8>, Record
     }
     rw.finish().unwrap();
     assert_eq!(rw.into_inner(), full, "re-journaled bytes differ from live");
-    (full, bundle.recording, commits)
+    (full, bundle, commits)
 }
 
 /// Crash instants worth sweeping: both sides of every commit durability
@@ -104,13 +137,14 @@ fn crash_instants(len: usize, commits: &[usize], stride: usize) -> Vec<usize> {
 }
 
 /// Kills the run at `cut` bytes, salvages, resumes, and checks the final
-/// journal is byte-identical to `full`. Returns how many epochs the
-/// salvage recovered (so callers can assert sweep coverage).
+/// journal is byte-identical to `full` and the resumed run's counters equal
+/// the `solo` run's. Returns how many epochs the salvage recovered (so
+/// callers can assert sweep coverage).
 fn crash_and_resume_at(
     spec: &GuestSpec,
     config: &DoublePlayConfig,
     full: &[u8],
-    recording: &Recording,
+    solo: &RecordingBundle,
     cut: usize,
     first_commit: usize,
 ) -> Option<usize> {
@@ -135,63 +169,93 @@ fn crash_and_resume_at(
     );
     assert_eq!(
         bundle.recording.epochs.len(),
-        recording.epochs.len(),
+        solo.recording.epochs.len(),
         "cut {cut}: resumed recording has a different epoch count"
     );
-    for (a, b) in bundle.recording.epochs.iter().zip(&recording.epochs) {
+    for (a, b) in bundle.recording.epochs.iter().zip(&solo.recording.epochs) {
         assert_eq!(a.end_machine_hash, b.end_machine_hash, "cut {cut}");
         assert_eq!(a.syscalls, b.syscalls, "cut {cut}");
     }
+    assert_eq!(
+        counters(&bundle.stats),
+        counters(&solo.stats),
+        "cut {cut}: resumed run's [epochs, committed, divergences, serialized, \
+         worker retries, instructions] differ from the uninterrupted run's"
+    );
     Some(committed)
 }
 
 /// Clean-path sweep: an atomic guest never diverges, so every prefix epoch
-/// re-enacts through the thread-parallel side alone. Swept across hidden
-/// seeds and every commit boundary plus mid-frame tears.
+/// takes its clean verdict from the journal after its thread-parallel run
+/// alone. Swept across hidden seeds, stored or omitted start checkpoints,
+/// and every commit boundary plus mid-frame tears.
 #[test]
 fn resume_is_byte_identical_across_crash_instants_clean() {
     let spec = counter_spec("resume-clean", 900, false);
     for seed in [0x5eed_0fd0_0b1eu64, 0xabba_1972] {
-        let config = DoublePlayConfig::new(2)
-            .epoch_cycles(2_000)
-            .keep_checkpoints(false)
-            .hidden_seed(seed);
-        let (full, recording, commits) = solo_journal(&spec, &config);
-        assert!(recording.epochs.len() >= 3, "want a multi-epoch run");
-        let mut salvaged_counts = Vec::new();
-        for cut in crash_instants(full.len(), &commits, 37) {
-            if let Some(k) = crash_and_resume_at(&spec, &config, &full, &recording, cut, commits[0])
-            {
-                salvaged_counts.push(k);
+        for keep in [false, true] {
+            let config = DoublePlayConfig::new(2)
+                .epoch_cycles(2_000)
+                .keep_checkpoints(keep)
+                .hidden_seed(seed);
+            let (full, solo, commits) = solo_journal(&spec, &config);
+            let epochs = solo.recording.epochs.len();
+            assert!(epochs >= 3, "want a multi-epoch run");
+            let mut salvaged_counts = Vec::new();
+            for cut in crash_instants(full.len(), &commits, 37) {
+                if let Some(k) = crash_and_resume_at(&spec, &config, &full, &solo, cut, commits[0])
+                {
+                    salvaged_counts.push(k);
+                }
             }
-        }
-        // The sweep must actually cover resumes from every prefix length,
-        // including zero epochs and the full prefix with FINAL lost.
-        for k in 0..=recording.epochs.len() {
-            assert!(
-                salvaged_counts.contains(&k),
-                "seed {seed:#x}: no cut salvaged {k} epochs"
-            );
+            // The sweep must actually cover resumes from every prefix
+            // length, including zero epochs and the full prefix with FINAL
+            // lost.
+            for k in 0..=epochs {
+                assert!(
+                    salvaged_counts.contains(&k),
+                    "seed {seed:#x}, keep {keep}: no cut salvaged {k} epochs"
+                );
+            }
         }
     }
 }
 
 /// Divergence-path sweep: a racy guest plus injected verify-worker panics
-/// drives the recorder through forward recovery and into degraded
-/// serialized mode, so the re-enactment's diverged and serialized branches
-/// both run, hash-checked, at every crash instant.
+/// drives the recorder through forward recovery, and a divergence storm
+/// drives it into degraded serialized mode, so salvaged diverged and
+/// serialized epochs both re-run live, hash-checked, at every crash
+/// instant, with start checkpoints stored or omitted.
 #[test]
 fn resume_is_byte_identical_across_crash_instants_diverging() {
     dp_core::faults::silence_injected_panics();
-    let spec = counter_spec("resume-racy", 700, true);
-    let config = DoublePlayConfig::new(2)
+    let panics = DoublePlayConfig::new(2)
         .epoch_cycles(2_000)
-        .keep_checkpoints(false)
         .faults(FaultPlan::none().seed(0xfa17).worker_panics_with(0.35));
-    let (full, recording, commits) = solo_journal(&spec, &config);
-    assert!(recording.epochs.len() >= 3, "want a multi-epoch run");
-    for cut in crash_instants(full.len(), &commits, 101) {
-        crash_and_resume_at(&spec, &config, &full, &recording, cut, commits[0]);
+    let inputs = [
+        (counter_spec("resume-racy", 700, true), panics, false),
+        (
+            counter_spec("resume-storm", 8_000, true),
+            storm_config(),
+            true,
+        ),
+    ];
+    for (spec, config, storm) in &inputs {
+        for keep in [false, true] {
+            let config = config.keep_checkpoints(keep);
+            let (full, solo, commits) = solo_journal(spec, &config);
+            assert!(solo.recording.epochs.len() >= 3, "want a multi-epoch run");
+            assert!(solo.stats.divergences > 0, "{}: no divergence", spec.name);
+            if *storm {
+                assert!(
+                    solo.stats.serialized_epochs > 0,
+                    "the storm never degraded to serialized epochs"
+                );
+            }
+            for cut in crash_instants(full.len(), &commits, 101) {
+                crash_and_resume_at(spec, &config, &full, &solo, cut, commits[0]);
+            }
+        }
     }
 }
 
@@ -202,10 +266,10 @@ fn resume_is_byte_identical_across_crash_instants_diverging() {
 #[test]
 fn resume_is_byte_identical_across_shard_tears() {
     let spec = counter_spec("resume-shards", 900, false);
-    let config = DoublePlayConfig::new(2)
-        .epoch_cycles(2_000)
-        .keep_checkpoints(false);
-    for shards in [2usize, 3] {
+    for (shards, keep) in [(2usize, false), (3, false), (2, true), (3, true)] {
+        let config = DoublePlayConfig::new(2)
+            .epoch_cycles(2_000)
+            .keep_checkpoints(keep);
         let mut w =
             JournalWriter::sync((0..shards).map(|_| Vec::<u8>::new()).collect(), 2).unwrap();
         let bundle = record_to(&spec, &config, &mut w).unwrap();
@@ -245,44 +309,59 @@ fn resume_is_byte_identical_across_shard_tears() {
             let committed = s.committed();
             let mut rw = JournalWriter::resume(lanes, 2, &s).unwrap();
             resume_from(&spec, &config, s.recording, &mut rw).unwrap_or_else(|e| {
-                panic!("{shards} shards, {committed} epochs salvaged: resume failed: {e}")
+                panic!(
+                    "{shards} shards, keep {keep}, {committed} epochs salvaged: resume failed: {e}"
+                )
             });
             assert_eq!(
                 rw.into_writers().unwrap(),
                 full,
-                "{shards} shards, {committed} epochs salvaged: lanes differ after resume"
+                "{shards} shards, keep {keep}, {committed} epochs salvaged: lanes differ after resume"
             );
         }
     }
 }
 
-/// A tampered per-epoch identity hash is caught by the prefix re-enactment
-/// as a typed `PrefixDiverged` naming the tampered epoch — never a silent
-/// continuation on wrong state.
+/// A tampered per-epoch identity hash is caught as a typed
+/// `PrefixDiverged` naming the tampered epoch — never a silent continuation
+/// on wrong state. Tampered in turn: each epoch of a clean prefix, and each
+/// diverged or serialized epoch of a divergence storm's prefix.
 #[test]
 fn tampered_hash_surfaces_as_prefix_diverged() {
-    let spec = counter_spec("resume-tamper", 900, false);
-    let config = DoublePlayConfig::new(2)
+    let clean = DoublePlayConfig::new(2)
         .epoch_cycles(2_000)
         .keep_checkpoints(false);
-    let (full, _, commits) = solo_journal(&spec, &config);
-    let cut = commits[2];
-    for victim in 0..3u32 {
-        let mut s = JournalReader::salvage(&full[..cut]).unwrap();
-        assert_eq!(s.committed(), 3);
-        s.recording.epochs[victim as usize].end_machine_hash ^= 0xdead_beef;
-        let expected = s.recording.epochs[victim as usize].end_machine_hash;
-        let prefix = full[..s.keep[0].unwrap()].to_vec();
-        let mut w = JournalWriter::resume(vec![prefix], 1, &s).unwrap();
-        match resume_from(&spec, &config, s.recording, &mut w) {
-            Err(ResumeError::PrefixDiverged {
-                epoch, expected: e, ..
-            }) => {
-                assert_eq!(epoch, victim);
-                assert_eq!(e, expected);
+    let inputs = [
+        (counter_spec("resume-tamper", 900, false), clean, false),
+        (
+            counter_spec("resume-storm", 8_000, true),
+            storm_config(),
+            true,
+        ),
+    ];
+    for (spec, config, storm) in &inputs {
+        let (full, solo, commits) = solo_journal(spec, config);
+        // The storm's prefix is every epoch but the last.
+        let salvaged = if *storm { commits.len() - 1 } else { 3 };
+        assert_eq!(*storm, solo.stats.serialized_epochs > 0, "{}", spec.name);
+        for victim in 0..salvaged as u32 {
+            let mut s = JournalReader::salvage(&full[..commits[salvaged - 1]]).unwrap();
+            assert_eq!(s.committed(), salvaged);
+            s.recording.epochs[victim as usize].end_machine_hash ^= 0xdead_beef;
+            let expected = s.recording.epochs[victim as usize].end_machine_hash;
+            let prefix = full[..s.keep[0].unwrap()].to_vec();
+            let mut w = JournalWriter::resume(vec![prefix], 1, &s).unwrap();
+            let name = &spec.name;
+            match resume_from(spec, config, s.recording, &mut w) {
+                Err(ResumeError::PrefixDiverged {
+                    epoch, expected: e, ..
+                }) => {
+                    assert_eq!(epoch, victim, "{name}");
+                    assert_eq!(e, expected, "{name}");
+                }
+                Err(other) => panic!("{name}: tampered epoch {victim}: wrong error {other}"),
+                Ok(_) => panic!("{name}: tampered epoch {victim}: resume succeeded"),
             }
-            Err(other) => panic!("tampered epoch {victim}: wrong error {other}"),
-            Ok(_) => panic!("tampered epoch {victim}: resume succeeded"),
         }
     }
 }

@@ -50,9 +50,10 @@ pub struct DaemonConfig {
     pub queue_capacity: usize,
     /// Per-daemon (per-boot) crash-resume budget: at most this many
     /// [`resume`](Daemon::resume) requests are accepted for the daemon's
-    /// lifetime, bounding the prefix re-enactment work one boot can take
-    /// on. This is deliberately *not* per-attempt: a crash-looping machine
-    /// must converge on serving fresh work, not re-replay forever.
+    /// lifetime, bounding the re-recording of salvaged prefixes one boot
+    /// can take on. This is deliberately *not* per-attempt: a
+    /// crash-looping machine must converge on serving fresh work, not
+    /// re-replay forever.
     pub resume_budget: u32,
     /// Admission lane resumed sessions re-queue on. Resumes flow through
     /// the normal claim path — they share runners and verify cores with
@@ -112,8 +113,9 @@ pub struct DaemonMetrics {
     /// counts in `finalized` like any other.
     pub resumed: u64,
     /// Crash-resumes that did not finalize: the salvaged prefix failed to
-    /// parse or re-enact, the store refused the append-reopen, or the
-    /// resumed run itself failed. The session row keeps the typed detail.
+    /// parse or to match its re-executed epochs, the store refused the
+    /// append-reopen, or the resumed run itself failed. The session row
+    /// keeps the typed detail.
     pub resume_failed: u64,
 }
 
@@ -415,13 +417,14 @@ impl<S: SessionStore + 'static> Daemon<S> {
     }
 
     /// Crash-resumes a [`SessionState::Salvaged`] session: its journal's
-    /// committed prefix stays byte-for-byte in place, the recorder
-    /// re-enacts it to reconstruct the carried state, and recording
-    /// continues from the next epoch — the finished journal is
-    /// byte-identical to a run that never crashed. The session re-queues
-    /// on the [`DaemonConfig::resume_priority`] lane and runs through the
-    /// normal claim path, reported as [`SessionState::Resuming`] until it
-    /// retires. Returns the epoch the resume continues from.
+    /// committed prefix stays byte-for-byte in place, the recorder records
+    /// the session again from its boot state through the same loop, taking
+    /// each salvaged epoch's verdict from the journal, and appends from the
+    /// next epoch on — the finished journal is byte-identical to a run that
+    /// never crashed. The session re-queues on the
+    /// [`DaemonConfig::resume_priority`] lane and runs through the normal
+    /// claim path, reported as [`SessionState::Resuming`] until it retires.
+    /// Returns the epoch the resume continues from.
     ///
     /// Resuming is idempotent: a second request while the resume is
     /// queued or running (two racing clients, a reconnect) returns the
@@ -919,8 +922,9 @@ fn self_lock<S: SessionStore + ?Sized>(inner: &Inner<S>) -> MutexGuard<'_, Regis
 /// faulted if the session's sink-fault plan applies to this attempt),
 /// stream the journal, contain panics. A crash-resume attempt instead
 /// salvages the durable prefix, reopens every stream truncated to it for
-/// append, re-enacts the prefix, and continues recording — nothing
-/// committed is ever rewritten. No daemon lock is held anywhere in here.
+/// append, and hands both to `resume_from`, which records the session
+/// again with the prefix answering for its epochs — nothing committed is
+/// ever rewritten. No daemon lock is held anywhere in here.
 fn run_attempt<S: SessionStore + ?Sized>(store: &S, c: &Claim) -> AttemptOutcome {
     let started = Instant::now();
     let mut cfg = c.spec.config;
@@ -1007,9 +1011,10 @@ fn retire<S: SessionStore + ?Sized>(inner: &Inner<S>, c: Claim, out: AttemptOutc
     drop(c.spec.guest);
     // Salvage the durable view outside the lock; it is pure byte work:
     // was the durable view clean, and how many epochs does it commit.
-    // Resumed attempts are always terminal: the prefix re-enactment is
-    // deterministic, so a failed resume would fail identically on retry —
-    // the row returns to Salvaged (re-resumable within budget) instead.
+    // Resumed attempts are always terminal: recording against the
+    // salvaged prefix is deterministic, so a failed resume would fail
+    // identically on retry — the row returns to Salvaged (re-resumable
+    // within budget) instead.
     let terminal =
         out.error.is_none() || c.resume_from.is_some() || c.attempt >= c.spec.restart_budget;
     let salvaged: Option<(bool, usize)> = if terminal {

@@ -594,7 +594,8 @@ fn cmd_submit(name: &str, o: &Opts) {
 
 /// `dp resume <ID> --socket PATH`: ask a serving daemon to continue a
 /// crashed (`Salvaged`) session from its committed journal prefix. The
-/// daemon re-enacts the prefix deterministically and keeps recording;
+/// daemon records the session again through the recording loop, the
+/// prefix answering for the epochs it holds, and keeps recording past it;
 /// refusals (wrong state, spent budget, unresolvable guest) come back
 /// as one typed line.
 fn cmd_resume(id_arg: &str, o: &Opts) {
