@@ -33,8 +33,6 @@ pub struct EpochSummary {
     pub external_bytes: u64,
     /// End-of-epoch state digest.
     pub end_hash: u64,
-    /// Whether a start checkpoint is stored.
-    pub has_checkpoint: bool,
     /// Thread-parallel wall cycles of the epoch.
     pub tp_cycles: u64,
 }
@@ -90,7 +88,6 @@ pub fn inspect(recording: &Recording) -> Result<InspectReport, ReplayError> {
                 syscall_bytes: codec::encode_syscalls(&e.syscalls).len(),
                 external_bytes: e.external.iter().map(|c| c.bytes.len() as u64).sum(),
                 end_hash: e.end_machine_hash,
-                has_checkpoint: e.start.is_some(),
                 tp_cycles: e.tp_cycles,
             }
         })
@@ -117,7 +114,7 @@ impl fmt::Display for InspectReport {
         for e in &self.epochs {
             writeln!(
                 f,
-                "epoch {:>3}: {:>5} slices {:>3} wakes {:>2} signals | sched {:>6}B sys {:>6}B ext {:>5}B | end {:#018x}{}",
+                "epoch {:>3}: {:>5} slices {:>3} wakes {:>2} signals | sched {:>6}B sys {:>6}B ext {:>5}B | end {:#018x}",
                 e.index,
                 e.slices,
                 e.wakes,
@@ -125,8 +122,7 @@ impl fmt::Display for InspectReport {
                 e.schedule_bytes,
                 e.syscall_bytes,
                 e.external_bytes,
-                e.end_hash,
-                if e.has_checkpoint { " [ckpt]" } else { "" }
+                e.end_hash
             )?;
             for (tid, n, instrs) in &e.per_thread {
                 writeln!(

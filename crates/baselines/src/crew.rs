@@ -206,7 +206,7 @@ pub fn record(spec: &GuestSpec, config: &DoublePlayConfig) -> Result<CrewRecordi
             syscalls: out.syscalls,
             end_machine_hash: machine.state_hash(),
             external: Vec::new(),
-            start: Some(initial.to_image()),
+            start: initial.to_image(),
             tp_cycles: out.cycles,
         },
         initial,

@@ -61,7 +61,7 @@ pub fn record(
         syscalls: ep.generated,
         end_machine_hash: ep.end_hash,
         external: ep.external,
-        start: Some(initial.to_image()),
+        start: initial.to_image(),
         tp_cycles: ep.cycles,
     };
     Ok(UniprocRecording {

@@ -827,13 +827,11 @@ pub fn verify_heavy_spec(pages: u64, iters: i64) -> dp_core::GuestSpec {
 
 /// The E13 recorder configuration: small epochs over a large resident set
 /// keep the per-epoch digest (verify-side) cost far above the
-/// thread-parallel cost, and per-epoch checkpoints are not retained so the
-/// commit stage stays light.
+/// thread-parallel cost.
 pub fn wallclock_config(workers: usize) -> DoublePlayConfig {
     DoublePlayConfig::new(2)
         .epoch_cycles(6_000)
         .spare_workers(workers)
-        .keep_checkpoints(false)
 }
 
 /// E13 / Table: real wall-clock uniparallelism — sequential recording vs
@@ -1678,12 +1676,12 @@ pub fn resume_run(size: Size) -> ResumeRun {
     let total_epochs = offsets.len() as u32;
     assert!(total_epochs >= 4, "need epochs to tear between");
 
-    let wait_terminal = |daemon: &Daemon<MemStore>, id| loop {
-        let r = daemon.report(id).expect("rows are never removed");
-        if r.state.is_terminal() {
-            return r;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(1));
+    // Each timed daemon holds one session, so a drain returns at that
+    // session's retire, with no poll's slack in the wall; a drained daemon
+    // still resumes a salvaged session.
+    let wait_terminal = |daemon: &Daemon<MemStore>, id| {
+        daemon.drain();
+        daemon.report(id).expect("rows are never removed")
     };
 
     // Restart-from-zero baseline: the same session recorded through the
@@ -2117,8 +2115,7 @@ pub fn table_hash_record(run: &HashRun) -> Table {
 }
 
 /// One E19 sweep point: a fixed-footprint guest that rewrites
-/// `dirty_per_round` of its pages per work round, recorded with
-/// checkpoints kept.
+/// `dirty_per_round` of its pages per work round.
 pub struct DeltaSweepRow {
     /// Pages the guest rewrites per round (one round is about one epoch).
     pub dirty_per_round: u64,
@@ -2267,7 +2264,7 @@ fn full_image_bytes(journal: &[u8], recording: &dp_core::Recording) -> u64 {
     let empty = dp_core::CheckpointImage::empty();
     let (mut deltas, mut fulls) = (0u64, 0u64);
     let mut base = &recording.initial;
-    for start in recording.epochs.iter().filter_map(|e| e.start.as_ref()) {
+    for start in recording.epochs.iter().map(|e| &e.start) {
         let (mut delta, mut full) = (Vec::new(), Vec::new());
         start.put_delta(base, &mut delta);
         start.put_delta(&empty, &mut full);
@@ -2332,10 +2329,9 @@ fn delta_workload_row(case: &WorkloadCase, config: &DoublePlayConfig) -> DeltaWo
 /// E19 — delta start checkpoints: journal bytes track what an epoch
 /// changes, not the guest's footprint. Part one sweeps a 4 MB-footprint
 /// guest across 0, 1, 16 and 256 dirtied pages per epoch. Part two
-/// records pfscan, pcomp, radix and aget with checkpoints kept and puts
-/// the stored journal next to the bytes whole start images would have
-/// taken, with salvage time and, for pfscan, the sequential and pipelined
-/// recording loops.
+/// records pfscan, pcomp, radix and aget and puts the stored journal next
+/// to the bytes whole start images would have taken, with salvage time
+/// and, for pfscan, the sequential and pipelined recording loops.
 pub fn delta_run(size: Size) -> DeltaRun {
     let config = DoublePlayConfig::new(2);
     let rounds = (8 * size.factor()).clamp(8, 32);
@@ -2392,7 +2388,7 @@ pub fn table_delta_sweep(run: &DeltaRun) -> Table {
 /// E19 / Table B: suite journals, delta vs full start images.
 pub fn table_delta_workloads(run: &DeltaRun) -> Table {
     let mut t = Table::new(
-        "E19 / Table B: suite journals with checkpoints kept, delta vs full start images",
+        "E19 / Table B: suite journals, delta vs full start images",
         "pfscan and pcomp journals must shrink at least 10x against full \
          start images (each written whole, as the header writes its image); \
          salvage decodes only what was stored; with the commit stage no \

@@ -88,9 +88,14 @@ impl Checkpoint {
 
     /// Converts to a serializable image.
     pub fn to_image(&self) -> CheckpointImage {
+        self.clone().into_image()
+    }
+
+    /// Converts into a serializable image.
+    pub fn into_image(self) -> CheckpointImage {
         CheckpointImage {
-            machine: self.machine.image(),
-            kernel: self.kernel.clone(),
+            machine: self.machine.into_image(),
+            kernel: self.kernel,
             machine_hash: self.machine_hash,
         }
     }

@@ -117,9 +117,6 @@ pub struct DoublePlayConfig {
     /// divergence additionally pays for re-running the thread-parallel
     /// epoch, modelling full rollback of both executions.
     pub forward_recovery: bool,
-    /// Store a full checkpoint with every epoch record (enables parallel
-    /// replay and replay-to-point; costs memory).
-    pub keep_checkpoints: bool,
     /// Hard bound on guest instructions per recording.
     pub max_instructions: u64,
     /// Deterministic fault-injection plan (default: no faults).
@@ -152,7 +149,6 @@ impl DoublePlayConfig {
             hidden_seed: 0x5eed_0fd0_0b1e,
             adaptive: false,
             forward_recovery: true,
-            keep_checkpoints: true,
             max_instructions: 2_000_000_000,
             faults: FaultPlan::none(),
             pipelined: false,
@@ -194,12 +190,6 @@ impl DoublePlayConfig {
     /// Enables or disables forward recovery.
     pub fn forward_recovery(mut self, on: bool) -> Self {
         self.forward_recovery = on;
-        self
-    }
-
-    /// Enables or disables per-epoch checkpoints in the recording.
-    pub fn keep_checkpoints(mut self, on: bool) -> Self {
-        self.keep_checkpoints = on;
         self
     }
 
@@ -248,7 +238,6 @@ impl dp_support::wire::Wire for DoublePlayConfig {
         self.hidden_seed.put(out);
         self.adaptive.put(out);
         self.forward_recovery.put(out);
-        self.keep_checkpoints.put(out);
         self.max_instructions.put(out);
         self.faults.put(out);
     }
@@ -264,7 +253,6 @@ impl dp_support::wire::Wire for DoublePlayConfig {
             hidden_seed: dp_support::wire::Wire::get(r)?,
             adaptive: dp_support::wire::Wire::get(r)?,
             forward_recovery: dp_support::wire::Wire::get(r)?,
-            keep_checkpoints: dp_support::wire::Wire::get(r)?,
             max_instructions: dp_support::wire::Wire::get(r)?,
             faults: dp_support::wire::Wire::get(r)?,
             pipelined: false,
@@ -291,7 +279,6 @@ mod tests {
             .hidden_seed(7)
             .adaptive_epochs(true)
             .forward_recovery(false)
-            .keep_checkpoints(false)
             .max_instructions(10);
         assert_eq!(c.cpus, 4);
         assert_eq!(c.epoch_cycles, 123);
@@ -300,7 +287,6 @@ mod tests {
         assert_eq!(c.hidden_seed, 7);
         assert!(c.adaptive);
         assert!(!c.forward_recovery);
-        assert!(!c.keep_checkpoints);
         assert_eq!(c.max_instructions, 10);
     }
 

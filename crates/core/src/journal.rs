@@ -15,7 +15,7 @@
 //! just the case `N = 1`, and a saved recording ([`Recording::save`]) is a
 //! finalized one-stream journal, byte for byte.
 //!
-//! ## Format (version 5)
+//! ## Format (version 6)
 //!
 //! ```text
 //! stream := magic "DPRS" | version u32 le | frame*
@@ -24,8 +24,7 @@
 //! tag 1 HEADER  stream k u32 | stream count N u32 | program hash u64
 //!               | initial hash u64 | (k == 0 only) wire(meta) ++ delta(empty, initial)
 //! tag 2 EPOCH   index | schedule | syscalls | end hash | external | tp_cycles
-//!               | start := 0 | 1 ++ delta(base, start)
-//!                                               epoch i goes to stream i mod N
+//!               | delta(base, start)            epoch i goes to stream i mod N
 //! tag 3 COMMIT  epoch index u32 | the EPOCH frame's crc32 trailer u32
 //! tag 4 FINAL   total epoch count u32           written to every stream
 //!
@@ -48,8 +47,8 @@
 //! ## Delta start checkpoints
 //!
 //! Each epoch's start image is stored as a content delta
-//! ([`CheckpointImage::put_delta`]) against its **base**: the last stored
-//! start of an earlier epoch, else the header's initial image. The header
+//! ([`CheckpointImage::put_delta`]) against its **base**: the previous
+//! epoch's start, else the header's initial image. The header
 //! writes the initial image itself as a delta against
 //! [`CheckpointImage::empty`], so every stored page takes the same forms.
 //! A changed page is written in the shortest of three forms
@@ -105,8 +104,10 @@ pub const MAGIC: [u8; 4] = *b"DPRS";
 /// stores each epoch's start image as a delta against the previous one;
 /// version 5 writes each changed page as a file block, the runs that
 /// changed or raw, writes the header's image as a delta against an empty
-/// one, and binds each COMMIT marker to its EPOCH frame's CRC trailer.
-pub const VERSION: u32 = 5;
+/// one, and binds each COMMIT marker to its EPOCH frame's CRC trailer;
+/// version 6 stores every epoch's start, so an EPOCH frame has no start
+/// tag.
+pub const VERSION: u32 = 6;
 
 const TAG_HEADER: u8 = 1;
 const TAG_EPOCH: u8 = 2;
@@ -323,7 +324,7 @@ fn lane_loop<W: Write>(mut w: W, rx: &mpsc::Receiver<LaneMsg>, batch: u32, share
 /// Byte determinism: every stream's bytes are a pure function of the epoch
 /// sequence (frames are serialized by the committing caller, in commit
 /// order, before any hand-off, and start images are diffed by content
-/// against the previous stored start), so batching and threading change
+/// against the previous epoch's start), so batching and threading change
 /// *when* bytes become durable, never *which* bytes the streams contain.
 pub struct JournalWriter<W: Write> {
     lanes: Vec<Lane<W>>,
@@ -331,8 +332,8 @@ pub struct JournalWriter<W: Write> {
     epochs: u32,
     written: u64,
     shared: Arc<Shared>,
-    /// The next start image's delta base: the last stored start, else the
-    /// initial image (a copy-on-write clone). `None` until
+    /// The next start image's delta base: the previous epoch's start, else
+    /// the initial image (a copy-on-write clone). `None` until
     /// [`RecordSink::begin`].
     base: Option<CheckpointImage>,
 }
@@ -372,7 +373,7 @@ impl<W: Write> JournalWriter<W> {
     /// `salvaged.keep[k]` bytes of stream `k` (the caller truncated every
     /// torn tail), and the writer appends epoch `salvaged.committed()`
     /// onward, inline, diffing start images against the salvaged
-    /// recording's last stored start. Nothing is rewritten: every stream
+    /// recording's last start. Nothing is rewritten: every stream
     /// continues byte-for-byte where its kept prefix ended.
     ///
     /// # Errors
@@ -395,6 +396,11 @@ impl<W: Write> JournalWriter<W> {
                 keep.ok_or_else(|| invalid(format!("stream {k} is missing; cannot resume")))?;
             written += keep as u64;
         }
+        let recording = &salvaged.recording;
+        let base = recording
+            .epochs
+            .last()
+            .map_or(&recording.initial, |e| &e.start);
         Ok(JournalWriter {
             lanes: writers
                 .into_iter()
@@ -404,7 +410,7 @@ impl<W: Write> JournalWriter<W> {
             epochs: salvaged.committed() as u32,
             written,
             shared: Arc::default(),
-            base: Some(delta_base(&salvaged.recording).clone()),
+            base: Some(base.clone()),
         })
     }
 
@@ -609,7 +615,7 @@ impl<W: Write> RecordSink for JournalWriter<W> {
 
     /// Appends one epoch: in-order check, the EPOCH frame serialized in
     /// place (start image as a delta against the current base), its COMMIT
-    /// marker, and one hand-off to stream `index mod N`; a stored start
+    /// marker, and one hand-off to stream `index mod N`; the epoch's start
     /// then becomes the next base.
     fn epoch_encoded(&mut self, epoch: &EpochRecord, logs: &EncodedLogs) -> io::Result<()> {
         self.check_lanes()?;
@@ -641,9 +647,7 @@ impl<W: Write> RecordSink for JournalWriter<W> {
         let k = (index % self.stream_count()) as usize;
         self.lane_write(k, bytes, 1, false)?;
         self.epochs += 1;
-        if let Some(start) = &epoch.start {
-            self.base = Some(start.clone());
-        }
+        self.base = Some(epoch.start.clone());
         Ok(())
     }
 
@@ -701,17 +705,6 @@ impl Salvaged {
     pub fn committed(&self) -> usize {
         self.recording.epochs.len()
     }
-}
-
-/// The delta base for the epoch after `recording`'s last: its last stored
-/// start image, else its initial image.
-fn delta_base(recording: &Recording) -> &CheckpointImage {
-    recording
-        .epochs
-        .iter()
-        .rev()
-        .find_map(|e| e.start.as_ref())
-        .unwrap_or(&recording.initial)
 }
 
 /// Parses journal streams, including ones a crash left behind.
@@ -808,10 +801,10 @@ fn read_header(buf: &[u8]) -> Result<Header<'_>, ReplayError> {
     })
 }
 
-/// A committed epoch as a stream scan leaves it: the record with `start`
-/// still `None`, and the raw start delta the merge applies against its
-/// base (which only the merge, walking every stream in epoch order, knows).
-type ScannedEpoch<'a> = (EpochRecord, Option<&'a [u8]>);
+/// A committed epoch as a stream scan leaves it: the record with an empty
+/// `start`, and the raw start delta the merge applies against its base
+/// (which only the merge, walking every stream in epoch order, knows).
+type ScannedEpoch<'a> = (EpochRecord, &'a [u8]);
 
 /// What one stream's salvage scan recovered.
 struct Scan<'a> {
@@ -1039,24 +1032,18 @@ fn merge(bufs: &[&[u8]]) -> Result<Salvaged, ReplayError> {
                 .into_iter()
         })
         .collect();
-    // Start deltas apply in epoch order: each against the last start
-    // recovered so far (`last_start` indexes it), else the initial image.
+    // Start deltas apply in epoch order, each against the previous
+    // epoch's start, else the initial image.
     let mut epochs: Vec<EpochRecord> = Vec::new();
-    let mut last_start: Option<usize> = None;
     let walk = loop {
         let i = epochs.len();
         let t = i % n as usize;
         match queues[t].next() {
             Some((mut e, delta)) => {
-                if let Some(delta) = delta {
-                    let base = last_start
-                        .and_then(|b| epochs[b].start.as_ref())
-                        .unwrap_or(&initial);
-                    match apply_delta(base, delta) {
-                        Ok(start) => e.start = Some(start),
-                        Err(err) => break format!("epoch {i}: start delta malformed ({err})"),
-                    }
-                    last_start = Some(i);
+                let base = epochs.last().map_or(&initial, |e| &e.start);
+                match apply_delta(base, delta) {
+                    Ok(start) => e.start = start,
+                    Err(err) => break format!("epoch {i}: start delta malformed ({err})"),
                 }
                 epochs.push(e);
             }
@@ -1138,7 +1125,7 @@ mod tests {
                 }),
                 &[],
             )
-            .image(),
+            .into_image(),
             kernel: dp_os::kernel::Kernel::new(Default::default()),
             machine_hash: 22,
         };
@@ -1152,7 +1139,7 @@ mod tests {
                     syscalls: SyscallLog::new(),
                     end_machine_hash: 100 + u64::from(i),
                     external: Vec::new(),
-                    start: None,
+                    start: initial.clone(),
                     tp_cycles: 10,
                 }
             })
@@ -1324,6 +1311,7 @@ mod tests {
             (b"DPRS", 2),
             (b"DPRS", 3),
             (b"DPRS", 4),
+            (b"DPRS", 5),
             (b"DPRS", 9),
         ] {
             let mut old = body.clone();
@@ -1350,7 +1338,7 @@ mod tests {
                 }
             }
         }
-        // One bit flip turns "DPRS" into "DPRC"; at version 5 that is a bad
+        // One bit flip turns "DPRS" into "DPRC"; at version 6 that is a bad
         // magic, not a retired file.
         let mut flipped = body.clone();
         flipped[3] ^= 0x10;
@@ -1392,9 +1380,9 @@ mod tests {
         mem.write(2 * 4096, 0xabcd, dp_vm::Width::W8);
         let page: Vec<u8> = (0..4096).map(|i| (i % 255 + 1) as u8).collect();
         mem.write_bytes(3 * 4096, &page);
-        epochs[0].start = Some(initial.clone());
-        epochs[1].start = Some(changed.clone());
-        epochs[2].start = Some(changed);
+        epochs[0].start = initial.clone();
+        epochs[1].start = changed.clone();
+        epochs[2].start = changed;
         (meta, initial, epochs)
     }
 
@@ -1425,7 +1413,7 @@ mod tests {
             let mut next = frame.end;
             let head = EpochRecord::get_head(&mut Reader::new(frame.payload));
             match head {
-                Ok((e, Some(delta))) if frame.tag == TAG_EPOCH && e.index == target => {
+                Ok((e, delta)) if frame.tag == TAG_EPOCH && e.index == target => {
                     let mut payload = frame.payload.to_vec();
                     (edit.take().expect("one target epoch"))(
                         &mut payload,
@@ -1443,7 +1431,7 @@ mod tests {
             }
             pos = next;
         }
-        assert!(edit.is_none(), "epoch {target} has no start delta");
+        assert!(edit.is_none(), "no epoch {target} in the journal");
         out
     }
 
@@ -1454,7 +1442,7 @@ mod tests {
         let s = JournalReader::salvage(&buf).unwrap();
         assert!(s.clean, "{}", s.detail);
         for (want, got) in parts.2.iter().zip(&s.recording.epochs) {
-            let (want, got) = (want.start.as_ref().unwrap(), got.start.as_ref().unwrap());
+            let (want, got) = (&want.start, &got.start);
             assert_eq!(
                 want.machine.mem.state_digest(),
                 got.machine.mem.state_digest()
@@ -1463,12 +1451,7 @@ mod tests {
         }
         // Unchanged pages are shared, not copied: the unchanged epoch 2
         // start is the epoch 1 start again.
-        let starts: Vec<_> = s
-            .recording
-            .epochs
-            .iter()
-            .map(|e| e.start.as_ref().unwrap())
-            .collect();
+        let starts: Vec<_> = s.recording.epochs.iter().map(|e| &e.start).collect();
         assert_eq!(
             starts[1]
                 .machine
@@ -1602,7 +1585,7 @@ mod tests {
         let epochs = &bundle.recording.epochs;
         // Memory stops changing once the fill is done; the first epoch to
         // start in that state still carries the fill's last pages.
-        let digest = |i: usize| epochs[i].start.as_ref().unwrap().machine.mem.state_digest();
+        let digest = |i: usize| epochs[i].start.machine.mem.state_digest();
         let filled = digest(epochs.len() - 1);
         let first = (0..epochs.len()).find(|&i| digest(i) == filled).unwrap();
         let after = first + 1..epochs.len();
@@ -1612,7 +1595,7 @@ mod tests {
             after.len()
         );
         for i in after {
-            let start = epochs[i].start.as_ref().unwrap();
+            let start = &epochs[i].start;
             assert!(start.machine.mem.resident_pages() >= 64);
             assert!(
                 sink.frames[i] < 1024,
@@ -1642,7 +1625,7 @@ mod tests {
         let mut bound = base.resident_pages() as u64;
         let mut hashed = digest(base);
         for e in &recording.epochs {
-            let mem = &e.start.as_ref().unwrap().machine.mem;
+            let mem = &e.start.machine.mem;
             let mut delta = Vec::new();
             mem.put_delta(base, &[], &mut delta);
             bound += usize::get(&mut Reader::new(&delta)).unwrap() as u64;

@@ -444,7 +444,7 @@ pub(crate) fn commit_clean(
     config: &DoublePlayConfig,
     cost: &CostModel,
     sink: &mut dyn RecordSink,
-    mut work: EpochWork,
+    work: EpochWork,
     ep: EpOutcome,
     expected_hash: u64,
     sys_enc: Vec<u8>,
@@ -460,13 +460,20 @@ pub(crate) fn commit_clean(
     let ready = c.tp_time;
     c.commit_time =
         finish_epoch_task(config, &mut c.tp_time, &mut c.pool, ep_task, ready).max(c.commit_time);
+    let next = Checkpoint {
+        machine: work.next_machine,
+        kernel: work.next_kernel,
+        machine_hash: expected_hash,
+    };
     let record = EpochRecord {
         index: work.index,
         schedule: ep.schedule,
-        syscalls: std::mem::take(&mut work.syscalls),
+        syscalls: work.syscalls,
         end_machine_hash: expected_hash,
         external: ep.external,
-        start: config.keep_checkpoints.then(|| c.prev.to_image()),
+        // The authoritative checkpoint moves into the record as the
+        // epoch's start, and the epoch's end takes its place.
+        start: std::mem::replace(&mut c.prev, next).into_image(),
         tp_cycles: work.tp_cycles,
     };
     let logs = EncodedLogs {
@@ -474,14 +481,16 @@ pub(crate) fn commit_clean(
         syscalls: sys_enc,
     };
     sink.epoch_encoded(&record, &logs).map_err(sink_err)?;
-    commit_record(c, record, work, expected_hash);
+    c.epochs.push(record);
+    c.stats.committed += 1;
+    c.stats.epochs += 1;
     Ok(())
 }
 
-/// Commits `record` as the epoch `work` ran and makes `work`'s end state,
-/// whose digest is `hash`, the authoritative checkpoint. A salvaged epoch
-/// the journal shows committed clean commits its journaled record this way,
-/// with no verify and no sink write: the journal holds it already.
+/// Commits a salvaged epoch the journal shows committed clean: its
+/// journaled `record`, with no verify and no sink write (the journal holds
+/// it already), and makes `work`'s end state, whose digest is `hash`, the
+/// authoritative checkpoint.
 pub(crate) fn commit_record(c: &mut CommitState, record: EpochRecord, work: EpochWork, hash: u64) {
     c.epochs.push(record);
     c.prev = Checkpoint {
@@ -546,7 +555,7 @@ pub(crate) fn retire_diverged(
     }
     c.commit_time = resume;
     c.tp_time = resume;
-    adopt(c, config, sink, work.tp_cycles, live)
+    adopt(c, sink, work.tp_cycles, live)
 }
 
 /// Records one serialized (degraded-mode) epoch: a single uniprocessor-style
@@ -571,7 +580,7 @@ pub(crate) fn record_serialized_epoch(
     c.stats.serialized_epochs += 1;
     // There is no thread-parallel run: the record stores the live run's.
     let tp_cycles = live.out.cycles;
-    adopt(c, config, sink, tp_cycles, live)
+    adopt(c, sink, tp_cycles, live)
 }
 
 /// An epoch re-executed live, charged as epoch-parallel work but not yet
@@ -626,7 +635,6 @@ fn run_live_charged(
 /// shared tail.
 fn adopt(
     c: &mut CommitState,
-    config: &DoublePlayConfig,
     sink: &mut dyn RecordSink,
     tp_cycles: u64,
     live: Live,
@@ -654,12 +662,11 @@ fn adopt(
         syscalls: generated,
         end_machine_hash: end_hash,
         external,
-        start: config.keep_checkpoints.then(|| c.prev.to_image()),
+        start: std::mem::replace(&mut c.prev, Checkpoint::capture(&machine, &kernel)).into_image(),
         tp_cycles,
     });
     sink.epoch_encoded(c.epochs.last().expect("epoch just pushed"), &logs)
         .map_err(sink_err)?;
-    c.prev = Checkpoint::capture(&machine, &kernel);
     c.stats.epochs += 1;
     Ok(Adopted {
         machine,
@@ -767,7 +774,6 @@ mod tests {
         assert_eq!(bundle.stats.divergences, 0);
         assert!(bundle.stats.epochs >= 2);
         assert_eq!(bundle.stats.committed, bundle.stats.epochs);
-        assert!(bundle.recording.has_checkpoints());
         let native = measure_native(&spec, &config).unwrap();
         assert!(native > 0);
         assert!(bundle.stats.recorded_cycles >= native);

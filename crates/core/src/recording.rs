@@ -2,8 +2,8 @@
 //!
 //! A recording is *complete*: given the same [`crate::GuestSpec`] (verified
 //! by program hash), any consumer can re-create the recorded execution —
-//! sequentially from the initial state, or epoch-by-epoch in parallel when
-//! per-epoch checkpoints were kept. On disk it is a finalized one-stream
+//! sequentially from the initial state, or epoch-by-epoch in parallel from
+//! each epoch's start checkpoint. On disk it is a finalized one-stream
 //! journal ([`crate::journal`]).
 
 use std::io::{Read, Write};
@@ -42,9 +42,9 @@ pub struct EpochRecord {
     pub end_machine_hash: u64,
     /// External output released when this epoch committed.
     pub external: Vec<ExternalChunk>,
-    /// Start-of-epoch checkpoint (present when the recorder kept
-    /// checkpoints; enables parallel replay and replay-to-point).
-    pub start: Option<CheckpointImage>,
+    /// Start-of-epoch checkpoint (what parallel replay and
+    /// replay-to-point start the epoch from).
+    pub start: CheckpointImage,
     /// Thread-parallel wall cycles of the epoch (diagnostics).
     pub tp_cycles: u64,
 }
@@ -73,10 +73,6 @@ impl EncodedLogs {
     }
 }
 
-/// Start-image tags of an EPOCH payload.
-const NO_START: u8 = 0;
-const START_DELTA: u8 = 1;
-
 impl EpochRecord {
     /// Serializes the record as an EPOCH payload, splicing the pre-encoded
     /// log payloads in and writing the start image last, as a delta against
@@ -84,7 +80,7 @@ impl EpochRecord {
     ///
     /// ```text
     /// index | schedule | syscalls | end hash | external | tp_cycles
-    ///       | start := 0 | 1 ++ delta(base, start)
+    ///       | delta(base, start)
     /// ```
     ///
     /// The journal decides what `base` is; `get_head` decodes a payload
@@ -98,21 +94,14 @@ impl EpochRecord {
         self.end_machine_hash.put(out);
         self.external.put(out);
         self.tp_cycles.put(out);
-        match &self.start {
-            None => out.push(NO_START),
-            Some(start) => {
-                out.push(START_DELTA);
-                start.put_delta(base, out);
-            }
-        }
+        self.start.put_delta(base, out);
     }
 
-    /// Decodes an EPOCH payload up to its start image: the record with
-    /// `start` left `None`, plus the raw start delta when the record has
-    /// one (the rest of the payload). Only the caller knows the delta's
-    /// base, so applying it ([`CheckpointImage::get_delta`]) is left to
-    /// the caller.
-    pub(crate) fn get_head<'a>(r: &mut Reader<'a>) -> Result<(Self, Option<&'a [u8]>), WireError> {
+    /// Decodes an EPOCH payload up to its start image: the record with an
+    /// empty `start`, plus the raw start delta (the rest of the payload).
+    /// Only the caller knows the delta's base, so applying it
+    /// ([`CheckpointImage::get_delta`]) is left to the caller.
+    pub(crate) fn get_head<'a>(r: &mut Reader<'a>) -> Result<(Self, &'a [u8]), WireError> {
         let record = EpochRecord {
             index: Wire::get(r)?,
             schedule: Wire::get(r)?,
@@ -120,26 +109,9 @@ impl EpochRecord {
             end_machine_hash: Wire::get(r)?,
             external: Wire::get(r)?,
             tp_cycles: Wire::get(r)?,
-            start: None,
+            start: CheckpointImage::empty(),
         };
-        let off = r.pos();
-        let delta = match r.u8("start tag")? {
-            NO_START if r.is_empty() => None,
-            NO_START => {
-                return Err(WireError {
-                    offset: r.pos(),
-                    context: "trailing bytes after epoch record",
-                })
-            }
-            START_DELTA => Some(r.take(r.remaining(), "start delta")?),
-            _ => {
-                return Err(WireError {
-                    offset: off,
-                    context: "unknown start tag",
-                })
-            }
-        };
-        Ok((record, delta))
+        Ok((record, r.take(r.remaining(), "start delta")?))
     }
 }
 
@@ -202,11 +174,6 @@ impl Recording {
     /// Total logged syscalls across epochs.
     pub fn logged_syscalls(&self) -> u64 {
         self.epochs.iter().map(|e| e.syscalls.len() as u64).sum()
-    }
-
-    /// True when every epoch carries a start checkpoint.
-    pub fn has_checkpoints(&self) -> bool {
-        self.epochs.iter().all(|e| e.start.is_some())
     }
 
     /// Serializes the recording as a finalized one-stream journal
@@ -288,6 +255,21 @@ mod tests {
     fn tiny_recording() -> Recording {
         let mut schedule = ScheduleLog::new();
         schedule.push_slice(Tid(0), 100);
+        let initial = CheckpointImage {
+            machine: dp_vm::Machine::new(
+                std::sync::Arc::new({
+                    let mut pb = dp_vm::builder::ProgramBuilder::new();
+                    let mut f = pb.function("main");
+                    f.ret();
+                    f.finish();
+                    pb.finish("main")
+                }),
+                &[],
+            )
+            .into_image(),
+            kernel: dp_os::kernel::Kernel::new(Default::default()),
+            machine_hash: 2,
+        };
         Recording {
             meta: RecordingMeta {
                 guest_name: "t".into(),
@@ -295,21 +277,7 @@ mod tests {
                 initial_machine_hash: 2,
                 config: DoublePlayConfig::new(2),
             },
-            initial: CheckpointImage {
-                machine: dp_vm::Machine::new(
-                    std::sync::Arc::new({
-                        let mut pb = dp_vm::builder::ProgramBuilder::new();
-                        let mut f = pb.function("main");
-                        f.ret();
-                        f.finish();
-                        pb.finish("main")
-                    }),
-                    &[],
-                )
-                .image(),
-                kernel: dp_os::kernel::Kernel::new(Default::default()),
-                machine_hash: 2,
-            },
+            initial: initial.clone(),
             epochs: vec![EpochRecord {
                 index: 0,
                 schedule,
@@ -319,7 +287,7 @@ mod tests {
                     dest: ExternalDest::Console,
                     bytes: b"hi".to_vec(),
                 }],
-                start: None,
+                start: initial,
                 tp_cycles: 500,
             }],
         }
@@ -333,7 +301,6 @@ mod tests {
         assert_eq!(r.log_bytes(), r.schedule_bytes() + r.syscall_bytes());
         assert_eq!(r.schedule_events(), 1);
         assert_eq!(r.logged_syscalls(), 0);
-        assert!(!r.has_checkpoints());
     }
 
     #[test]
@@ -384,11 +351,10 @@ mod tests {
         second.machine.mem.write(0x2000, 0, dp_vm::Width::W8);
         second.machine.mem.write(0x9000, 1, dp_vm::Width::W1);
         second.machine_hash = 8;
-        r.epochs[0].start = Some(first);
-        let mut gap = r.epochs[0].clone();
-        gap.index = 1;
-        gap.start = None;
-        gap.syscalls.push(crate::logs::SyscallLogEntry {
+        r.epochs[0].start = first;
+        let mut same = r.epochs[0].clone();
+        same.index = 1;
+        same.syscalls.push(crate::logs::SyscallLogEntry {
             tid: Tid(0),
             num: 4,
             arg_hash: 9,
@@ -396,10 +362,10 @@ mod tests {
             effect: Default::default(),
             via_wake: false,
         });
-        let mut last = gap.clone();
+        let mut last = same.clone();
         last.index = 2;
-        last.start = Some(second);
-        r.epochs.push(gap);
+        last.start = second;
+        r.epochs.push(same);
         r.epochs.push(last);
         let mut buf = Vec::new();
         r.save(&mut buf).unwrap();
@@ -413,13 +379,11 @@ mod tests {
             assert_eq!(a.end_machine_hash, b.end_machine_hash);
             assert_eq!(a.external, b.external);
             assert_eq!(a.tp_cycles, b.tp_cycles);
-            assert_eq!(a.start.is_some(), b.start.is_some());
-            if let (Some(x), Some(y)) = (&a.start, &b.start) {
-                assert_eq!(x.machine.mem.state_digest(), y.machine.mem.state_digest());
-                assert_eq!(x.machine.mem.dirty(), y.machine.mem.dirty());
-                assert_eq!(x.kernel, y.kernel);
-                assert_eq!(x.machine_hash, y.machine_hash);
-            }
+            let (x, y) = (&a.start, &b.start);
+            assert_eq!(x.machine.mem.state_digest(), y.machine.mem.state_digest());
+            assert_eq!(x.machine.mem.dirty(), y.machine.mem.dirty());
+            assert_eq!(x.kernel, y.kernel);
+            assert_eq!(x.machine_hash, y.machine_hash);
         }
         let mut again = Vec::new();
         back.recording.save(&mut again).unwrap();

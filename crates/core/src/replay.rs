@@ -530,27 +530,21 @@ pub fn replay_sequential(
     replay_observed(recording, program, &mut NullObserver)
 }
 
-/// Replays all epochs in parallel on `threads` real OS threads, using the
-/// per-epoch checkpoints stored in the recording. Epochs are independent
-/// given their checkpoints, so this is an embarrassingly parallel verify —
-/// the mechanism behind the paper's parallel-replay speedups. At most one
+/// Replays all epochs in parallel on `threads` real OS threads, each from
+/// the start checkpoint stored with it. Epochs are independent given their
+/// checkpoints, so this is an embarrassingly parallel verify — the
+/// mechanism behind the paper's parallel-replay speedups. At most one
 /// thread starts per epoch, whatever `threads` asks for.
 ///
 /// # Errors
 ///
-/// [`ReplayError::BadRequest`] if the recording lacks checkpoints;
-/// otherwise the first epoch error encountered.
+/// The first epoch error encountered.
 pub fn replay_parallel(
     recording: &Recording,
     program: &Arc<Program>,
     threads: usize,
 ) -> Result<ReplayReport, ReplayError> {
     check_program(recording, program)?;
-    if !recording.has_checkpoints() {
-        return Err(ReplayError::BadRequest {
-            detail: "recording has no per-epoch checkpoints".into(),
-        });
-    }
     let n = recording.epochs.len();
     let threads = threads.clamp(1, n.max(1));
     // Interleaved round-robin partitioning balances long/short epochs.
@@ -572,10 +566,7 @@ pub fn replay_parallel(
                     let mut instructions = 0u64;
                     let mut exit_code = None;
                     for epoch in chunk {
-                        let image = epoch.start.clone().ok_or_else(|| ReplayError::BadRequest {
-                            detail: format!("epoch {} has no checkpoint", epoch.index),
-                        })?;
-                        let start = Checkpoint::from_image(program.clone(), image);
+                        let start = Checkpoint::from_image(program.clone(), epoch.start.clone());
                         let (end, _, n) = replay_epoch_guarded(&plan, &start, epoch)?;
                         instructions += n;
                         exit_code = end.halted();
@@ -627,8 +618,8 @@ pub fn replay_parallel(
 ///
 /// # Errors
 ///
-/// [`ReplayError::BadRequest`] for out-of-range epochs or when the
-/// recording lacks checkpoints; replay errors otherwise.
+/// [`ReplayError::BadRequest`] for out-of-range epochs; replay errors
+/// otherwise.
 pub fn replay_to_point(
     recording: &Recording,
     program: &Arc<Program>,
@@ -644,10 +635,7 @@ pub fn replay_to_point(
             .ok_or_else(|| ReplayError::BadRequest {
                 detail: format!("epoch {epoch_index} out of range"),
             })?;
-    let image = epoch.start.clone().ok_or_else(|| ReplayError::BadRequest {
-        detail: "recording has no per-epoch checkpoints".into(),
-    })?;
-    let start = Checkpoint::from_image(program.clone(), image);
+    let start = Checkpoint::from_image(program.clone(), epoch.start.clone());
     let stop = Some((tid, icount));
     replay_from(start.machine, start.kernel, epoch, stop, &mut NullObserver)
         .map(|(machine, _, _)| machine)
@@ -806,19 +794,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_replay_without_checkpoints_is_rejected() {
-        let spec = atomic_counter_spec(1000, 2);
-        let config = DoublePlayConfig::new(2).keep_checkpoints(false);
-        let bundle = record(&spec, &config).unwrap();
-        assert!(matches!(
-            replay_parallel(&bundle.recording, &spec.program, 2),
-            Err(ReplayError::BadRequest { .. })
-        ));
-        // Sequential replay still works without checkpoints.
-        assert!(replay_sequential(&bundle.recording, &spec.program).is_ok());
-    }
-
-    #[test]
     fn signal_to_a_thread_that_is_not_ready_is_a_schedule_mismatch() {
         use dp_vm::builder::ProgramBuilder;
         use dp_vm::Reg;
@@ -860,7 +835,7 @@ mod tests {
             syscalls: Default::default(),
             end_machine_hash: 0,
             external: Vec::new(),
-            start: None,
+            start: start.to_image(),
             tp_cycles: 0,
         };
         let err = replay_epoch(&start, &epoch).unwrap_err();

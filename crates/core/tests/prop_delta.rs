@@ -121,7 +121,7 @@ fn unlink(m: &mut Machine, k: &mut Kernel, path: &str) {
 
 fn image(m: &Machine, k: &Kernel) -> CheckpointImage {
     CheckpointImage {
-        machine: m.image(),
+        machine: m.clone().into_image(),
         kernel: k.clone(),
         machine_hash: m.state_hash(),
     }

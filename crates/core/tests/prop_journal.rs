@@ -23,8 +23,8 @@ use dp_vm::Reg;
 use std::sync::Arc;
 
 /// A small two-thread guest whose recording spans several epochs but stays
-/// a few kilobytes (no per-epoch checkpoints), so exhaustive per-byte
-/// loops stay fast.
+/// small (each start delta holds the few pages an epoch changes), so
+/// exhaustive per-byte loops stay fast.
 fn small_recording() -> (GuestSpec, Recording) {
     let iters = 900i64;
     let mut pb = ProgramBuilder::new();
@@ -65,9 +65,7 @@ fn small_recording() -> (GuestSpec, Recording) {
         Arc::new(pb.finish("main")),
         WorldConfig::default(),
     );
-    let config = DoublePlayConfig::new(2)
-        .epoch_cycles(2_000)
-        .keep_checkpoints(false);
+    let config = DoublePlayConfig::new(2).epoch_cycles(2_000);
     let recording = record(&spec, &config).unwrap().recording;
     assert!(
         recording.epochs.len() >= 3,

@@ -6,9 +6,8 @@
 //! for the epochs it holds, and continue. The final journal (and its
 //! recording) must be **byte-identical** to the run that never crashed,
 //! with the same epoch, commit, divergence, serialized-epoch, worker-retry
-//! and instruction counts. Swept across hidden seeds, shard counts, crash
-//! instants and stored or omitted start checkpoints, over guests that
-//! exercise all three epoch fates (clean commits, divergences with forward
+//! and instruction counts. Swept across hidden seeds, shard counts and
+//! crash instants, over guests that exercise all three epoch fates (clean commits, divergences with forward
 //! recovery, degraded serialized mode).
 //!
 //! Tampering and misuse must surface as typed [`ResumeError`]s — never a
@@ -187,36 +186,31 @@ fn crash_and_resume_at(
 
 /// Clean-path sweep: an atomic guest never diverges, so every prefix epoch
 /// takes its clean verdict from the journal after its thread-parallel run
-/// alone. Swept across hidden seeds, stored or omitted start checkpoints,
-/// and every commit boundary plus mid-frame tears.
+/// alone. Swept across hidden seeds and every commit boundary plus
+/// mid-frame tears.
 #[test]
 fn resume_is_byte_identical_across_crash_instants_clean() {
     let spec = counter_spec("resume-clean", 900, false);
     for seed in [0x5eed_0fd0_0b1eu64, 0xabba_1972] {
-        for keep in [false, true] {
-            let config = DoublePlayConfig::new(2)
-                .epoch_cycles(2_000)
-                .keep_checkpoints(keep)
-                .hidden_seed(seed);
-            let (full, solo, commits) = solo_journal(&spec, &config);
-            let epochs = solo.recording.epochs.len();
-            assert!(epochs >= 3, "want a multi-epoch run");
-            let mut salvaged_counts = Vec::new();
-            for cut in crash_instants(full.len(), &commits, 37) {
-                if let Some(k) = crash_and_resume_at(&spec, &config, &full, &solo, cut, commits[0])
-                {
-                    salvaged_counts.push(k);
-                }
+        let config = DoublePlayConfig::new(2)
+            .epoch_cycles(2_000)
+            .hidden_seed(seed);
+        let (full, solo, commits) = solo_journal(&spec, &config);
+        let epochs = solo.recording.epochs.len();
+        assert!(epochs >= 3, "want a multi-epoch run");
+        let mut salvaged_counts = Vec::new();
+        for cut in crash_instants(full.len(), &commits, 37) {
+            if let Some(k) = crash_and_resume_at(&spec, &config, &full, &solo, cut, commits[0]) {
+                salvaged_counts.push(k);
             }
-            // The sweep must actually cover resumes from every prefix
-            // length, including zero epochs and the full prefix with FINAL
-            // lost.
-            for k in 0..=epochs {
-                assert!(
-                    salvaged_counts.contains(&k),
-                    "seed {seed:#x}, keep {keep}: no cut salvaged {k} epochs"
-                );
-            }
+        }
+        // The sweep must actually cover resumes from every prefix length,
+        // including zero epochs and the full prefix with FINAL lost.
+        for k in 0..=epochs {
+            assert!(
+                salvaged_counts.contains(&k),
+                "seed {seed:#x}: no cut salvaged {k} epochs"
+            );
         }
     }
 }
@@ -225,7 +219,7 @@ fn resume_is_byte_identical_across_crash_instants_clean() {
 /// drives the recorder through forward recovery, and a divergence storm
 /// drives it into degraded serialized mode, so salvaged diverged and
 /// serialized epochs both re-run live, hash-checked, at every crash
-/// instant, with start checkpoints stored or omitted.
+/// instant.
 #[test]
 fn resume_is_byte_identical_across_crash_instants_diverging() {
     dp_core::faults::silence_injected_panics();
@@ -241,20 +235,17 @@ fn resume_is_byte_identical_across_crash_instants_diverging() {
         ),
     ];
     for (spec, config, storm) in &inputs {
-        for keep in [false, true] {
-            let config = config.keep_checkpoints(keep);
-            let (full, solo, commits) = solo_journal(spec, &config);
-            assert!(solo.recording.epochs.len() >= 3, "want a multi-epoch run");
-            assert!(solo.stats.divergences > 0, "{}: no divergence", spec.name);
-            if *storm {
-                assert!(
-                    solo.stats.serialized_epochs > 0,
-                    "the storm never degraded to serialized epochs"
-                );
-            }
-            for cut in crash_instants(full.len(), &commits, 101) {
-                crash_and_resume_at(spec, &config, &full, &solo, cut, commits[0]);
-            }
+        let (full, solo, commits) = solo_journal(spec, config);
+        assert!(solo.recording.epochs.len() >= 3, "want a multi-epoch run");
+        assert!(solo.stats.divergences > 0, "{}: no divergence", spec.name);
+        if *storm {
+            assert!(
+                solo.stats.serialized_epochs > 0,
+                "the storm never degraded to serialized epochs"
+            );
+        }
+        for cut in crash_instants(full.len(), &commits, 101) {
+            crash_and_resume_at(spec, config, &full, &solo, cut, commits[0]);
         }
     }
 }
@@ -266,10 +257,8 @@ fn resume_is_byte_identical_across_crash_instants_diverging() {
 #[test]
 fn resume_is_byte_identical_across_shard_tears() {
     let spec = counter_spec("resume-shards", 900, false);
-    for (shards, keep) in [(2usize, false), (3, false), (2, true), (3, true)] {
-        let config = DoublePlayConfig::new(2)
-            .epoch_cycles(2_000)
-            .keep_checkpoints(keep);
+    for shards in [2usize, 3] {
+        let config = DoublePlayConfig::new(2).epoch_cycles(2_000);
         let mut w =
             JournalWriter::sync((0..shards).map(|_| Vec::<u8>::new()).collect(), 2).unwrap();
         let bundle = record_to(&spec, &config, &mut w).unwrap();
@@ -309,14 +298,12 @@ fn resume_is_byte_identical_across_shard_tears() {
             let committed = s.committed();
             let mut rw = JournalWriter::resume(lanes, 2, &s).unwrap();
             resume_from(&spec, &config, s.recording, &mut rw).unwrap_or_else(|e| {
-                panic!(
-                    "{shards} shards, keep {keep}, {committed} epochs salvaged: resume failed: {e}"
-                )
+                panic!("{shards} shards, {committed} epochs salvaged: resume failed: {e}")
             });
             assert_eq!(
                 rw.into_writers().unwrap(),
                 full,
-                "{shards} shards, keep {keep}, {committed} epochs salvaged: lanes differ after resume"
+                "{shards} shards, {committed} epochs salvaged: lanes differ after resume"
             );
         }
     }
@@ -328,9 +315,7 @@ fn resume_is_byte_identical_across_shard_tears() {
 /// diverged or serialized epoch of a divergence storm's prefix.
 #[test]
 fn tampered_hash_surfaces_as_prefix_diverged() {
-    let clean = DoublePlayConfig::new(2)
-        .epoch_cycles(2_000)
-        .keep_checkpoints(false);
+    let clean = DoublePlayConfig::new(2).epoch_cycles(2_000);
     let inputs = [
         (counter_spec("resume-tamper", 900, false), clean, false),
         (
@@ -372,9 +357,7 @@ fn tampered_hash_surfaces_as_prefix_diverged() {
 #[test]
 fn foreign_prefixes_are_rejected_as_bad_prefix() {
     let spec = counter_spec("resume-foreign", 900, false);
-    let config = DoublePlayConfig::new(2)
-        .epoch_cycles(2_000)
-        .keep_checkpoints(false);
+    let config = DoublePlayConfig::new(2).epoch_cycles(2_000);
     let (full, _, commits) = solo_journal(&spec, &config);
     let salvage = || JournalReader::salvage(&full[..commits[1]]).unwrap();
 

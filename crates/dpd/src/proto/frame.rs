@@ -18,8 +18,9 @@ use std::io::{self, Read, Write};
 pub const PROTO_MAGIC: [u8; 4] = *b"DPN1";
 
 /// Protocol version, exchanged with the magic. Mismatches are refused at
-/// handshake time so framing never has to guess.
-pub const PROTO_VERSION: u32 = 1;
+/// handshake time so framing never has to guess. Version 2 submits the
+/// recorder configuration without its retired start-checkpoint flag.
+pub const PROTO_VERSION: u32 = 2;
 
 /// Hard cap on a frame's declared payload length. Requests are tiny and
 /// attach chunks are bounded well under this; anything larger is a

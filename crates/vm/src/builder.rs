@@ -84,15 +84,6 @@ impl ProgramBuilder {
         addr
     }
 
-    /// Installs a data segment at an explicit address without allocating a
-    /// named global (used by the assembler to reproduce exact layouts).
-    pub fn data_at(&mut self, addr: Word, bytes: &[u8]) {
-        self.data.push(DataSegment {
-            addr,
-            bytes: bytes.to_vec(),
-        });
-    }
-
     /// Forward-declares (or looks up) a function by name, returning its id.
     /// The body can be provided later via [`ProgramBuilder::function`].
     pub fn declare(&mut self, name: &str) -> FuncId {

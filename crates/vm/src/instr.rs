@@ -113,33 +113,6 @@ impl BinOp {
             BinOp::Maxu => a.max(b),
         })
     }
-
-    /// Mnemonic used by the disassembler.
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            BinOp::Add => "add",
-            BinOp::Sub => "sub",
-            BinOp::Mul => "mul",
-            BinOp::Divu => "divu",
-            BinOp::Remu => "remu",
-            BinOp::Divs => "divs",
-            BinOp::Rems => "rems",
-            BinOp::And => "and",
-            BinOp::Or => "or",
-            BinOp::Xor => "xor",
-            BinOp::Shl => "shl",
-            BinOp::Shr => "shr",
-            BinOp::Sar => "sar",
-            BinOp::Eq => "eq",
-            BinOp::Ne => "ne",
-            BinOp::Ltu => "ltu",
-            BinOp::Leu => "leu",
-            BinOp::Lts => "lts",
-            BinOp::Les => "les",
-            BinOp::Minu => "minu",
-            BinOp::Maxu => "maxu",
-        }
-    }
 }
 
 /// Unary operations for [`Instr::Un`].
@@ -158,14 +131,6 @@ impl UnOp {
         match self {
             UnOp::Not => !a,
             UnOp::Neg => a.wrapping_neg(),
-        }
-    }
-
-    /// Mnemonic used by the disassembler.
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            UnOp::Not => "not",
-            UnOp::Neg => "neg",
         }
     }
 }

@@ -43,9 +43,7 @@
 
 #![warn(missing_docs)]
 
-pub mod asm;
 pub mod builder;
-pub mod disasm;
 mod error;
 pub mod hash;
 mod instr;

@@ -359,13 +359,13 @@ impl Machine {
         h.finish()
     }
 
-    /// Captures a serializable image of the machine state.
-    pub fn image(&self) -> MachineImage {
+    /// Converts the machine into a serializable image of its state.
+    pub fn into_image(self) -> MachineImage {
         MachineImage {
-            mem: self.mem.clone(),
-            threads: self.threads.clone(),
+            mem: self.mem,
+            threads: self.threads,
             halted: self.halted,
-            fault: self.fault.clone(),
+            fault: self.fault,
         }
     }
 
@@ -1051,7 +1051,7 @@ mod tests {
         let mut m = Machine::new(p.clone(), &[]);
         m.run_slice(Tid(0), SliceLimits::budget(3), &mut NullObserver)
             .unwrap();
-        let image = m.image();
+        let image = m.clone().into_image();
         let restored = Machine::from_image(p, image);
         assert_eq!(restored.state_hash(), m.state_hash());
         assert_eq!(restored.live_threads(), m.live_threads());

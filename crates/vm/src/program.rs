@@ -44,7 +44,7 @@ pub fn initial_sp(tid_index: usize) -> Word {
 /// A function body.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Function {
-    /// Human-readable name (used by the disassembler and error messages).
+    /// Human-readable name (used in error messages).
     pub name: String,
     /// Instruction sequence. Execution falling off the end faults, so every
     /// path must end in `Ret`, a jump, or an exit syscall.

@@ -660,8 +660,7 @@ fn state_hash_detects_byte_flips() {
 }
 
 mod asm_props {
-    use dp_support::check::{check, Gen};
-    use dp_vm::asm::{assemble, program_to_asm};
+    use dp_support::check::Gen;
     use dp_vm::{BinOp, Instr, Reg, Src, UnOp, Width};
 
     pub(super) fn reg(g: &mut Gen) -> Reg {
@@ -748,129 +747,5 @@ mod asm_props {
             },
             _ => Instr::Nop,
         }
-    }
-
-    /// Any program of random instructions (plus valid jumps and a final
-    /// ret) survives a dump/parse roundtrip instruction-for-instruction.
-    #[test]
-    fn asm_roundtrip_random_programs() {
-        check("asm_roundtrip_random_programs", 96, |g| {
-            use dp_vm::builder::ProgramBuilder;
-            let mut code: Vec<Instr> = (0..g.range(1, 40)).map(|_| instr(g)).collect();
-            // Interleave jumps with valid in-range targets.
-            for _ in 0..g.index(6) {
-                let at = g.index(code.len());
-                let target = g.index(code.len() + 1) as u32;
-                let j = match g.index(3) {
-                    0 => Instr::Jmp { target },
-                    1 => Instr::Jnz {
-                        cond: Reg(1),
-                        target,
-                    },
-                    _ => Instr::Jz {
-                        cond: Reg(2),
-                        target,
-                    },
-                };
-                code.insert(at, j);
-            }
-            // Fix up targets that insertion may have shifted out of range.
-            let len = code.len() as u32 + 1;
-            for i in &mut code {
-                if let Instr::Jmp { target }
-                | Instr::Jnz { target, .. }
-                | Instr::Jz { target, .. } = i
-                {
-                    *target %= len;
-                }
-            }
-            code.push(Instr::Ret);
-
-            let mut pb = ProgramBuilder::new();
-            let mut f = pb.function("main");
-            // Install raw instructions via the builder's label machinery:
-            // bind a label per index so jumps resolve identically.
-            let labels: Vec<_> = (0..=code.len()).map(|_| f.label()).collect();
-            for (i, instr) in code.iter().enumerate() {
-                f.bind(labels[i]);
-                match *instr {
-                    Instr::Jmp { target } => {
-                        f.jmp(labels[target as usize]);
-                    }
-                    Instr::Jnz { cond, target } => {
-                        f.jnz(cond, labels[target as usize]);
-                    }
-                    Instr::Jz { cond, target } => {
-                        f.jz(cond, labels[target as usize]);
-                    }
-                    Instr::Const { dst, imm } => {
-                        f.constu(dst, imm);
-                    }
-                    Instr::Mov { dst, src } => {
-                        f.mov(dst, src);
-                    }
-                    Instr::Bin { op, dst, a, b } => {
-                        f.bin(op, dst, a, b);
-                    }
-                    Instr::Un { op, dst, a } => {
-                        f.un(op, dst, a);
-                    }
-                    Instr::Load {
-                        dst,
-                        addr,
-                        offset,
-                        width,
-                    } => {
-                        f.load(dst, addr, offset, width);
-                    }
-                    Instr::Store {
-                        src,
-                        addr,
-                        offset,
-                        width,
-                    } => {
-                        f.store(src, addr, offset, width);
-                    }
-                    Instr::Cas {
-                        dst,
-                        addr,
-                        expected,
-                        new,
-                    } => {
-                        f.cas(dst, addr, expected, new);
-                    }
-                    Instr::FetchAdd { dst, addr, val } => {
-                        f.fetch_add(dst, addr, val);
-                    }
-                    Instr::Syscall { num } => {
-                        f.syscall(num);
-                    }
-                    Instr::Ret => {
-                        f.ret();
-                    }
-                    Instr::Nop => {
-                        f.nop();
-                    }
-                    _ => unreachable!(),
-                }
-            }
-            f.bind(labels[code.len()]);
-            f.nop(); // landing pad for end-of-function jump targets
-            f.finish();
-            let original = pb.finish("main");
-
-            let text = program_to_asm(&original);
-            let reparsed =
-                assemble(&text).unwrap_or_else(|e| panic!("reparse failed: {e}\n---\n{text}"));
-            let a = &original.functions()[0].code;
-            let b = &reparsed.functions()[0].code;
-            // The dump may add a trailing landing-pad nop; compare the
-            // common prefix plus require only nops beyond it.
-            let n = a.len().min(b.len());
-            assert_eq!(&a[..n], &b[..n], "\n---\n{}", text);
-            for extra in b.iter().skip(n).chain(a.iter().skip(n)) {
-                assert_eq!(extra, &Instr::Nop);
-            }
-        });
     }
 }

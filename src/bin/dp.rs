@@ -950,14 +950,6 @@ fn main() {
             );
             println!("epochs:        {}", r.epochs.len());
             println!(
-                "checkpoints:   {}",
-                if r.has_checkpoints() {
-                    "per-epoch (parallel replay ok)"
-                } else {
-                    "initial only"
-                }
-            );
-            println!(
                 "schedule:      {} events, {} bytes",
                 r.schedule_events(),
                 r.schedule_bytes()

@@ -182,3 +182,48 @@ fn racy_workloads_record_with_recovery_and_replay_exactly() {
             .unwrap_or_else(|e| panic!("{}: replayed state wrong: {e}", case.name));
     }
 }
+
+/// Parallel replay starts each epoch from its stored start, so every start
+/// must be the state the previous epoch ended in: it digests to the
+/// previous epoch's end hash (the boot hash for epoch 0) and carries that
+/// hash. Checked on the salvaged journal of every suite and racy workload,
+/// recorded with the default configuration and under a divergence storm,
+/// so clean, diverged and serialized epochs all hand on their end state.
+#[test]
+fn every_epoch_starts_where_the_previous_one_ended() {
+    let storm = DoublePlayConfig {
+        tp_quantum: 6_000,
+        tp_jitter: 2_000,
+        ..DoublePlayConfig::new(2)
+            .epoch_cycles(6_000)
+            .ep_quantum(512)
+            .faults(FaultPlan::none().storms(1.0, 4, 64))
+    };
+    let (mut diverged, mut serialized) = (0, 0);
+    for case in mixed_suite(2, Size::Small) {
+        for config in [DoublePlayConfig::new(2), storm] {
+            let mut journal = JournalWriter::new(Vec::new()).unwrap();
+            let bundle = record_to(&case.spec, &config, &mut journal)
+                .unwrap_or_else(|e| panic!("{}: record failed: {e}", case.name));
+            diverged += bundle.stats.divergences;
+            serialized += bundle.stats.serialized_epochs;
+            let recording = JournalReader::salvage(journal.get_ref()).unwrap().recording;
+            let mut end = recording.meta.initial_machine_hash;
+            for epoch in &recording.epochs {
+                let start = Checkpoint::from_image(case.spec.program.clone(), epoch.start.clone());
+                assert_eq!(
+                    (start.machine.state_hash(), start.machine_hash),
+                    (end, end),
+                    "{}: epoch {} does not start where its predecessor ended",
+                    case.name,
+                    epoch.index
+                );
+                end = epoch.end_machine_hash;
+            }
+        }
+    }
+    assert!(
+        diverged > 0 && serialized > 0,
+        "{diverged} diverged and {serialized} serialized epochs"
+    );
+}

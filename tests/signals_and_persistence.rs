@@ -141,20 +141,6 @@ fn recording_survives_disk_roundtrip_and_replays() {
     assert_eq!(par.final_hash, a.final_hash);
 }
 
-#[test]
-fn compact_recordings_replay_without_checkpoints() {
-    let case = doubleplay::workloads::radix::build(2, Size::Small);
-    let config = DoublePlayConfig::new(2)
-        .epoch_cycles(150_000)
-        .keep_checkpoints(false);
-    let bundle = record(&case.spec, &config).unwrap();
-    assert!(!bundle.recording.has_checkpoints());
-    let report = replay_sequential(&bundle.recording, &case.spec.program).unwrap();
-    assert_eq!(report.epochs as u64, bundle.stats.epochs);
-    // Parallel replay needs checkpoints and must refuse cleanly.
-    assert!(replay_parallel(&bundle.recording, &case.spec.program, 2).is_err());
-}
-
 /// A saved recording whose schedule names a thread the guest never
 /// created — bit rot the CRCs cannot catch once `save` recomputes them, or
 /// a recording paired with the wrong guest — must replay to a typed
